@@ -140,7 +140,7 @@ def _mk1_section(link, subsets):
     return runs
 
 
-def _analyze(doc, kind, mark=None, threads=1, with_mk1=False):
+def _analyze(doc, kind, mark=None, with_mk1=False):
     report = {}
     if kind == "diagram":
         if isinstance(doc, list):
@@ -178,26 +178,23 @@ def _analyze(doc, kind, mark=None, threads=1, with_mk1=False):
         w, covectors = graph, None
 
     g = goeritz(w)
-    rep = _spinc.obstruction_report(w, covectors=covectors, threads=threads)
-    classes = _spinc.enumerate_spinc(g, covectors=covectors, threads=threads)
+    rep = _spinc.obstruction_report(w, covectors=covectors)
     report["invariants"] = {"m": rep.m, "det": rep.det, "special": rep.special}
     report["goeritz"] = {
         "vertex_order": [str(v) for v in g.vertex_order],
         "matrix": [list(row) for row in g.matrix],
         "matrix_det": det_exact(g.matrix),
     }
-    report["spinc"] = _spinc_table(classes)
+    report["spinc"] = _spinc_table(rep.classes)
     report["char_subgraphs"] = [
-        {"vertices": list(c.vertices), "cut": c.cut}
-        for c in _spinc.characteristic_subgraphs(w)
+        {"vertices": list(c.vertices), "cut": c.cut} for c in rep.subgraphs
     ]
     report["obstructions"] = _obstruction_dict(rep)
     report["plumbing"] = _plumbing_section(w)
     if with_mk1:
         try:
             link = _chainmail.build_chainmail(w)
-            nonempty = [c.vertices for c in _spinc.characteristic_subgraphs(w)
-                        if c.vertices]
+            nonempty = [c.vertices for c in rep.subgraphs if c.vertices]
             best = min(nonempty, key=lambda vs: _spinc.cut_size(w, vs),
                        default=None)
             report["mk1"] = (_mk1_section(link, [best]) if best
@@ -299,15 +296,14 @@ def _emit(report, args, out):
 
 def cmd_analyze(args, out):
     kind, doc = _doc_kind(_load(args.file))
-    report = _analyze(doc, kind, mark=args.mark, threads=args.threads,
-                      with_mk1=args.mk1)
+    report = _analyze(doc, kind, mark=args.mark, with_mk1=args.mk1)
     _emit(report, args, out)
     return 0
 
 
 def cmd_obstruct(args, out):
     kind, doc = _doc_kind(_load(args.file))
-    report = _analyze(doc, kind, mark=args.mark, threads=args.threads)
+    report = _analyze(doc, kind, mark=args.mark)
     slim = {
         "kind": report["kind"],
         "invariants": report["invariants"],
@@ -462,13 +458,11 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--mark", default=None, help="marked arc or vertex override")
     p.add_argument("--mk1", action="store_true", help="include a slide log")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("obstruct", help="obstruction report only")
     p.add_argument("file")
     p.add_argument("--mark", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_obstruct)
 
     p = sub.add_parser("mk1", help="handle-slide simulation")

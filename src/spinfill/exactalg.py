@@ -81,6 +81,38 @@ def det_exact(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(m):
+    """Integer adjugate and determinant of a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I]: every
+    division is exact, the left block ends as p I and the right block as
+    p m^{-1}, where p is the determinant up to the sign of the row swaps.
+    Returns (adj, det) with m adj = det I; raises Singular when det = 0.
+    """
+    n = _require_square(m)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                raise Singular("matrix is singular")
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p = a[k][k]
+        pivot_row = a[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    adj = tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return adj, sign * prev
+
+
 def signature(m) -> tuple:
     """Inertia (n+, n-, n0) of a symmetric matrix, by exact congruence.
 

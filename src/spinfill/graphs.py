@@ -214,16 +214,6 @@ def default_outer_dart(g: MarkedGraph):
     return best[1] if best else None
 
 
-def dual_adjacent_faces(g: MarkedGraph):
-    """For each edge index, the pair of face indices on its two sides."""
-    faces = trace_faces(g)
-    side = {}
-    for fi, face in enumerate(faces):
-        for d in face:
-            side[d] = fi
-    return faces, [(side[(e, 0)], side[(e, 1)]) for e in range(len(g.edges))]
-
-
 def bridges(g: MarkedGraph):
     """Edge indices whose removal disconnects the graph.
 

@@ -10,14 +10,13 @@ the spin structures.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CertificationFailure, NotATree, Singular
-from .exactalg import (GoeritzForm, det_exact, gf2_affine_solutions, goeritz,
-                       hnf_basis, hnf_reduce, is_integral, matvec, quadform_q,
+from .exactalg import (GoeritzForm, adjugate, det_exact, gf2_affine_solutions,
+                       goeritz, hnf_basis, hnf_reduce, is_integral, matvec,
                        signature, solve_rational)
 from .graphs import MarkedGraph
 
@@ -76,90 +75,139 @@ class ObstructionReport:
     capbound: BoundVerdict             # min cut >= 9 m obstruction
     cap_entries: tuple                 # per characteristic subgraph
     tree_reduced: bool                 # reduced white graph is a tree
+    classes: tuple                     # the spin-c table, as enumerate_spinc
+    subgraphs: tuple                   # as characteristic_subgraphs
 
 
-def _ldl(a):
-    """Exact LDL^T of a positive definite rational matrix."""
-    n = len(a)
-    low = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        s = Fraction(a[j][j])
-        for k in range(j):
-            s -= diag[k] * low[j][k] * low[j][k]
-        if s <= 0:
-            raise Singular("matrix is not positive definite")
-        diag[j] = s
-        low[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = Fraction(a[i][j])
-            for k in range(j):
-                t -= diag[k] * low[i][k] * low[j][k]
-            low[i][j] = t / diag[j]
-    return low, diag
+def _ldl_integer(a):
+    """Fraction-free LDL^T of a positive definite integer matrix.
 
-
-def _closest_lattice_value(a, target):
-    """min over integer y of (y - target)^T a (y - target), exact.
-
-    Depth-first enumeration over the LDL cone with incumbent pruning;
-    per level the candidates zigzag outward from the real center, so
-    once both frontier candidates prune, the level is exhausted.
+    Returns (pivots, low): pivots[k] is the leading principal minor of
+    size k + 1, and the exact factors are L[i][k] = low[i][k] / pivots[k]
+    for i > k and D[k] = pivots[k] / pivots[k - 1] (pivots[-1] read as 1).
     """
     n = len(a)
-    low, diag = _ldl(a)
-    t = [Fraction(x) for x in target]
-    best_val = [None]
-    best_arg = [None]
-
-    def search(level, partial, zs):
-        if level < 0:
-            if best_val[0] is None or partial < best_val[0]:
-                best_val[0] = partial
-                best_arg[0] = list(zs)
-            return
-        c = t[level]
-        for j in range(level + 1, n):
-            c -= low[j][level] * (zs[j] - t[j])
-        base = c.numerator // c.denominator
-        offset = 0
-        while True:
-            pruned = 0
-            for z in (base - offset, base + offset + 1):
-                cost = partial + diag[level] * (z - c) * (z - c)
-                if best_val[0] is not None and cost >= best_val[0]:
-                    pruned += 1
-                    continue
-                zs[level] = z
-                search(level - 1, cost, zs)
-            if pruned == 2:
-                break
-            offset += 1
-
-    search(n - 1, Fraction(0), [0] * n)
-    if best_val[0] is None:
-        raise CertificationFailure("lattice search returned nothing")
-    return best_val[0], tuple(best_arg[0])
+    b = [list(row) for row in a]
+    low = [[0] * n for _ in range(n)]
+    pivots = []
+    prev = 1
+    for k in range(n):
+        p = b[k][k]
+        if p <= 0:
+            raise Singular("matrix is not positive definite")
+        pivots.append(p)
+        for i in range(k + 1, n):
+            low[i][k] = b[i][k]
+            for j in range(k + 1, n):
+                b[i][j] = (b[i][j] * p - b[i][k] * b[k][j]) // prev
+        prev = p
+    return pivots, low
 
 
-def orbit_max_q(g: GoeritzForm, covector) -> Fraction:
+def _certification_failure(stage, m, det, message):
+    return CertificationFailure(
+        "spinc.%s: %s (rank %d, det %d)" % (stage, message, m, det))
+
+
+class OrbitKernel:
+    """Closest-vector data of one Goeritz form, on integers only.
+
+    For A = -G the orbit maximum of v is -4 min_y (y - t)^T A (y - t)
+    with t = adj(A) v / (2 det A).  The LDL^T factors of A and the target
+    share the denominators P = lcm of the leading minors and S = 2 det A,
+    so with Q = P S every search center is C / Q for an integer C, and
+    every partial cost is an integer over the fixed constant W Q^2.
+    """
+
+    def __init__(self, g: GoeritzForm):
+        a = [[-x for x in row] for row in g.matrix]
+        self.m = g.m
+        pivots, low = _ldl_integer(a)
+        self.adj, self.det = adjugate(a)
+        p = math.lcm(*pivots)
+        w = math.lcm(*pivots[:-1])
+        self.p = p
+        self.s = 2 * self.det
+        self.q = p * self.s
+        # P L[j][k], read by level k
+        self.low = [[low[j][k] * (p // pivots[k]) for j in range(self.m)]
+                    for k in range(self.m)]
+        # W D[k]
+        self.weight = [pivots[k] * (w // (pivots[k - 1] if k else 1))
+                       for k in range(self.m)]
+        self.denominator = w * self.q * self.q
+
+    def quadform(self, v) -> Fraction:
+        """v^T G^{-1} v = -v^T adj(A) v / det A."""
+        return Fraction(-sum(x * y for x, y in zip(v, matvec(self.adj, v))),
+                        self.det)
+
+    def min_cost(self, target):
+        """W Q^2 min over integer y of (y - t)^T A (y - t), t = target / S.
+
+        Depth-first enumeration over the LDL cone with incumbent pruning;
+        per level the candidates zigzag outward from the real center, so
+        once both frontier candidates prune, the level is exhausted.
+        """
+        n, q, s = self.m, self.q, self.s
+        low, weight = self.low, self.weight
+        centers = [self.p * x for x in target]
+        shifts = [0] * n          # S z_j - target_j on the levels above
+        best = None
+
+        def search(level, partial):
+            nonlocal best
+            if level < 0:
+                if best is None or partial < best:
+                    best = partial
+                return
+            c = centers[level]
+            row = low[level]
+            for j in range(level + 1, n):
+                c -= row[j] * shifts[j]
+            wl = weight[level]
+            tl = target[level]
+            base = c // q
+            offset = 0
+            while True:
+                pruned = 0
+                for z in (base - offset, base + offset + 1):
+                    r = q * z - c
+                    cost = partial + wl * r * r
+                    if best is not None and cost >= best:
+                        pruned += 1
+                        continue
+                    shifts[level] = s * z - tl
+                    search(level - 1, cost)
+                if pruned == 2:
+                    break
+                offset += 1
+
+        search(n - 1, 0)
+        if best is None:
+            raise _certification_failure(
+                "orbit_max_q", self.m, (-1) ** self.m * self.det,
+                "lattice search returned nothing")
+        return best
+
+
+def orbit_max_q(g: GoeritzForm, covector, kernel=None) -> Fraction:
     """Exact max of v^T G^{-1} v over the orbit of a covector.
 
     Writing v = v0 + 2Gy turns the maximum over integer y into a closest
-    vector problem for the positive form -G.
+    vector problem for the positive form -G.  kernel, when given, is the
+    form's prebuilt OrbitKernel.
     """
-    m = g.m
-    a = [[-g.matrix[i][j] for j in range(m)] for i in range(m)]
-    half = solve_rational(a, covector)
-    target = [x / 2 for x in half]
-    fmin, _ = _closest_lattice_value(a, target)
-    return -4 * fmin
+    if kernel is None:
+        kernel = OrbitKernel(g)
+    best = kernel.min_cost(matvec(kernel.adj, covector))
+    return Fraction(-4 * best, kernel.denominator)
 
 
-def d_invariant(g: GoeritzForm, cls) -> Fraction:
+def d_invariant(g: GoeritzForm, cls, kernel=None) -> Fraction:
     """Correction term: max of (q(v) + m) / 4 over the class orbit."""
     covector = cls.representative if isinstance(cls, SpinCClass) else tuple(cls)
-    qmax = orbit_max_q(g, covector)
+    qmax = orbit_max_q(g, covector, kernel)
     return (qmax + g.m) / Fraction(4)
 
 
@@ -191,7 +239,7 @@ def coker_class(g: GoeritzForm, covector):
     return hnf_reduce(covector, _hnf_plain(g.matrix))
 
 
-def enumerate_spinc(g: GoeritzForm, covectors=None, threads=1):
+def enumerate_spinc(g: GoeritzForm, covectors=None):
     """All spin-c classes in canonical order, with correction terms.
 
     covectors, when given, lists one characteristic covector per state;
@@ -204,6 +252,9 @@ def enumerate_spinc(g: GoeritzForm, covectors=None, threads=1):
     m = g.m
     h1 = _hnf_plain(g.matrix)
     diag = g.diagonal
+
+    def failure(message):
+        return _certification_failure("enumerate_spinc", m, det, message)
 
     reps = set()
     box = [h1[i][i] for i in range(m)]
@@ -222,21 +273,13 @@ def enumerate_spinc(g: GoeritzForm, covectors=None, threads=1):
             break
     reps = sorted(reps)
     if len(reps) != abs(det):
-        raise CertificationFailure(
-            "found %d classes, expected %d" % (len(reps), abs(det)))
+        raise failure("found %d classes, expected %d" % (len(reps), abs(det)))
 
     odd = det % 2 != 0
-
-    def build(rep):
-        d = d_invariant(g, rep)
-        c1 = coker_class(g, rep) if odd else None
-        return SpinCClass(rep, rep, d, c1)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            classes = list(pool.map(build, reps))
-    else:
-        classes = [build(rep) for rep in reps]
+    kernel = OrbitKernel(g)
+    classes = [SpinCClass(rep, rep, d_invariant(g, rep, kernel),
+                          coker_class(g, rep) if odd else None)
+               for rep in reps]
 
     if covectors is not None:
         by_key = {cls.canonical_key: i for i, cls in enumerate(classes)}
@@ -244,15 +287,14 @@ def enumerate_spinc(g: GoeritzForm, covectors=None, threads=1):
         for si, vec in enumerate(covectors):
             ci = by_key.get(canonical_key(g, tuple(vec)))
             if ci is None or ci in assigned:
-                raise CertificationFailure(
-                    "states do not biject onto spin-c classes")
-            if quadform_q(g, vec) != 4 * classes[ci].d - m:
-                raise CertificationFailure(
-                    "state covector does not attain the orbit maximum")
+                raise failure("states do not biject onto spin-c classes")
+            if kernel.quadform(vec) != 4 * classes[ci].d - m:
+                raise failure(
+                    "state %d covector does not attain the orbit maximum"
+                    % si)
             assigned[ci] = si
         if len(assigned) != len(classes):
-            raise CertificationFailure(
-                "states do not biject onto spin-c classes")
+            raise failure("states do not biject onto spin-c classes")
         classes = [
             SpinCClass(cls.representative, cls.canonical_key, cls.d,
                        cls.c1_class, assigned[i])
@@ -344,7 +386,7 @@ def mu_bar(tree, c_vertices) -> Fraction:
     return mu
 
 
-def obstruction_report(source, covectors=None, threads=1) -> ObstructionReport:
+def obstruction_report(source, covectors=None) -> ObstructionReport:
     """Evaluate every filling obstruction for a diagram or marked graph.
 
     Diagram input is reduced to its white graph with the state covectors
@@ -365,11 +407,12 @@ def obstruction_report(source, covectors=None, threads=1) -> ObstructionReport:
     det = det_exact(g.matrix)
     m = g.m
     if signature(g.matrix) != (0, m, 0):
-        raise CertificationFailure("Goeritz form must be negative definite")
+        raise _certification_failure("obstruction_report", m, det,
+                                     "Goeritz form must be negative definite")
     special = all(d % 2 == 0 for d in w.degrees.values())
     odd = det % 2 != 0
 
-    classes = enumerate_spinc(g, covectors=covectors, threads=threads)
+    classes = enumerate_spinc(g, covectors=covectors)
     subs = characteristic_subgraphs(w)
 
     spin_d = None
@@ -422,4 +465,5 @@ def obstruction_report(source, covectors=None, threads=1) -> ObstructionReport:
         spin_d=spin_d, spin_b2_bound=spin_bound,
         cutbound=cutbound, capbound=capbound, cap_entries=entries,
         tree_reduced=tree is not None,
+        classes=tuple(classes), subgraphs=tuple(subs),
     )

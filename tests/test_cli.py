@@ -96,12 +96,11 @@ def test_analyze_deterministic(trefoil_file, capsys):
     assert len(outs) == 1
 
 
-def test_threads_do_not_change_output(trefoil_file, capsys):
-    _, out1, _ = run_cli(["--json", "analyze", trefoil_file, "--threads", "1"],
-                         capsys)
-    _, out4, _ = run_cli(["--json", "analyze", trefoil_file, "--threads", "4"],
-                         capsys)
-    assert out1 == out4
+def test_threads_flag_is_gone(trefoil_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", trefoil_file, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_analyze_mark_override(trefoil_file, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfill.errors import Disconnected, NonSquare, NonSymmetric, Singular
-from spinfill.exactalg import (det_exact, gf2_affine_solutions, goeritz,
+from spinfill.exactalg import (adjugate, det_exact, gf2_affine_solutions, goeritz,
                                hnf_basis, hnf_reduce, matvec, quadform_q,
                                signature, solve_rational, spanning_tree_count)
 from spinfill.graphs import MarkedGraph, gen_plane_multigraph
@@ -169,3 +169,42 @@ def test_hnf_reduction_is_canonical(seed):
     shifted = tuple(v[i] + sum(h[i][j] * k[j] for j in range(g.m))
                     for i in range(g.m))
     assert hnf_reduce(shifted, h) == red
+
+
+def assert_adjugate(m):
+    adj, det = adjugate(m)
+    n = len(m)
+    assert det == det_exact(m)
+    for i in range(n):
+        for j in range(n):
+            assert sum(m[i][k] * adj[k][j] for k in range(n)) == \
+                (det if i == j else 0)
+
+
+def test_adjugate_examples():
+    assert adjugate([[-4, 1], [1, -4]]) == (((-4, -1), (-1, -4)), 15)
+    assert adjugate([[0, 2], [3, 0]]) == (((0, -2), (-3, 0)), -6)
+    with pytest.raises(Singular):
+        adjugate([[1, 2], [2, 4]])
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_adjugate_of_goeritz_form(seed):
+    rng = random.Random(seed)
+    w = gen_plane_multigraph(rng, rng.randint(2, 5), rng.randint(0, 4))
+    assert_adjugate(goeritz(w).matrix)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_adjugate_with_row_swaps(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    m = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
+         for _ in range(n)]
+    if det_exact(m) == 0:
+        with pytest.raises(Singular):
+            adjugate(m)
+    else:
+        assert_adjugate(m)

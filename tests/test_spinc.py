@@ -2,15 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinfill.diagram import parse_pd
 from spinfill.errors import CertificationFailure
-from spinfill.exactalg import det_exact, goeritz, quadform_q
+from spinfill.exactalg import GoeritzForm, det_exact, goeritz, quadform_q
 from spinfill.graphs import gen_plane_multigraph
 from spinfill.plumbing import PlumbingTree, linear_tree
-from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
-                            enumerate_spinc, mu_bar, obstruction_report,
-                            orbit_max_q, same_class, spin_class)
+from spinfill.spinc import (OrbitKernel, characteristic_subgraphs, cut_size,
+                            d_invariant, enumerate_spinc, mu_bar,
+                            obstruction_report, orbit_max_q, same_class,
+                            spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, state_covectors,
@@ -106,6 +109,24 @@ def test_state_attachment_detects_wrong_covectors():
     g = form(white)
     with pytest.raises(CertificationFailure):
         enumerate_spinc(g, covectors=[covs[0]] * len(covs))
+
+
+def test_certification_failure_names_stage():
+    kd = parse_pd({"pd": PD_CODES["trefoil"]})
+    white, covs = state_covectors(kd)
+    g = form(white)
+    # Move one state covector inside its own orbit, off the maximum.
+    a = [[-x for x in row] for row in g.matrix]
+    shifted = [x + 2 * y for x, y in zip(covs[0], a[0])]
+    assert quadform_q(g, shifted) < quadform_q(g, covs[0])
+    with pytest.raises(CertificationFailure) as exc:
+        enumerate_spinc(g, covectors=[shifted] + covs[1:])
+    assert str(exc.value) == (
+        "spinc.enumerate_spinc: state 0 covector does not attain the orbit "
+        "maximum (rank 2, det 3)")
+    with pytest.raises(CertificationFailure, match=r"^spinc\.enumerate_spinc: "
+                       r"states do not biject .* \(rank 2, det 3\)$"):
+        enumerate_spinc(g, covectors=covs[:-1])
 
 
 def test_characteristic_examples():
@@ -233,3 +254,45 @@ def test_orbit_max_examples():
     g44 = form(special44_graph())
     assert orbit_max_q(g44, (0, 0)) == 0
     assert d_invariant(g44, (0, 0)) == Fraction(1, 2)
+
+
+def random_goeritz(seed):
+    """A negative definite form of rank <= 4 from a random plane graph."""
+    rng = random.Random(seed)
+    w = gen_plane_multigraph(rng, rng.randint(2, 5), rng.randint(0, 4))
+    return rng, goeritz(w)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_box_oracle(seed):
+    _, g = random_goeritz(seed)
+    # A class maximum v has |v_i| <= -G_ii, else v -+ 2 G e_i beats it.
+    oracle = brute_force_class_maxima(g, bound=max(-x for x in g.diagonal))
+    classes = enumerate_spinc(g)
+    assert len(oracle) == len(classes) == abs(det_exact(g.matrix))
+    for c in classes:
+        assert oracle[c.canonical_key] == 4 * c.d - g.m
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_d_multiset_ignores_vertex_order(seed):
+    rng, g = random_goeritz(seed)
+    perm = list(range(g.m))
+    rng.shuffle(perm)
+    permuted = GoeritzForm(
+        tuple(tuple(g.matrix[i][j] for j in perm) for i in perm),
+        tuple(g.vertex_order[i] for i in perm))
+    assert sorted(c.d for c in enumerate_spinc(permuted)) == \
+        sorted(c.d for c in enumerate_spinc(g))
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_kernel_quadform_matches_solve(seed):
+    rng, g = random_goeritz(seed)
+    kernel = OrbitKernel(g)
+    v = [rng.randint(-9, 9) for _ in range(g.m)]
+    assert kernel.quadform(v) == quadform_q(g, v)
+    assert orbit_max_q(g, v, kernel) == orbit_max_q(g, v) >= quadform_q(g, v)
