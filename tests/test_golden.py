@@ -1,7 +1,12 @@
-"""Golden --json outputs of `analyze` and `obstruct`, compared byte for byte.
+"""Golden outputs of the CLI, compared byte for byte.
 
-The corpus is the table PD codes plus five marked plane graphs.  To
-regenerate the files after an intended output change:
+The corpus is the table PD codes plus five marked plane graphs.  Each
+mode names a golden file suffix and the command line that produces it:
+`--json analyze`, `--json obstruct` and `--json mk1 --all`, plus the
+text renderings of `mk1 --all` and `analyze --mk1`.  `mk1` exits 2 on
+the special inputs (only the empty sublink is characteristic), so they
+have no mk1 files.  To regenerate the files after an intended output
+change:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -20,7 +25,17 @@ from conftest import (PD_CODES, banana_graph, cycle_graph, path_hub_graph,
                       special44_graph, two33_graph)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-COMMANDS = ("analyze", "obstruct")
+# mode -> (file extension, arguments before the input path, after it)
+JSON_MODES = {
+    "analyze": ("json", ["--json", "analyze"], []),
+    "obstruct": ("json", ["--json", "obstruct"], []),
+    "mk1": ("json", ["--json", "mk1"], ["--all"]),
+}
+TEXT_MODES = {
+    "mk1": ("txt", ["mk1"], ["--all"]),
+    "analyze-mk1": ("txt", ["analyze"], ["--mk1"]),
+}
+SPECIAL = {"pd_trefoil", "pd_5_2", "graph_special44"}
 
 
 def corpus():
@@ -33,34 +48,52 @@ def corpus():
     return docs
 
 
-CASES = [(name, cmd) for name in corpus() for cmd in COMMANDS]
+def cases(modes):
+    return [(name, mode) for name in corpus() for mode in modes
+            if not (mode == "mk1" and name in SPECIAL)]
 
 
-def json_output(doc, command, tmp_dir):
+JSON_CASES = cases(JSON_MODES)
+TEXT_CASES = cases(TEXT_MODES)
+
+
+def cli_output(doc, mode, tmp_dir):
+    _, before, after = mode
     path = Path(tmp_dir) / "input.json"
     path.write_text(json.dumps(doc))
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(["--json", command, str(path)])
+        code = main(before + [str(path)] + after)
     assert code == 0
     return buf.getvalue()
 
 
-def golden_path(name, command):
-    return GOLDEN / ("%s.%s.json" % (name, command))
+def golden_path(name, mode_name, mode):
+    return GOLDEN / ("%s.%s.%s" % (name, mode_name, mode[0]))
 
 
-@pytest.mark.parametrize("name,command", CASES)
+@pytest.mark.parametrize("name,command", JSON_CASES)
 def test_json_output_matches_golden(name, command, tmp_path):
-    out = json_output(corpus()[name], command, tmp_path)
-    assert out == golden_path(name, command).read_text(encoding="utf-8")
+    mode = JSON_MODES[command]
+    out = cli_output(corpus()[name], mode, tmp_path)
+    assert out == golden_path(name, command, mode).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,command", TEXT_CASES)
+def test_text_output_matches_golden(name, command, tmp_path):
+    mode = TEXT_MODES[command]
+    out = cli_output(corpus()[name], mode, tmp_path)
+    assert out == golden_path(name, command, mode).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, command in CASES:
-            out = json_output(corpus()[name], command, tmp)
-            golden_path(name, command).write_text(out, encoding="utf-8")
-            print("wrote", golden_path(name, command).name, file=sys.stderr)
+        for modes, case_list in ((JSON_MODES, JSON_CASES),
+                                 (TEXT_MODES, TEXT_CASES)):
+            for name, command in case_list:
+                out = cli_output(corpus()[name], modes[command], tmp)
+                path = golden_path(name, command, modes[command])
+                path.write_text(out, encoding="utf-8")
+                print("wrote", path.name, file=sys.stderr)
