@@ -7,11 +7,9 @@ single entry [-k].  Enlarging k drives the characteristic cut past both
 thresholds: the weak bound (cut >= m) fires for every odd k >= 1, and
 the strong bound (cut >= 9m) exactly from k = 9 on.
 """
-from fractions import Fraction
 
-from spinfill.exactalg import goeritz
 from spinfill.graphs import MarkedGraph
-from spinfill.spinc import enumerate_spinc, obstruction_report, spin_class
+from spinfill.spinc import obstruction_report
 
 
 def banana(k):
@@ -27,10 +25,7 @@ def main():
     for k in range(2, 13):
         w = banana(k)
         rep = obstruction_report(w)
-        if rep.det % 2:
-            d = str(spin_class(enumerate_spinc(goeritz(w))).d)
-        else:
-            d = "-"
+        d = "-" if rep.spin_d is None else str(rep.spin_d)
         cut = rep.cap_entries[0].cut if rep.cap_entries else 0
         print(f"{k:>3} {rep.det:>4} {str(rep.special):>8} {d:>8} "
               f"{cut:>4} {rep.cutbound.verdict:>12} {rep.capbound.verdict:>12}")

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .errors import (DegenerateGraph, Disconnected, EmptyCharacteristicSet,
                      InvalidEmbedding, MalformedInput, NotCharacteristic)
-from .exactalg import gf2_affine_solutions, signature
-from .graphs import MarkedGraph, default_outer_dart, euler_check
+from .exactalg import _characteristic_supports, signature
+from .graphs import (MarkedGraph, _dart_orbits, _face_successor, _reach,
+                     default_outer_dart, euler_check)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,21 +163,7 @@ def is_characteristic(link: ChainmailLink, subset) -> bool:
 
 def characteristic_subsets(link: ChainmailLink):
     """All characteristic sublinks, as sorted vertex tuples."""
-    mat = link.linking_matrix()
-    a = [[x & 1 for x in row] for row in mat]
-    b = [mat[i][i] & 1 for i in range(len(mat))]
-    sol = gf2_affine_solutions(a, b)
-    assert sol is not None, "characteristic systems are always consistent"
-    particular, basis = sol
-    out = []
-    for mask in range(1 << len(basis)):
-        y = list(particular)
-        for k in range(len(basis)):
-            if mask >> k & 1:
-                y = [p ^ q for p, q in zip(y, basis[k])]
-        out.append(tuple(v for v, bit in zip(link.vertices, y) if bit))
-    out.sort(key=lambda t: (len(t), tuple(map(str, t))))
-    return out
+    return _characteristic_supports(link.linking_matrix(), link.vertices)
 
 
 class _PlaneWork:
@@ -205,30 +192,8 @@ class _PlaneWork:
         return sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))
 
     def faces(self):
-        pos = {}
-        for v, rot in self.rot.items():
-            for i, d in enumerate(rot):
-                pos[d] = (v, i)
-        faces = []
-        seen = set()
-        for e in self.edges:
-            for end in (0, 1):
-                d0 = (e, end)
-                if d0 in seen:
-                    continue
-                face = []
-                d = d0
-                while True:
-                    face.append(d)
-                    seen.add(d)
-                    opp = (d[0], 1 - d[1])
-                    w, i = pos[opp]
-                    rot = self.rot[w]
-                    d = rot[(i + 1) % len(rot)]
-                    if d == d0:
-                        break
-                faces.append(tuple(face))
-        return faces
+        darts = ((e, end) for e in self.edges for end in (0, 1))
+        return _dart_orbits(darts, _face_successor(self.rot.values()))
 
     def vertices_inside(self, u, v):
         """Vertices strictly inside the region enclosed by the parallel
@@ -341,27 +306,17 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
     # Connected components of the induced subgraph, processed in order
     # of their smallest member.
     inside = set(subset)
-    comp_of = {}
+    neighbors = link.graph.neighbors
+    components = []
+    placed = set()
     for v in sorted(subset, key=str):
-        if v in comp_of:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in link.graph.neighbors[stack.pop()]:
-                if w in inside and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        for w in comp:
-            comp_of[w] = v
-
-    components = {}
-    for v in subset:
-        components.setdefault(comp_of[v], set()).add(v)
+        if v not in placed:
+            comp = _reach(v, lambda u: neighbors[u] & inside)
+            placed |= comp
+            components.append(comp)
 
     reps = []
-    for root in sorted(components, key=str):
-        comp = components[root]
+    for comp in components:
         if len(comp) == 1:
             reps.append(next(iter(comp)))
             continue

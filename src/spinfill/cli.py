@@ -95,16 +95,9 @@ def _spinc_table(classes):
     return table
 
 
-def _plumbing_section(w: MarkedGraph):
-    reduced = w.without_vertex(w.marked)
-    if not (reduced.vertices and reduced.is_connected()
-            and len(reduced.edges) == len(reduced.vertices) - 1):
+def _plumbing_section(tree):
+    if tree is None:
         return {"applicable": False, "reason": "reduced graph is not a tree"}
-    tree = _plumbing.PlumbingTree(
-        vertices=reduced.vertices,
-        weights=tuple(-w.degree(v) for v in reduced.vertices),
-        edges=tuple((u, v) for (u, v, _) in reduced.edges),
-    )
     nf = _plumbing.check_normal_form(tree)
     out = {
         "applicable": True,
@@ -190,16 +183,17 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
         {"vertices": list(c.vertices), "cut": c.cut} for c in rep.subgraphs
     ]
     report["obstructions"] = _obstruction_dict(rep)
-    report["plumbing"] = _plumbing_section(w)
+    report["plumbing"] = _plumbing_section(rep.tree)
     if with_mk1:
         try:
             link = _chainmail.build_chainmail(w)
-            nonempty = [c.vertices for c in rep.subgraphs if c.vertices]
-            best = min(nonempty, key=lambda vs: _spinc.cut_size(w, vs),
-                       default=None)
-            report["mk1"] = (_mk1_section(link, [best]) if best
-                             else {"applicable": False,
-                                   "reason": "only the empty sublink exists"})
+            best = min((c for c in rep.subgraphs if c.vertices),
+                       key=lambda c: c.cut, default=None)
+            if best is None:
+                report["mk1"] = {"applicable": False,
+                                 "reason": "only the empty sublink exists"}
+            else:
+                report["mk1"] = _mk1_section(link, [best.vertices])
         except SpinfillError as exc:
             report["mk1"] = {"applicable": False, "reason": str(exc)}
     return report
@@ -272,18 +266,23 @@ def _render(report, out):
             w("plumbing: %s\n" % pl["reason"])
     mk = report.get("mk1")
     if isinstance(mk, list):
-        for run in mk:
-            w("mk1 on %s: final framing %d at %s, %d slides\n"
-              % (run["subset"], run["final_framing"], run["final_vertex"],
-                 len(run["slides"])))
-            for s in run["slides"]:
-                w("  slide %s over %s (%s) -> framing %d\n"
-                  % (s["slid"], s["over"], s["kind"], s["framing_after"]))
-            fl = run["filling"]
-            w("  filling: b2=%d sigma=%d even=%s f=%d\n"
-              % (fl["b2"], fl["sigma"], fl["even_form"], fl["f"]))
+        _render_mk1_runs(mk, out)
     elif isinstance(mk, dict):
         w("mk1: %s\n" % mk.get("reason"))
+
+
+def _render_mk1_runs(runs, out):
+    w = out.write
+    for run in runs:
+        w("mk1 on %s: final framing %d at %s, %d slides\n"
+          % (run["subset"], run["final_framing"], run["final_vertex"],
+             len(run["slides"])))
+        for s in run["slides"]:
+            w("  slide %s over %s (%s) -> framing %d\n"
+              % (s["slid"], s["over"], s["kind"], s["framing_after"]))
+        fl = run["filling"]
+        w("  filling: b2=%d sigma=%d even=%s f=%d\n"
+          % (fl["b2"], fl["sigma"], fl["even_form"], fl["f"]))
 
 
 def _emit(report, args, out):
@@ -339,16 +338,7 @@ def cmd_mk1(args, out):
     if args.json:
         _emit(report, args, out)
     else:
-        for run in report["runs"]:
-            out.write("mk1 on %s: final framing %d at %s, %d slides\n"
-                      % (run["subset"], run["final_framing"],
-                         run["final_vertex"], len(run["slides"])))
-            for s in run["slides"]:
-                out.write("  slide %s over %s (%s) -> framing %d\n"
-                          % (s["slid"], s["over"], s["kind"], s["framing_after"]))
-            fl = run["filling"]
-            out.write("  filling: b2=%d sigma=%d even=%s f=%d\n"
-                      % (fl["b2"], fl["sigma"], fl["even_form"], fl["f"]))
+        _render_mk1_runs(report["runs"], out)
     return 0
 
 

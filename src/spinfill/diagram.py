@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import (Disconnected, MalformedInput, NonPlanar,
                      NotAlternating, NotReduced)
-from .graphs import MarkedGraph
+from .graphs import MarkedGraph, _dart_orbits, _reach
 
 WHITE = "white"
 BLACK = "black"
@@ -64,6 +64,11 @@ def _as_document(text):
         raise MalformedInput("not a valid document: %s" % exc) from exc
 
 
+def _is_arc_id(x):
+    # bool is an int subclass, and True == 1 would alias arc 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_pd(text) -> KnotDiagram:
     """Parse a PD document {"pd": [[a,b,c,d], ...], "marked_arc": k?}.
 
@@ -81,7 +86,7 @@ def parse_pd(text) -> KnotDiagram:
     for t in pd:
         if not isinstance(t, (list, tuple)) or len(t) != 4:
             raise MalformedInput("crossing %r is not a 4-tuple" % (t,))
-        if not all(isinstance(x, int) for x in t):
+        if not all(_is_arc_id(x) for x in t):
             raise MalformedInput("arc ids must be integers: %r" % (t,))
         crossings.append(tuple(t))
     crossings = tuple(crossings)
@@ -102,41 +107,25 @@ def parse_pd(text) -> KnotDiagram:
     for (c1, _), (c2, _) in ends.values():
         adj[c1].add(c2)
         adj[c2].add(c1)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+    if len(_reach(0, adj.__getitem__)) != n:
         raise Disconnected("split diagram: projection is disconnected")
 
     # Face tracing: from end (c, s) jump to the arc's other end and turn
     # counterclockwise.  Each orbit is a region, stored as the cyclic
-    # sequence of corners it sweeps; corner s sits between slots s, s+1.
+    # sequence of corners it sweeps (the far ends of its darts); corner s
+    # sits between slots s, s+1.
     other = {}
     for (d1, d2) in (tuple(v) for v in ends.values()):
         other[d1] = d2
         other[d2] = d1
-    regions = []
+    succ = {d: (c2, (s2 + 1) % 4) for d, (c2, s2) in other.items()}
+    darts = ((c, s) for c in range(n) for s in range(4))
+    regions = [tuple(other[d] for d in orbit)
+               for orbit in _dart_orbits(darts, succ)]
     corner_region = [[None] * 4 for _ in range(n)]
-    visited = set()
-    for c0 in range(n):
-        for s0 in range(4):
-            if (c0, s0) in visited:
-                continue
-            corners = []
-            d = (c0, s0)
-            while True:
-                visited.add(d)
-                c2, s2 = other[d]
-                corners.append((c2, s2))
-                corner_region[c2][s2] = len(regions)
-                d = (c2, (s2 + 1) % 4)
-                if d == (c0, s0):
-                    break
-            regions.append(tuple(corners))
+    for r, corners in enumerate(regions):
+        for (c, s) in corners:
+            corner_region[c][s] = r
     if len(regions) != n + 2:
         raise NonPlanar(
             "face tracing gives %d regions, expected %d" % (len(regions), n + 2))
@@ -152,7 +141,7 @@ def parse_pd(text) -> KnotDiagram:
             raise NotReduced("crossing %d is nugatory" % c)
 
     marked_arc = doc.get("marked_arc", arcs[0])
-    if marked_arc not in ends:
+    if not _is_arc_id(marked_arc) or marked_arc not in ends:
         raise MalformedInput("marked_arc %r is not an arc id" % (marked_arc,))
     # The two regions flanking an arc are the faces through its ends;
     # the face through end d sweeps the corner at the opposite end.

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import (DegenerateGraph, DimensionMismatch, Disconnected,
                      NonSquare, NonSymmetric, Singular)
-from .graphs import MarkedGraph
+from .graphs import MarkedGraph, _reach
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,28 @@ def gf2_affine_solutions(a, b):
     return tuple(particular), tuple(basis)
 
 
+def _characteristic_supports(matrix, labels):
+    """Supports of every y with M y = diag(M) over GF(2).
+
+    Each support is the tuple of labels where y is 1; the list is sorted
+    by size, then by the labels' strings.  The count is a power of two.
+    """
+    a = [[x & 1 for x in row] for row in matrix]
+    b = [matrix[i][i] & 1 for i in range(len(matrix))]
+    sol = gf2_affine_solutions(a, b)
+    assert sol is not None, "characteristic systems are always consistent"
+    particular, basis = sol
+    out = []
+    for mask in range(1 << len(basis)):
+        y = list(particular)
+        for k in range(len(basis)):
+            if mask >> k & 1:
+                y = [p ^ q for p, q in zip(y, basis[k])]
+        out.append(tuple(v for v, bit in zip(labels, y) if bit))
+    out.sort(key=lambda t: (len(t), tuple(map(str, t))))
+    return out
+
+
 def spanning_tree_count(graph: MarkedGraph) -> int:
     """Number of spanning trees, by deletion-contraction.
 
@@ -258,15 +280,7 @@ def spanning_tree_count(graph: MarkedGraph) -> int:
         for (u, v) in edges:
             adj[u].append(v)
             adj[v].append(u)
-        start = next(iter(vs))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vs)
+        return len(_reach(next(iter(vs)), adj.__getitem__)) == len(vs)
 
     def count(vs, mult):
         if len(vs) == 1:

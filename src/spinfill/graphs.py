@@ -81,14 +81,8 @@ class MarkedGraph:
     def is_connected(self):
         if not self.vertices:
             return True
-        stack = [self.vertices[0]]
-        seen = {self.vertices[0]}
-        while stack:
-            for w in self.neighbors[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        reached = _reach(self.vertices[0], self.neighbors.__getitem__)
+        return len(reached) == len(self.vertices)
 
     def without_vertex(self, v):
         """Delete a vertex with its edges; rotations are filtered."""
@@ -135,39 +129,63 @@ def _validate_rotations(g: MarkedGraph):
         raise InvalidEmbedding("rotation system misses some edge ends")
 
 
+def _reach(start, neighbors):
+    """The set of vertices reached from start; neighbors(v) lists the
+    vertices one step from v."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _dart_orbits(darts, succ):
+    """Cycles of the dart permutation succ (a dict), as tuples.
+
+    Each cycle starts at its first dart in the iterable darts, so the
+    order of darts fixes the order of the cycles.
+    """
+    orbits = []
+    seen = set()
+    for d0 in darts:
+        if d0 in seen:
+            continue
+        orbit = []
+        d = d0
+        while True:
+            orbit.append(d)
+            seen.add(d)
+            d = succ[d]
+            if d == d0:
+                break
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def _face_successor(rotations):
+    """Face permutation of a rotation system: from dart d, walk the edge
+    to its far end and turn to the next dart counterclockwise there."""
+    succ = {}
+    for rot in rotations:
+        n = len(rot)
+        for i, (e, end) in enumerate(rot):
+            succ[(e, 1 - end)] = rot[(i + 1) % n]
+    return succ
+
+
 def trace_faces(g: MarkedGraph):
     """Face orbits of the rotation system.
 
-    Each face is a tuple of darts: from dart d, walk the edge to its far
-    end and turn to the next dart counterclockwise.  Every dart lies on
-    exactly one face.
+    Each face is a tuple of darts, listed in the order of its first
+    dart (edge index, then end).  Every dart lies on exactly one face.
     """
     if g.rotations is None:
         raise InvalidEmbedding("graph carries no rotation system")
-    pos = {}
-    for v, rot in zip(g.vertices, g.rotations):
-        for i, d in enumerate(rot):
-            pos[d] = (v, i)
-    faces = []
-    seen = set()
-    for e in range(len(g.edges)):
-        for end in (0, 1):
-            d0 = (e, end)
-            if d0 in seen:
-                continue
-            face = []
-            d = d0
-            while True:
-                face.append(d)
-                seen.add(d)
-                opp = (d[0], 1 - d[1])
-                w, i = pos[opp]
-                rot = g.rotations[g.index[w]]
-                d = rot[(i + 1) % len(rot)]
-                if d == d0:
-                    break
-            faces.append(tuple(face))
-    return faces
+    darts = ((e, end) for e in range(len(g.edges)) for end in (0, 1))
+    return _dart_orbits(darts, _face_successor(g.rotations))
 
 
 def euler_check(g: MarkedGraph):
@@ -214,47 +232,59 @@ def default_outer_dart(g: MarkedGraph):
     return best[1] if best else None
 
 
-def bridges(g: MarkedGraph):
-    """Edge indices whose removal disconnects the graph.
+def _blocks(g: MarkedGraph):
+    """Biconnected components as edge-index sets (Tarjan's lowpoint DFS).
 
-    Parallel copies are never bridges; the DFS runs on edge ids.
+    The DFS runs on edge ids, so parallel copies share a block.
     """
-    low = {}
-    num = {}
-    out = []
-    counter = [0]
     adj = {v: [] for v in g.vertices}
     for i, (u, v, _) in enumerate(g.edges):
         adj[u].append((v, i))
         adj[v].append((u, i))
-
+    num = {}
+    low = {}
+    stack = []
+    blocks = []
     for root in g.vertices:
         if root in num:
             continue
-        stack = [(root, -1, iter(adj[root]))]
-        num[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, pedge, it = stack[-1]
+        num[root] = low[root] = len(num)
+        work = [(root, -1, iter(adj[root]))]
+        while work:
+            v, pedge, it = work[-1]
             advanced = False
             for (w, ei) in it:
                 if ei == pedge:
                     continue
                 if w not in num:
-                    num[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, ei, iter(adj[w])))
+                    stack.append(ei)
+                    num[w] = low[w] = len(num)
+                    work.append((w, ei, iter(adj[w])))
                     advanced = True
                     break
-                low[v] = min(low[v], num[w])
+                if num[w] < num[v]:
+                    stack.append(ei)
+                    low[v] = min(low[v], num[w])
             if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
+                work.pop()
+                if work:
+                    p = work[-1][0]
                     low[p] = min(low[p], low[v])
-                    if low[v] > num[p] and g.edges_between(p, v) == 1:
-                        out.append(pedge)
-    return out
+                    if low[v] >= num[p]:
+                        block = set()
+                        while stack:
+                            ei = stack.pop()
+                            block.add(ei)
+                            if ei == pedge:
+                                break
+                        blocks.append(block)
+    return blocks
+
+
+def bridges(g: MarkedGraph):
+    """Edge indices whose removal disconnects the graph: the edges of the
+    single-edge blocks.  Parallel copies are never bridges."""
+    return [ei for block in _blocks(g) if len(block) == 1 for ei in block]
 
 
 def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):
@@ -298,6 +328,21 @@ def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True)
     return extend(0, {}, set())
 
 
+def _check_id(x):
+    """Document ids are ints (not bools) or strings."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise MalformedInput("id %r is neither an integer nor a string" % (x,))
+
+
+def _check_vertex_ids(vertices):
+    """Vertex ids of a document: valid ids with distinct str() forms,
+    since vertices are ordered and keyed by those forms."""
+    for v in vertices:
+        _check_id(v)
+    if len({str(v) for v in vertices}) != len(vertices):
+        raise MalformedInput("duplicate vertex ids (compared as strings)")
+
+
 def parse_graph_doc(text):
     """Parse a graph document into its components.
 
@@ -324,6 +369,7 @@ def parse_graph_doc(text):
             if has_weights else None
     except (TypeError, KeyError, ValueError) as exc:
         raise MalformedInput("bad vertex list: %s" % exc) from exc
+    _check_vertex_ids(vertices)
     edges = []
     signs = []
     for k, e in enumerate(doc.get("edges", ())):
@@ -340,6 +386,8 @@ def parse_graph_doc(text):
             raise MalformedInput("edge %r is not a pair" % (e,))
         if sign not in (1, -1):
             raise MalformedInput("edge sign must be +1 or -1")
+        _check_id(u)
+        _check_id(v)
         edges.append((u, v, k))
         signs.append(sign)
     rotations = None
@@ -364,7 +412,10 @@ def parse_graph_doc(text):
                         "vertex %r lists edge %r it does not touch" % (v, e_idx))
             rotations.append(tuple(rot))
         rotations = tuple(rotations)
-    graph = MarkedGraph(vertices, tuple(edges), marked=doc.get("marked"),
+    marked = doc.get("marked")
+    if marked is not None:
+        _check_id(marked)
+    graph = MarkedGraph(vertices, tuple(edges), marked=marked,
                         rotations=rotations)
     outer = tuple(doc["outer"]) if "outer" in doc else None
     return graph, weights, tuple(signs), outer

@@ -18,7 +18,8 @@ from .errors import (DegenerateGraph, InvalidFraction, MalformedInput,
                      NotAccessibleByConstruction, NotATree, NotCoprime,
                      NotExcessive, NotReducible)
 from .exactalg import det_exact
-from .graphs import MarkedGraph
+from .graphs import (MarkedGraph, _blocks, _check_id, _check_vertex_ids,
+                     _reach)
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,7 @@ def _check_tree(vertices, edges):
         return
     if len(edges) != len(vertices) - 1:
         raise NotATree("edge count must be vertex count minus one")
-    stack = [vertices[0]]
-    reached = {vertices[0]}
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != len(vertices):
+    if len(_reach(vertices[0], adj.__getitem__)) != len(vertices):
         raise NotATree("tree must be connected")
 
 
@@ -100,6 +94,10 @@ def parse_tree_doc(text) -> PlumbingTree:
         edges = tuple((u, v) for (u, v) in doc.get("edges", ()))
     except (TypeError, KeyError, ValueError) as exc:
         raise MalformedInput("bad tree document: %s" % exc) from exc
+    _check_vertex_ids(vertices)
+    for edge in edges:
+        for v in edge:
+            _check_id(v)
     return PlumbingTree(vertices, weights, edges)
 
 
@@ -142,12 +140,13 @@ class NormalFormReport:
         return self.n1_ok and self.n2_ok and self.n3_ok
 
 
-def _applicable_moves(tree: PlumbingTree):
-    """(kind, vertex) pairs for every move that currently applies."""
+def _applicable_moves(vertices, weights, degree):
+    """(kind, vertex) pairs for every move that currently applies;
+    weights maps each vertex to its weight, degree(v) is its degree."""
     moves = []
-    for v in tree.vertices:
-        w = tree.weight(v)
-        deg = tree.degree(v)
+    for v in vertices:
+        w = weights[v]
+        deg = degree(v)
         if w in (1, -1) and deg == 0:
             moves.append(("delete-unit", v))
         elif w in (1, -1) and deg <= 2:
@@ -164,7 +163,9 @@ def check_normal_form(tree: PlumbingTree) -> NormalFormReport:
     common parent are tolerated only when the whole component is a chain
     of weights at most -2 ending in that parent.
     """
-    n1_bad = tuple(v for _, v in _applicable_moves(tree))
+    weights = dict(zip(tree.vertices, tree.weights))
+    n1_bad = tuple(v for _, v in _applicable_moves(tree.vertices, weights,
+                                                   tree.degree))
     n2_bad = tuple(v for v in tree.vertices
                    if tree.degree(v) <= 2 and tree.weight(v) > -2)
     n3_bad = []
@@ -182,23 +183,12 @@ def check_normal_form(tree: PlumbingTree) -> NormalFormReport:
     )
 
 
-def _d_type_component_vertices(tree, start):
-    stack = [start]
-    seen = {start}
-    while stack:
-        for w in tree.neighbors(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def _d_type_component(tree, parent, twin_leaves):
     """Component is a chain of weights <= -2 with exactly two -2 leaves
     hanging off one end (the allowed exceptional shape)."""
     if len(twin_leaves) != 2:
         return False
-    comp = _d_type_component_vertices(tree, parent)
+    comp = _reach(parent, tree.neighbors)
     rest = comp - set(twin_leaves[:2])
     # rest must be a path ending at parent, all weights <= -2
     if any(tree.weight(v) > -2 for v in rest):
@@ -243,16 +233,7 @@ def reduce_normal_form(tree: PlumbingTree, rng=None):
         return out
 
     for _ in range(2 * len(verts) + 1):
-        moves = []
-        for v in verts:
-            w = weights[v]
-            deg = degree(v)
-            if w in (1, -1) and deg == 0:
-                moves.append(("delete-unit", v))
-            elif w in (1, -1) and deg <= 2:
-                moves.append(("blow-down", v))
-            elif w == 0 and deg == 2:
-                moves.append(("absorb-zero", v))
+        moves = _applicable_moves(verts, weights, degree)
         if not moves:
             break
         kind, v = moves[0] if rng is None else moves[rng.randrange(len(moves))]
@@ -368,59 +349,6 @@ def berge_ipm(i: int, k: int):
             continue
         out.append((p, (-k * k) % p))
     return tuple(out)
-
-
-def _blocks(g: MarkedGraph):
-    """Biconnected components as edge-index sets (DFS lowpoint)."""
-    adj = {v: [] for v in g.vertices}
-    for i, (u, v, _) in enumerate(g.edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    num = {}
-    low = {}
-    stack = []
-    blocks = []
-    counter = [0]
-
-    def dfs(root):
-        work = [(root, -1, iter(adj[root]))]
-        num[root] = low[root] = counter[0]
-        counter[0] += 1
-        while work:
-            v, pedge, it = work[-1]
-            advanced = False
-            for (w, ei) in it:
-                if ei == pedge:
-                    continue
-                if w not in num:
-                    stack.append(ei)
-                    num[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    work.append((w, ei, iter(adj[w])))
-                    advanced = True
-                    break
-                if num[w] < num[v]:
-                    stack.append(ei)
-                    low[v] = min(low[v], num[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] >= num[p]:
-                        block = set()
-                        while stack:
-                            ei = stack.pop()
-                            block.add(ei)
-                            if ei == pedge:
-                                break
-                        if block:
-                            blocks.append(block)
-
-    for v in g.vertices:
-        if v not in num:
-            dfs(v)
-    return blocks
 
 
 def accessible_witness(g: MarkedGraph, weights, hub="hub") -> MarkedGraph:

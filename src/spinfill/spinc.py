@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CertificationFailure, NotATree, Singular
-from .exactalg import (GoeritzForm, adjugate, det_exact, gf2_affine_solutions,
-                       goeritz, hnf_basis, hnf_reduce, is_integral, matvec,
-                       signature, solve_rational)
+from .errors import CertificationFailure, Disconnected, NotATree, Singular
+from .exactalg import (GoeritzForm, _characteristic_supports, adjugate,
+                       det_exact, goeritz, hnf_basis, hnf_reduce, is_integral,
+                       matvec, signature, solve_rational)
 from .graphs import MarkedGraph
 
 
@@ -74,9 +74,13 @@ class ObstructionReport:
     cutbound: BoundVerdict             # min cut >= m obstruction
     capbound: BoundVerdict             # min cut >= 9 m obstruction
     cap_entries: tuple                 # per characteristic subgraph
-    tree_reduced: bool                 # reduced white graph is a tree
+    tree: object                       # reduced graph as PlumbingTree, or None
     classes: tuple                     # the spin-c table, as enumerate_spinc
     subgraphs: tuple                   # as characteristic_subgraphs
+
+    @property
+    def tree_reduced(self):
+        return self.tree is not None
 
 
 def _ldl_integer(a):
@@ -322,22 +326,10 @@ def characteristic_subgraphs(w: MarkedGraph):
     the determinant is odd.
     """
     g = goeritz(w)
-    a = [[x & 1 for x in row] for row in g.matrix]
-    b = [x & 1 for x in g.diagonal]
-    sol = gf2_affine_solutions(a, b)
-    assert sol is not None, "characteristic systems are always consistent"
-    particular, basis = sol
-    order = g.vertex_order
     out = []
-    for mask in range(1 << len(basis)):
-        y = list(particular)
-        for k in range(len(basis)):
-            if mask >> k & 1:
-                y = [p ^ q for p, q in zip(y, basis[k])]
-        support = tuple(v for v, bit in zip(order, y) if bit)
+    for support in _characteristic_supports(g.matrix, g.vertex_order):
         _verify_characteristic(w, support)
         out.append(CharSubgraph(support, cut_size(w, support)))
-    out.sort(key=lambda c: (len(c.vertices), tuple(map(str, c.vertices))))
     return out
 
 
@@ -403,6 +395,8 @@ def obstruction_report(source, covectors=None) -> ObstructionReport:
         if covectors is None:
             covectors = [state_covector(source, coloring, s, w)
                          for s in kauffman_states(source)]
+    if not w.is_connected():
+        raise Disconnected("white graph must be connected")
     g = goeritz(w)
     det = det_exact(g.matrix)
     m = g.m
@@ -464,6 +458,6 @@ def obstruction_report(source, covectors=None) -> ObstructionReport:
         m=m, det=abs(det), special=special, b2_bound=m,
         spin_d=spin_d, spin_b2_bound=spin_bound,
         cutbound=cutbound, capbound=capbound, cap_entries=entries,
-        tree_reduced=tree is not None,
+        tree=tree,
         classes=tuple(classes), subgraphs=tuple(subs),
     )

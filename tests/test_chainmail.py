@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinfill.chainmail import (build_chainmail, characteristic_subsets,
                                 furuta_check, is_characteristic,
@@ -249,3 +251,13 @@ def test_furuta_examples():
     assert furuta_check(4, 2, b2=2).b2_feasible is True
     with pytest.raises(MalformedInput):
         furuta_check(0, 1)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_characteristic_subsets_match_subgraphs(seed):
+    rng = random.Random(seed)
+    w = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 6))
+    assume(w.without_vertex(w.marked).is_connected())
+    assert characteristic_subsets(build_chainmail(w)) == \
+        [c.vertices for c in characteristic_subgraphs(w)]

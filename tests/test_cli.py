@@ -123,6 +123,14 @@ def test_exit_codes(tmp_path, capsys):
     missing = run_cli(["analyze", str(tmp_path / "nope.json")], capsys)
     assert missing[0] == 2
 
+    # The second component misses the mark: a topology error, not a bug.
+    split = write_doc(tmp_path, "split.json", {
+        "vertices": [{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3}],
+        "edges": [[0, 1], [0, 1], [2, 3], [2, 3], [2, 3]], "marked": 0})
+    code, _, err = run_cli(["obstruct", split], capsys)
+    assert code == 3
+    assert "connected" in err
+
 
 def test_obstruct_graph(ban9_file, capsys):
     code, out, _ = run_cli(["obstruct", ban9_file], capsys)
@@ -227,3 +235,42 @@ def test_witness_rejects_shallow_weights(tmp_path, capsys):
         "vertices": [{"id": "a", "weight": -1}], "edges": []})
     code, _, _ = run_cli(["witness", doc], capsys)
     assert code == 3
+
+
+def weighted_pair_doc(other):
+    """Marked 0 plus vertices 1 and other; Goeritz [[-4, 2], [2, -5]]."""
+    return {"vertices": [{"id": 0}, {"id": 1}, {"id": other}],
+            "edges": [[0, 1], [0, 1], [1, other], [1, other],
+                      [0, other], [0, other], [0, other]],
+            "marked": 0}
+
+
+def test_vertex_ids_must_differ_as_strings(tmp_path, capsys):
+    fine = write_doc(tmp_path, "fine.json", weighted_pair_doc(2))
+    code, out, _ = run_cli(["--json", "analyze", fine], capsys)
+    assert code == 0
+    assert json.loads(out)["invariants"]["det"] == 16
+    clash = write_doc(tmp_path, "clash.json", weighted_pair_doc("1"))
+    code, _, err = run_cli(["analyze", clash], capsys)
+    assert code == 2
+    assert "duplicate vertex ids" in err
+
+
+def test_non_scalar_ids_are_malformed(tmp_path, capsys):
+    graph = write_doc(tmp_path, "graph.json", weighted_pair_doc([2]))
+    assert run_cli(["analyze", graph], capsys)[0] == 2
+    flag = write_doc(tmp_path, "flag.json", dict(weighted_pair_doc(2),
+                                                 marked=False))
+    assert run_cli(["analyze", flag], capsys)[0] == 2
+    tree = write_doc(tmp_path, "tree.json", {
+        "vertices": [{"id": [0], "weight": -2}, {"id": 1, "weight": -2}],
+        "edges": [[[0], 1]]})
+    assert run_cli(["plumb", "check", tree], capsys)[0] == 2
+
+
+def test_pd_rejects_bool_arc_ids(tmp_path, capsys):
+    pd = [[True, 4, 2, 5]] + PD_CODES["trefoil"][1:]
+    path = write_doc(tmp_path, "bool.json", {"pd": pd})
+    code, _, err = run_cli(["analyze", path], capsys)
+    assert code == 2
+    assert "arc ids must be integers" in err
