@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (DegenerateGraph, Disconnected, EmptyCharacteristicSet,
-                     InvalidEmbedding, MalformedInput, NotCharacteristic)
+                     InvalidEmbedding, MalformedInput, NonNegativeFraming,
+                     NotCharacteristic)
 from .exactalg import _characteristic_supports, signature
 from .graphs import (MarkedGraph, _dart_orbits, _face_successor, _reach,
                      default_outer_dart, euler_check)
@@ -41,6 +43,12 @@ class ChainmailLink:
             mat[idx[u]][idx[v]] += sign
             mat[idx[v]][idx[u]] += sign
         return [list(row) for row in mat]
+
+    @cached_property
+    def sigma(self):
+        """Signature of the linking matrix, computed once per link."""
+        pos, neg, _ = signature(self.linking_matrix())
+        return pos - neg
 
 
 @dataclass(frozen=True)
@@ -379,34 +387,38 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
     )
 
 
-def kaplan_filling(link: ChainmailLink, subset) -> FillingStats:
+def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
     """Spin-filling statistics after sliding, blowing up and down.
 
     Starting from the chainmail filling, the tracked sublink is slid to
     one component with framing -f, its framing is pushed to -1 by f-1
     meridian blow-ups and the component is blown down.  The surviving
     matrix must have an even diagonal, which certifies the spin form.
+    log, when given, is mk1_run(link, subset), so the slides are not
+    run twice.
     """
     subset = tuple(subset)
     if not is_characteristic(link, subset):
         raise NotCharacteristic("subset fails the linking parity test")
-    mat = link.linking_matrix()
-    n = len(mat)
-    sig = signature(mat)
-    sigma0 = sig[0] - sig[1]
+    n = len(link.vertices)
     if not subset:
+        mat = link.linking_matrix()
         assert all(mat[i][i] % 2 == 0 for i in range(n)), \
             "empty characteristic sublink needs an even diagonal"
-        return FillingStats(b2=n, sigma=sigma0, even_form=True, f=0)
+        return FillingStats(b2=n, sigma=link.sigma, even_form=True, f=0)
 
-    log = mk1_run(link, subset)
+    if log is None:
+        log = mk1_run(link, subset)
     mat = [list(row) for row in log.final_matrix]
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]
-    assert framing < 0, "characteristic framing must be negative here"
+    if framing >= 0:
+        raise NonNegativeFraming(
+            "sublink %s slides to framing %d; the Kaplan filling needs a "
+            "negative framing" % (list(subset), framing))
     f = -framing
     b2 = n
-    sigma = sigma0
+    sigma = link.sigma
 
     # f - 1 blow-ups: adjoin a +1-framed meridian and slide over it.
     for _ in range(f - 1):

@@ -117,7 +117,7 @@ def _mk1_section(link, subsets):
     runs = []
     for vs in subsets:
         log = _chainmail.mk1_run(link, vs)
-        stats = _chainmail.kaplan_filling(link, vs)
+        stats = _chainmail.kaplan_filling(link, vs, log)
         runs.append({
             "subset": list(log.subset),
             "slides": [

@@ -57,6 +57,11 @@ class NotCharacteristic(SpinfillError):
     pass
 
 
+class NonNegativeFraming(SpinfillError):
+    """A characteristic sublink slides to a framing >= 0, so the
+    blow-up/blow-down accounting of the Kaplan filling does not apply."""
+
+
 class NotATree(SpinfillError):
     pass
 

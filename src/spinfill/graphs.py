@@ -334,6 +334,10 @@ def _check_id(x):
         raise MalformedInput("id %r is neither an integer nor a string" % (x,))
 
 
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_vertex_ids(vertices):
     """Vertex ids of a document: valid ids with distinct str() forms,
     since vertices are ordered and keyed by those forms."""
@@ -393,14 +397,22 @@ def parse_graph_doc(text):
     rotations = None
     if "rotations" in doc:
         rot_doc = doc["rotations"]
+        if not isinstance(rot_doc, dict):
+            raise MalformedInput("rotations must map vertices to edge lists")
         rotations = []
         for v in vertices:
             key = v if v in rot_doc else str(v)
             if key not in rot_doc:
                 raise InvalidEmbedding("rotation missing for vertex %r" % (v,))
+            if not isinstance(rot_doc[key], list):
+                raise MalformedInput("rotation of vertex %r is not a list"
+                                     % (v,))
             rot = []
             for e_idx in rot_doc[key]:
-                if not (isinstance(e_idx, int) and 0 <= e_idx < len(edges)):
+                if not _is_index(e_idx):
+                    raise MalformedInput("rotation edge %r is not an integer"
+                                         % (e_idx,))
+                if not 0 <= e_idx < len(edges):
                     raise InvalidEmbedding("rotation cites unknown edge %r" % (e_idx,))
                 u, w, _ = edges[e_idx]
                 if v == u:
@@ -417,7 +429,14 @@ def parse_graph_doc(text):
         _check_id(marked)
     graph = MarkedGraph(vertices, tuple(edges), marked=marked,
                         rotations=rotations)
-    outer = tuple(doc["outer"]) if "outer" in doc else None
+    outer = doc.get("outer")
+    if outer is not None:
+        if not (isinstance(outer, list) and len(outer) == 2
+                and all(map(_is_index, outer))
+                and 0 <= outer[0] < len(edges) and outer[1] in (0, 1)):
+            raise MalformedInput("outer must be [edge index, end 0 or 1], "
+                                 "got %r" % (outer,))
+        outer = tuple(outer)
     return graph, weights, tuple(signs), outer
 
 

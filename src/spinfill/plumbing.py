@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DegenerateGraph, InvalidFraction, MalformedInput,
                      NotAccessibleByConstruction, NotATree, NotCoprime,
                      NotExcessive, NotReducible)
-from .exactalg import det_exact
 from .graphs import (MarkedGraph, _blocks, _check_id, _check_vertex_ids,
                      _reach)
 
@@ -27,26 +26,26 @@ class PlumbingTree:
     vertices: tuple
     weights: tuple
     edges: tuple  # (u, v) pairs
+    # vertex -> weight, and vertex -> neighbors in edge-list order
+    _weight: dict = field(init=False, repr=False, compare=False)
+    _adj: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.vertices):
             raise MalformedInput("one weight per vertex required")
-        _check_tree(self.vertices, self.edges)
+        object.__setattr__(self, "_weight",
+                           dict(zip(self.vertices, self.weights)))
+        object.__setattr__(self, "_adj",
+                           _check_tree(self.vertices, self.edges))
 
     def weight(self, v):
-        return self.weights[self.vertices.index(v)]
+        return self._weight[v]
 
     def degree(self, v):
-        return sum(1 for (a, b) in self.edges if v in (a, b))
+        return len(self._adj[v])
 
     def neighbors(self, v):
-        out = []
-        for (a, b) in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
+        return list(self._adj[v])
 
     @property
     def empty(self):
@@ -54,6 +53,7 @@ class PlumbingTree:
 
 
 def _check_tree(vertices, edges):
+    """Validate a tree; returns its adjacency, neighbors in edge order."""
     vs = set(vertices)
     if len(vs) != len(vertices):
         raise MalformedInput("duplicate vertex ids")
@@ -71,11 +71,12 @@ def _check_tree(vertices, edges):
         adj[u].append(v)
         adj[v].append(u)
     if not vertices:
-        return
+        return adj
     if len(edges) != len(vertices) - 1:
         raise NotATree("edge count must be vertex count minus one")
     if len(_reach(vertices[0], adj.__getitem__)) != len(vertices):
         raise NotATree("tree must be connected")
+    return adj
 
 
 def parse_tree_doc(text) -> PlumbingTree:
@@ -140,20 +141,17 @@ class NormalFormReport:
         return self.n1_ok and self.n2_ok and self.n3_ok
 
 
-def _applicable_moves(vertices, weights, degree):
-    """(kind, vertex) pairs for every move that currently applies;
-    weights maps each vertex to its weight, degree(v) is its degree."""
-    moves = []
-    for v in vertices:
-        w = weights[v]
-        deg = degree(v)
-        if w in (1, -1) and deg == 0:
-            moves.append(("delete-unit", v))
-        elif w in (1, -1) and deg <= 2:
-            moves.append(("blow-down", v))
-        elif w == 0 and deg == 2:
-            moves.append(("absorb-zero", v))
-    return moves
+def _move_kind(weight, degree):
+    """The reduction move that applies at a vertex of this weight and
+    degree, or None."""
+    if weight in (1, -1):
+        if degree == 0:
+            return "delete-unit"
+        if degree <= 2:
+            return "blow-down"
+    elif weight == 0 and degree == 2:
+        return "absorb-zero"
+    return None
 
 
 def check_normal_form(tree: PlumbingTree) -> NormalFormReport:
@@ -163,49 +161,32 @@ def check_normal_form(tree: PlumbingTree) -> NormalFormReport:
     common parent are tolerated only when the whole component is a chain
     of weights at most -2 ending in that parent.
     """
-    weights = dict(zip(tree.vertices, tree.weights))
-    n1_bad = tuple(v for _, v in _applicable_moves(tree.vertices, weights,
-                                                   tree.degree))
+    degree, weight = tree.degree, tree.weight
+    n1_bad = tuple(v for v in tree.vertices
+                   if _move_kind(weight(v), degree(v)))
     n2_bad = tuple(v for v in tree.vertices
-                   if tree.degree(v) <= 2 and tree.weight(v) > -2)
+                   if degree(v) <= 2 and weight(v) > -2)
+    # The exceptional shape: all weights <= -2, and the parent is either
+    # the middle of three vertices or the one branch vertex, of degree
+    # three (the rest is then a chain that ends in it).
+    all_le_m2 = all(w <= -2 for w in tree.weights)
+    branches = [v for v in tree.vertices if degree(v) >= 3]
     n3_bad = []
     for p in tree.vertices:
-        twin_leaves = [u for u in tree.neighbors(p)
-                       if tree.degree(u) == 1 and tree.weight(u) == -2]
+        twin_leaves = [u for u in tree._adj[p]
+                       if degree(u) == 1 and weight(u) == -2]
         if len(twin_leaves) < 2:
             continue
-        if not _d_type_component(tree, p, twin_leaves):
+        exception = (len(twin_leaves) == 2 and all_le_m2
+                     and (degree(p) == 2
+                          or (degree(p) == 3 and branches == [p])))
+        if not exception:
             n3_bad.append(p)
     return NormalFormReport(
         n1_ok=not n1_bad, n1_violations=n1_bad,
         n2_ok=not n2_bad, n2_violations=n2_bad,
         n3_ok=not n3_bad, n3_violations=tuple(n3_bad),
     )
-
-
-def _d_type_component(tree, parent, twin_leaves):
-    """Component is a chain of weights <= -2 with exactly two -2 leaves
-    hanging off one end (the allowed exceptional shape)."""
-    if len(twin_leaves) != 2:
-        return False
-    comp = _reach(parent, tree.neighbors)
-    rest = comp - set(twin_leaves[:2])
-    # rest must be a path ending at parent, all weights <= -2
-    if any(tree.weight(v) > -2 for v in rest):
-        return False
-    degs = {}
-    for (u, v) in tree.edges:
-        if u in rest and v in rest:
-            degs[u] = degs.get(u, 0) + 1
-            degs[v] = degs.get(v, 0) + 1
-    for v in rest:
-        degs.setdefault(v, 0)
-    if len(rest) == 1:
-        return True
-    ones = [v for v, d in degs.items() if d == 1]
-    twos = [v for v, d in degs.items() if d == 2]
-    return len(ones) == 2 and len(ones) + len(twos) == len(rest) \
-        and parent in ones
 
 
 def reduce_normal_form(tree: PlumbingTree, rng=None):
@@ -215,70 +196,121 @@ def reduce_normal_form(tree: PlumbingTree, rng=None):
     case applicable moves are picked at random (used for confluence
     testing).  Every move removes at least one vertex, so termination is
     structural; NotReducible guards the loop against bugs.
+
+    Edges carry ids in the order of the edge list (an edge rewired by an
+    absorption keeps its id, a new one gets the next id), so the output
+    lists them as the move-by-move edge list would.  A heap holds the
+    position of every vertex that may admit a move; entries are checked
+    when popped.
     """
-    verts = list(tree.vertices)
-    weights = {v: w for v, w in zip(tree.vertices, tree.weights)}
-    edges = [frozenset(e) for e in tree.edges]
+    import heapq  # here, so that the analyze path imports no more modules
+    pos = {v: i for i, v in enumerate(tree.vertices)}
+    weights = dict(tree._weight)
+    edges = {i: frozenset(e) for i, e in enumerate(tree.edges)}
+    incident = {v: set() for v in tree.vertices}
+    for i, (u, v) in enumerate(tree.edges):
+        incident[u].add(i)
+        incident[v].add(i)
+    next_id = len(edges)
     log = []
 
-    def degree(v):
-        return sum(1 for e in edges if v in e)
+    def kind_at(v):
+        return v in weights and _move_kind(weights[v], len(incident[v]))
 
     def neighbors(v):
-        out = []
-        for e in edges:
-            if v in e:
-                (a, b) = tuple(e)
-                out.append(b if a == v else a)
-        return out
+        return [next(iter(edges[e] - {v})) for e in sorted(incident[v])]
 
-    for _ in range(2 * len(verts) + 1):
-        moves = _applicable_moves(verts, weights, degree)
-        if not moves:
-            break
-        kind, v = moves[0] if rng is None else moves[rng.randrange(len(moves))]
+    def drop_edge(e):
+        for u in edges.pop(e):
+            incident[u].discard(e)
+
+    heap = [(pos[v], v) for v in tree.vertices if kind_at(v)]
+    for _ in range(2 * len(tree.vertices) + 1):
+        if rng is None:
+            while heap and not kind_at(heap[0][1]):
+                heapq.heappop(heap)
+            if not heap:
+                break
+            v = heap[0][1]
+        else:
+            moves = sorted({entry for entry in heap if kind_at(entry[1])})
+            if not moves:
+                break
+            v = moves[rng.randrange(len(moves))][1]
+        kind = kind_at(v)
         if kind == "delete-unit":
-            verts.remove(v)
-            del weights[v]
+            touched = ()
             log.append((kind, v))
         elif kind == "blow-down":
             eps = weights[v]
             nbrs = neighbors(v)
             for u in nbrs:
                 weights[u] -= eps
-            edges = [e for e in edges if v not in e]
+            for e in list(incident[v]):
+                drop_edge(e)
             if len(nbrs) == 2:
-                edges.append(frozenset(nbrs))
-            verts.remove(v)
-            del weights[v]
+                edges[next_id] = frozenset(nbrs)
+                for u in nbrs:
+                    incident[u].add(next_id)
+                next_id += 1
+            touched = nbrs
             log.append((kind, v, eps))
         else:
             u1, u2 = neighbors(v)
             keep, drop = sorted((u1, u2), key=str)
             # Merge drop into keep; in a tree the two neighbors are not
             # adjacent, so no parallel edge can arise.
-            edges = [e for e in edges if v not in e]
-            edges = [
-                frozenset((keep, next(iter(e - {drop})))) if drop in e else e
-                for e in edges
-            ]
-            weights[keep] += weights[drop]
-            verts.remove(v)
-            verts.remove(drop)
-            del weights[v]
-            del weights[drop]
+            for e in list(incident[v]):
+                drop_edge(e)
+            for e in incident.pop(drop):
+                edges[e] = frozenset((keep, next(iter(edges[e] - {drop}))))
+                incident[keep].add(e)
+            weights[keep] += weights.pop(drop)
+            touched = (keep,)
             log.append((kind, v, keep, drop))
+        del weights[v]
+        del incident[v]
+        for u in touched:
+            if kind_at(u):
+                heapq.heappush(heap, (pos[u], u))
     else:
         raise NotReducible("reduction engine failed to terminate")
 
     order = [v for v in tree.vertices if v in weights]
     out = PlumbingTree(tuple(order), tuple(weights[v] for v in order),
-                       tuple(tuple(sorted(e, key=str)) for e in edges))
+                       tuple(tuple(sorted(e, key=str))
+                             for e in edges.values()))
     return out, tuple(log)
 
 
 def det_tree(tree: PlumbingTree) -> int:
-    return det_exact(intersection_matrix(tree)) if tree.vertices else 1
+    """Determinant of the intersection matrix by leaf-to-root elimination.
+
+    Rooted at the first vertex, each vertex v gets full(v), the
+    determinant of its subtree, and cut(v), that of its subtree without
+    v.  Expanding along v's row gives
+    full(v) = w_v * prod full(c) - sum_c cut(c) * prod_{c' != c} full(c'),
+    cut(v) = prod full(c), folded over the children with plain ints.
+    """
+    if not tree.vertices:
+        return 1
+    root = tree.vertices[0]
+    order = [root]
+    parent = {root: root}
+    for v in order:
+        for u in tree._adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    # prod full(c) and the sum, over the children folded in so far
+    prod = dict.fromkeys(order, 1)
+    total = dict.fromkeys(order, 0)
+    for v in reversed(order[1:]):
+        full = tree._weight[v] * prod[v] - total[v]
+        p = parent[v]
+        total[p] = total[p] * full + prod[p] * prod[v]
+        prod[p] *= full
+    return tree._weight[root] * prod[root] - total[root]
 
 
 @dataclass(frozen=True)

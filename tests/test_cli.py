@@ -1,10 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinfill
+from spinfill import chainmail
 from spinfill.cli import main
+from spinfill.graphs import graph_to_doc
 
-from conftest import PD_CODES
+from conftest import PD_CODES, two33_graph
 
 
 def run_cli(args, capsys):
@@ -109,7 +117,7 @@ def test_analyze_mark_override(trefoil_file, capsys):
     assert "marked arc 4" in out
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{ not json")
     code, _, err = run_cli(["analyze", str(garbage)], capsys)
@@ -130,6 +138,14 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(["obstruct", split], capsys)
     assert code == 3
     assert "connected" in err
+
+    # A +1-framed unknot is characteristic and slides to framing 1: the
+    # Kaplan filling does not apply, a precondition, not a bug.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+        {"vertices": [{"id": 0, "weight": 1}], "edges": []})))
+    code, _, err = run_cli(["--json", "mk1", "-", "--all"], capsys)
+    assert code == 3
+    assert "[0]" in err and "framing 1" in err
 
 
 def test_obstruct_graph(ban9_file, capsys):
@@ -274,3 +290,56 @@ def test_pd_rejects_bool_arc_ids(tmp_path, capsys):
     code, _, err = run_cli(["analyze", path], capsys)
     assert code == 2
     assert "arc ids must be integers" in err
+
+
+def test_graph_doc_indices_must_be_integers(tmp_path, capsys):
+    base = {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],
+            "edges": [[0, 1], [0, 1]],
+            "rotations": {"0": [0, 1], "1": [1, 0]}}
+    fine = write_doc(tmp_path, "fine.json", dict(base, outer=[0, 1]))
+    assert run_cli(["mk1", fine], capsys)[0] == 0
+    bad = [dict(base, outer=5), dict(base, outer=[0, 5]),
+           dict(base, outer=[True, 0]), dict(base, outer=[2, 0]),
+           dict(base, rotations={"0": [True, 1], "1": [1, 0]}),
+           dict(base, rotations=[[0, 1], [1, 0]])]
+    for k, doc in enumerate(bad):
+        path = write_doc(tmp_path, "bad%d.json" % k, doc)
+        code, _, err = run_cli(["mk1", path], capsys)
+        assert code == 2, (doc, err)
+
+
+def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, monkeypatch):
+    calls = {"mk1_run": 0, "signature": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(chainmail, name,
+                            counted(name, getattr(chainmail, name)))
+    path = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
+    code, out, _ = run_cli(["--json", "mk1", path, "--all"], capsys)
+    assert code == 0
+    assert calls == {"mk1_run": len(json.loads(out)["runs"]),
+                     "signature": 1}
+    assert calls["mk1_run"] > 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(spinfill.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "spinfill", "cf", "16", "9"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert "[2, 5, 2]" in proc.stdout
+    assert proc.stderr == ""
+    proc = subprocess.run([sys.executable, "-m", "spinfill", "cf", "9", "16"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 3

@@ -1,17 +1,20 @@
 """Golden outputs of the CLI, compared byte for byte.
 
-The corpus is the table PD codes plus five marked plane graphs.  Each
-mode names a golden file suffix and the command line that produces it:
-`--json analyze`, `--json obstruct` and `--json mk1 --all`, plus the
-text renderings of `mk1 --all` and `analyze --mk1`.  `mk1` exits 2 on
-the special inputs (only the empty sublink is characteristic), so they
-have no mk1 files.  To regenerate the files after an intended output
-change:
+The corpus is the table PD codes, five marked plane graphs and eight
+plumbing trees.  Each mode names a golden file suffix and the command
+line that produces it: `--json analyze`, `--json obstruct` and
+`--json mk1 --all`, plus the text renderings of `mk1 --all` and
+`analyze --mk1`, for diagrams and graphs; `plumb check|reduce|decide`,
+as JSON and as text, for trees.  `mk1` exits 2 on the special inputs
+(only the empty sublink is characteristic) and `plumb decide` exits 3
+on trees that are not excessive, so those have no files.  To
+regenerate the files after an intended output change:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -35,7 +38,74 @@ TEXT_MODES = {
     "mk1": ("txt", ["mk1"], ["--all"]),
     "analyze-mk1": ("txt", ["analyze"], ["--mk1"]),
 }
+for _action in ("check", "reduce", "decide"):
+    JSON_MODES["plumb-" + _action] = ("json", ["--json", "plumb", _action], [])
+    TEXT_MODES["plumb-" + _action] = ("txt", ["plumb", _action], [])
 SPECIAL = {"pd_trefoil", "pd_5_2", "graph_special44"}
+NOT_EXCESSIVE = {"tree_singular20", "tree_moves12", "tree_mixed160"}
+# weights of the slides-plumb trees that plumb check and reduce see
+MIXED_WEIGHTS = (-5, -4, -3, -3, -2, -2, -2, -1, -1, 0, 1)
+
+
+def random_tree_doc(seed, n, weight, ints=False):
+    """Tree on n vertices, each hung from a uniform earlier one, with
+    weight(rng, degree) per vertex."""
+    rng = random.Random(seed)
+    ids = [i if ints else "v%d" % i for i in range(n)]
+    parent = [rng.randrange(v) for v in range(1, n)]
+    degree = [0] * n
+    for v, p in enumerate(parent, 1):
+        degree[p] += 1
+        degree[v] += 1
+    return {"vertices": [{"id": ids[v], "weight": weight(rng, degree[v])}
+                         for v in range(n)],
+            "edges": [[ids[p], ids[v]] for v, p in enumerate(parent, 1)]}
+
+
+def tree_doc(weights, edges):
+    return {"vertices": [{"id": v, "weight": w} for v, w in weights.items()],
+            "edges": [list(e) for e in edges]}
+
+
+def odd_excessive(rng, degree):
+    w = min(-2, -degree) - rng.randrange(3)
+    return w - 1 + w % 2
+
+
+def tree_corpus():
+    return {
+        "tree_chain4252": tree_doc({"a": -4, "b": -2, "c": -5, "d": -2},
+                                   [("a", "b"), ("b", "c"), ("c", "d")]),
+        # even weights, odd determinant: the plumbing is a spin filling
+        "tree_even_chain": tree_doc({"a": -2, "b": -6, "c": -2, "d": -4},
+                                    [("a", "b"), ("b", "c"), ("c", "d")]),
+        # twin -2 leaves at the end of a chain: the allowed exception
+        "tree_d5": tree_doc({"a": -2, "b": -4, "p": -4, "l1": -2, "l2": -2},
+                            [("a", "b"), ("b", "p"), ("p", "l1"), ("p", "l2")]),
+        # twin -2 leaves on a parent inside a chain: an n3 violation
+        "tree_twins_inner": tree_doc(
+            {"z1": -2, "p": -4, "z2": -2, "l1": -2, "l2": -2},
+            [("z1", "p"), ("p", "z2"), ("p", "l1"), ("p", "l2")]),
+        # determinant 0
+        "tree_singular20": random_tree_doc(
+            0, 20, lambda rng, d: rng.choice((-3, -2, -1, 0, 1))),
+        # reduces to nothing through all three move kinds
+        "tree_moves12": random_tree_doc(
+            248, 12, lambda rng, d: rng.choice((-3, -2, -2, -1, 0, 1))),
+        "tree_mixed160": random_tree_doc(
+            0, 160, lambda rng, d: rng.choice(MIXED_WEIGHTS), ints=True),
+        # odd determinant, so decide reaches a verdict
+        "tree_excessive160": random_tree_doc(12, 160, odd_excessive,
+                                             ints=True),
+    }
+
+
+def applies(name, mode):
+    if name.startswith("tree_"):
+        return mode.startswith("plumb-") and not (
+            mode == "plumb-decide" and name in NOT_EXCESSIVE)
+    return not mode.startswith("plumb-") and not (
+        mode == "mk1" and name in SPECIAL)
 
 
 def corpus():
@@ -45,12 +115,13 @@ def corpus():
     docs["graph_special44"] = graph_to_doc(special44_graph())
     docs["graph_path_hub"] = graph_to_doc(path_hub_graph())
     docs["graph_two33"] = graph_to_doc(two33_graph())
+    docs.update(tree_corpus())
     return docs
 
 
 def cases(modes):
     return [(name, mode) for name in corpus() for mode in modes
-            if not (mode == "mk1" and name in SPECIAL)]
+            if applies(name, mode)]
 
 
 JSON_CASES = cases(JSON_MODES)

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinfill.errors import (InvalidFraction, NotAccessibleByConstruction,
                              NotATree, NotCoprime, NotExcessive)
-from spinfill.exactalg import goeritz, signature
+from spinfill.exactalg import det_exact, goeritz, signature
 from spinfill.graphs import MarkedGraph
 from spinfill.plumbing import (PlumbingTree, accessible_witness, berge_ipm,
                                canonical_form, cf_value, check_normal_form,
@@ -16,6 +16,86 @@ from spinfill.plumbing import (PlumbingTree, accessible_witness, berge_ipm,
                                parse_tree_doc, random_excessive_tree,
                                random_tree, reduce_normal_form)
 from spinfill.spinc import characteristic_subgraphs
+
+
+@st.composite
+def trees(draw, max_size=40, weights=st.integers(-6, 2)):
+    """Weighted trees with shuffled vertex order and edge orientation."""
+    n = draw(st.integers(0, max_size))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    edges = [(p, v) if draw(st.booleans()) else (v, p)
+             for v, p in enumerate(parents, 1)]
+    edges = draw(st.permutations(edges)) if edges else []
+    vertices = draw(st.permutations(range(n))) if n else []
+    return PlumbingTree(tuple(vertices),
+                        tuple(draw(weights) for _ in range(n)), tuple(edges))
+
+
+def scan_neighbors(tree, v):
+    """Edge-scan oracle: neighbors of v in edge-list order."""
+    return [b if a == v else a for (a, b) in tree.edges if v in (a, b)]
+
+
+def d_type_oracle(tree, parent, twin_leaves):
+    """The component of parent minus its twin leaves is a chain of
+    weights <= -2 that ends in parent."""
+    if len(twin_leaves) != 2:
+        return False
+    rest = set(tree.vertices) - set(twin_leaves)
+    if any(tree.weight(v) > -2 for v in rest):
+        return False
+    degs = {v: sum(1 for u in scan_neighbors(tree, v) if u in rest)
+            for v in rest}
+    if len(rest) == 1:
+        return True
+    ones = [v for v, d in degs.items() if d == 1]
+    return (len(ones) == 2 and parent in ones
+            and all(d in (1, 2) for d in degs.values()))
+
+
+@given(trees())
+@example(PlumbingTree(("a", "b", "c"), (-2, -1, -2), (("a", "b"), ("b", "c"))))
+@settings(max_examples=200, deadline=None)
+def test_det_tree_matches_dense_determinant(tree):
+    expected = det_exact(intersection_matrix(tree)) if tree.vertices else 1
+    assert det_tree(tree) == expected
+
+
+@given(trees())
+@settings(max_examples=100, deadline=None)
+def test_adjacency_matches_edge_scan(tree):
+    for v, w in zip(tree.vertices, tree.weights):
+        assert tree.neighbors(v) == scan_neighbors(tree, v)
+        assert tree.degree(v) == len(scan_neighbors(tree, v))
+        assert tree.weight(v) == w
+    assert is_excessive(tree) == all(
+        w <= min(-2, -len(scan_neighbors(tree, v)))
+        for v, w in zip(tree.vertices, tree.weights))
+
+
+@given(trees(max_size=12, weights=st.sampled_from((-2, -2, -2, -3, -4, 0))))
+@settings(max_examples=200, deadline=None)
+def test_n3_matches_chain_oracle(tree):
+    bad = []
+    for p in tree.vertices:
+        twins = [u for u in scan_neighbors(tree, p)
+                 if tree.degree(u) == 1 and tree.weight(u) == -2]
+        if len(twins) >= 2 and not d_type_oracle(tree, p, twins):
+            bad.append(p)
+    assert check_normal_form(tree).n3_violations == tuple(bad)
+
+
+@given(trees(max_size=14, weights=st.integers(-4, -1)), st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_reduce_seeded_rng_is_confluent(tree, seed):
+    assume(signature(intersection_matrix(tree)) == (0, len(tree.vertices), 0))
+    ref, _ = reduce_normal_form(tree)
+    out, log = reduce_normal_form(tree, rng=random.Random(seed))
+    assert canonical_form(out) == canonical_form(ref)
+    assert check_normal_form(out).n1_ok
+    assert len(out.vertices) + sum(2 if mv[0] == "absorb-zero" else 1
+                                   for mv in log) == len(tree.vertices)
+
 
 def test_tree_validation():
     with pytest.raises(NotATree):
