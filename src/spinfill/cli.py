@@ -8,6 +8,7 @@ failed preconditions, 4 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -18,8 +19,7 @@ from . import plumbing as _plumbing
 from . import spinc as _spinc
 from .errors import (CertificationFailure, MalformedInput, NotReducible,
                      SpinfillError)
-from .exactalg import det_exact, goeritz
-from .graphs import MarkedGraph, graph_to_doc, parse_graph_doc
+from .graphs import MarkedGraph, _as_document, graph_to_doc, parse_graph_doc
 
 
 def _frac(x):
@@ -39,10 +39,7 @@ def _load(path):
 
 
 def _doc_kind(text):
-    try:
-        doc = json.loads(text) if isinstance(text, str) else text
-    except json.JSONDecodeError as exc:
-        raise MalformedInput("not a valid document: %s" % exc) from exc
+    doc = _as_document(text)
     if isinstance(doc, list) or (isinstance(doc, dict) and "pd" in doc):
         return "diagram", doc
     if isinstance(doc, dict) and "vertices" in doc:
@@ -139,25 +136,25 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
         if isinstance(doc, list):
             doc = {"pd": doc}
         if mark is not None:
-            doc = dict(doc)
-            doc["marked_arc"] = int(mark)
+            try:
+                doc = dict(doc, marked_arc=int(mark))
+            except ValueError as exc:
+                raise MalformedInput("marked arc %r is not an integer"
+                                     % (mark,)) from exc
         kd = _diagram.parse_pd(doc)
-        col = _diagram.checkerboard(kd)
-        white, black = _diagram.tait_graphs(kd, col)
-        states = _diagram.kauffman_states(kd)
-        covs = [_diagram.state_covector(kd, col, s, white) for s in states]
+        rep = _spinc.obstruction_report(kd)
+        whites = len(rep.graph.vertices)
         report["input"] = {"pd": [list(t) for t in kd.crossings],
                            "marked_arc": kd.marked_arc}
-        report["kind"] = "diagram"
         report["diagram"] = {
             "crossings": kd.n,
             "regions": len(kd.regions),
-            "white_regions": len(white.vertices),
-            "black_regions": len(black.vertices),
+            "white_regions": whites,
+            "black_regions": len(kd.regions) - whites,
             "marked_regions": list(kd.marked_regions),
-            "states": len(states),
+            # the report certifies one state per spin-c class
+            "states": len(rep.classes),
         }
-        w, covectors = white, covs
     else:
         graph, weights, signs, outer = parse_graph_doc(doc)
         if mark is not None:
@@ -167,16 +164,15 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
         if graph.marked is None:
             raise MalformedInput("graph input needs a marked vertex")
         report["input"] = graph_to_doc(graph)
-        report["kind"] = "graph"
-        w, covectors = graph, None
+        rep = _spinc.obstruction_report(graph)
 
-    g = goeritz(w)
-    rep = _spinc.obstruction_report(w, covectors=covectors)
+    report["kind"] = kind
+    g = rep.form
     report["invariants"] = {"m": rep.m, "det": rep.det, "special": rep.special}
     report["goeritz"] = {
         "vertex_order": [str(v) for v in g.vertex_order],
         "matrix": [list(row) for row in g.matrix],
-        "matrix_det": det_exact(g.matrix),
+        "matrix_det": rep.matrix_det,
     }
     report["spinc"] = _spinc_table(rep.classes)
     report["char_subgraphs"] = [
@@ -186,7 +182,7 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
     report["plumbing"] = _plumbing_section(rep.tree)
     if with_mk1:
         try:
-            link = _chainmail.build_chainmail(w)
+            link = _chainmail.build_chainmail(rep.graph)
             best = min((c for c in rep.subgraphs if c.vertices),
                        key=lambda c: c.cut, default=None)
             if best is None:
@@ -318,8 +314,6 @@ def cmd_obstruct(args, out):
 def cmd_mk1(args, out):
     kind, doc = _doc_kind(_load(args.file))
     if kind == "diagram":
-        if isinstance(doc, list):
-            doc = {"pd": doc}
         kd = _diagram.parse_pd(doc)
         col = _diagram.checkerboard(kd)
         white, _ = _diagram.tait_graphs(kd, col)
@@ -435,7 +429,9 @@ def cmd_witness(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """Built once per process and shared: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="spinfill",
         description="Branched-double-cover invariants of alternating links "

@@ -13,12 +13,11 @@ tracing the faces of the rotation system implied by tuple order.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (Disconnected, MalformedInput, NonPlanar,
                      NotAlternating, NotReduced)
-from .graphs import MarkedGraph, _dart_orbits, _reach
+from .graphs import MarkedGraph, _as_document, _dart_orbits, _is_int, _reach
 
 WHITE = "white"
 BLACK = "black"
@@ -55,20 +54,6 @@ class KauffmanState:
     assignment: tuple  # region index per crossing
 
 
-def _as_document(text):
-    if isinstance(text, (dict, list)):
-        return text
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise MalformedInput("not a valid document: %s" % exc) from exc
-
-
-def _is_arc_id(x):
-    # bool is an int subclass, and True == 1 would alias arc 1
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_pd(text) -> KnotDiagram:
     """Parse a PD document {"pd": [[a,b,c,d], ...], "marked_arc": k?}.
 
@@ -86,7 +71,7 @@ def parse_pd(text) -> KnotDiagram:
     for t in pd:
         if not isinstance(t, (list, tuple)) or len(t) != 4:
             raise MalformedInput("crossing %r is not a 4-tuple" % (t,))
-        if not all(_is_arc_id(x) for x in t):
+        if not all(_is_int(x) for x in t):
             raise MalformedInput("arc ids must be integers: %r" % (t,))
         crossings.append(tuple(t))
     crossings = tuple(crossings)
@@ -141,7 +126,7 @@ def parse_pd(text) -> KnotDiagram:
             raise NotReduced("crossing %d is nugatory" % c)
 
     marked_arc = doc.get("marked_arc", arcs[0])
-    if not _is_arc_id(marked_arc) or marked_arc not in ends:
+    if not _is_int(marked_arc) or marked_arc not in ends:
         raise MalformedInput("marked_arc %r is not an arc id" % (marked_arc,))
     # The two regions flanking an arc are the faces through its ends;
     # the face through end d sweeps the corner at the opposite end.
@@ -303,16 +288,14 @@ def kauffman_states(diagram: KnotDiagram):
     return states
 
 
-def state_covector(diagram: KnotDiagram, coloring: Coloring,
-                   state: KauffmanState, white: MarkedGraph | None = None):
+def state_covector(diagram: KnotDiagram, state: KauffmanState,
+                   white: MarkedGraph):
     """Signed degrees of the state-induced orientation at unmarked whites.
 
     Each white edge points toward the white corner on the same side of
     the over-strand as the state's chosen corner; the returned vector is
     indexed by the unmarked white vertices in graph order.
     """
-    if white is None:
-        white, _ = tait_graphs(diagram, coloring)
     d = {v: 0 for v in white.vertices}
     for c, region in enumerate(state.assignment):
         reg = diagram.corner_region[c]
@@ -329,6 +312,13 @@ def state_covector(diagram: KnotDiagram, coloring: Coloring,
         assert (value - white.degree(v)) % 2 == 0, \
             "covector parity must match vertex degree"
     return vec
+
+
+def state_covectors(diagram: KnotDiagram):
+    """The white graph and the covectors of kauffman_states, in order."""
+    white, _ = tait_graphs(diagram, checkerboard(diagram))
+    return white, [state_covector(diagram, s, white)
+                   for s in kauffman_states(diagram)]
 
 
 def diagram_from_plane_graph(g: MarkedGraph, marked_arc_hint=True):

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegenerateGraph, DimensionMismatch, Disconnected,
-                     NonSquare, NonSymmetric, Singular)
-from .graphs import MarkedGraph, _reach
+from .errors import (DegenerateGraph, DimensionMismatch, NonSquare,
+                     NonSymmetric, Singular)
+from .graphs import MarkedGraph
 
 
 @dataclass(frozen=True)
@@ -161,35 +161,6 @@ def signature(m) -> tuple:
     return (pos, neg, zero)
 
 
-def solve_rational(m, b):
-    """Unique exact solution of m x = b; raises Singular otherwise."""
-    n = _require_square(m)
-    if len(b) != n:
-        raise DimensionMismatch("vector length %d != %d" % (len(b), n))
-    a = [[Fraction(x) for x in row] + [Fraction(bi)]
-         for row, bi in zip(m, b)]
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot is None:
-            raise Singular("matrix is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        for r in range(n):
-            if r != k and a[r][k]:
-                f = a[r][k] / a[k][k]
-                for c in range(k, n + 1):
-                    a[r][c] -= f * a[k][c]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
-
-
-def quadform_q(g, v) -> Fraction:
-    """Exact v^T M^{-1} v for the Goeritz form (or any invertible M)."""
-    matrix = g.matrix if isinstance(g, GoeritzForm) else g
-    if len(v) != len(matrix):
-        raise DimensionMismatch("vector length %d != %d" % (len(v), len(matrix)))
-    x = solve_rational(matrix, v)
-    return sum((Fraction(vi) * xi for vi, xi in zip(v, x)), Fraction(0))
-
-
 def gf2_affine_solutions(a, b):
     """Affine solution set of a x = b over GF(2).
 
@@ -257,60 +228,6 @@ def _characteristic_supports(matrix, labels):
     return out
 
 
-def spanning_tree_count(graph: MarkedGraph) -> int:
-    """Number of spanning trees, by deletion-contraction.
-
-    Kept deliberately independent of the determinant code path so the
-    two can cross-check each other.  Parallel families are handled in
-    one step: delete the whole family or contract it (times its size).
-    """
-    if not graph.is_connected():
-        raise Disconnected("spanning trees need a connected graph")
-    mult = {}
-    for u, v, _ in graph.edges:
-        key = (u, v) if str(u) <= str(v) else (v, u)
-        mult[key] = mult.get(key, 0) + 1
-    verts = frozenset(graph.vertices)
-    memo = {}
-
-    def connected(vs, edges):
-        if not vs:
-            return True
-        adj = {v: [] for v in vs}
-        for (u, v) in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return len(_reach(next(iter(vs)), adj.__getitem__)) == len(vs)
-
-    def count(vs, mult):
-        if len(vs) == 1:
-            return 1
-        key = (vs, frozenset(mult.items()))
-        if key in memo:
-            return memo[key]
-        if not connected(vs, mult):
-            memo[key] = 0
-            return 0
-        (u, v) = min(mult, key=lambda p: (str(p[0]), str(p[1])))
-        k = mult[(u, v)]
-        rest = dict(mult)
-        del rest[(u, v)]
-        total = count(vs, rest) if rest else 0
-        merged = {}
-        for (a, b), c in rest.items():
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 == b2:
-                continue
-            key2 = (a2, b2) if str(a2) <= str(b2) else (b2, a2)
-            merged[key2] = merged.get(key2, 0) + c
-        total += k * count(vs - {v}, merged)
-        memo[key] = total
-        return total
-
-    return count(verts, mult)
-
-
 def hnf_basis(m):
     """Column Hermite form of a nonsingular integer matrix.
 
@@ -355,10 +272,6 @@ def hnf_reduce(v, h):
             for k in range(i + 1):
                 r[k] -= q * h[k][i]
     return tuple(r)
-
-
-def is_integral(values) -> bool:
-    return all(Fraction(x).denominator == 1 for x in values)
 
 
 def matvec(m, v):

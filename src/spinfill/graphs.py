@@ -8,6 +8,7 @@ embedding in the oriented sphere.  Loops are not supported.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -197,25 +198,6 @@ def euler_check(g: MarkedGraph):
         raise InvalidEmbedding("rotation system has positive genus")
 
 
-def face_corners(g: MarkedGraph, face):
-    """Corner tokens (vertex, gap index) swept by a face.
-
-    The corner for a dart d is taken at the far end of d: the gap in
-    that vertex's rotation between the opposite dart and its successor.
-    Gap index i denotes the slot just before rotation entry i.
-    """
-    pos = {}
-    for v, rot in zip(g.vertices, g.rotations):
-        for i, d in enumerate(rot):
-            pos[d] = (v, i)
-    corners = []
-    for d in face:
-        opp = (d[0], 1 - d[1])
-        w, i = pos[opp]
-        corners.append((w, (i + 1) % len(g.rotations[g.index[w]])))
-    return corners
-
-
 def default_outer_dart(g: MarkedGraph):
     """Deterministic outer-face choice: a dart of the largest face.
 
@@ -287,55 +269,38 @@ def bridges(g: MarkedGraph):
     return [ei for block in _blocks(g) if len(block) == 1 for ei in block]
 
 
-def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):
-    """Backtracking isomorphism test on small multigraphs."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    if sorted(g1.degrees.values()) != sorted(g2.degrees.values()):
-        return False
-    vs1 = sorted(g1.vertices, key=lambda v: (-g1.degree(v), str(v)))
-    cand = {
-        v: [w for w in g2.vertices if g2.degree(w) == g1.degree(v)]
-        for v in vs1
-    }
-    if respect_marked and (g1.marked is None) != (g2.marked is None):
-        return False
-
-    def extend(i, mapping, used):
-        if i == len(vs1):
-            return True
-        v = vs1[i]
-        for w in cand[v]:
-            if w in used:
-                continue
-            if respect_marked and g1.marked is not None:
-                if (v == g1.marked) != (w == g2.marked):
-                    continue
-            ok = True
-            for u, img in mapping.items():
-                if g1.edges_between(v, u) != g2.edges_between(w, img):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1, mapping, used):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return extend(0, {}, set())
-
-
 def _check_id(x):
     """Document ids are ints (not bools) or strings."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise MalformedInput("id %r is neither an integer nor a string" % (x,))
 
 
-def _is_index(x):
+def _as_document(text):
+    if isinstance(text, (dict, list)):
+        return text
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise MalformedInput("not a valid document: %s" % exc) from exc
+
+
+def _is_int(x):
+    """A JSON integer: bool is an int subclass, and true would read as 1."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(x, what):
+    """Numbers in documents are never rounded or coerced."""
+    if not _is_int(x):
+        raise MalformedInput("%s %r is not an integer" % (what, x))
+    return x
+
+
+def _edge_list(doc):
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise MalformedInput("edges must be a list, got %r" % (edges,))
+    return edges
 
 
 def _check_vertex_ids(vertices):
@@ -357,32 +322,26 @@ def parse_graph_doc(text):
     Returns (graph, weights, signs, outer); weights is None when no
     vertex carries one.
     """
-    import json as _json
-    doc = text if isinstance(text, dict) else None
-    if doc is None:
-        try:
-            doc = _json.loads(text)
-        except (_json.JSONDecodeError, TypeError) as exc:
-            raise MalformedInput("not a valid document: %s" % exc) from exc
+    doc = _as_document(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise MalformedInput("graph document needs a 'vertices' list")
     try:
         vertices = tuple(v["id"] for v in doc["vertices"])
         has_weights = any("weight" in v for v in doc["vertices"])
-        weights = tuple(int(v.get("weight", 0)) for v in doc["vertices"]) \
-            if has_weights else None
-    except (TypeError, KeyError, ValueError) as exc:
+        weights = tuple(_check_int(v.get("weight", 0), "weight")
+                        for v in doc["vertices"]) if has_weights else None
+    except (TypeError, KeyError) as exc:
         raise MalformedInput("bad vertex list: %s" % exc) from exc
     _check_vertex_ids(vertices)
     edges = []
     signs = []
-    for k, e in enumerate(doc.get("edges", ())):
+    for k, e in enumerate(_edge_list(doc)):
         if isinstance(e, dict):
             try:
                 u, v = e["u"], e["v"]
             except KeyError as exc:
                 raise MalformedInput("edge %d misses an endpoint" % k) from exc
-            sign = int(e.get("sign", 1))
+            sign = _check_int(e.get("sign", 1), "edge sign")
         elif isinstance(e, (list, tuple)) and len(e) >= 2:
             u, v = e[0], e[1]
             sign = 1
@@ -409,9 +368,7 @@ def parse_graph_doc(text):
                                      % (v,))
             rot = []
             for e_idx in rot_doc[key]:
-                if not _is_index(e_idx):
-                    raise MalformedInput("rotation edge %r is not an integer"
-                                         % (e_idx,))
+                _check_int(e_idx, "rotation edge")
                 if not 0 <= e_idx < len(edges):
                     raise InvalidEmbedding("rotation cites unknown edge %r" % (e_idx,))
                 u, w, _ = edges[e_idx]
@@ -432,7 +389,7 @@ def parse_graph_doc(text):
     outer = doc.get("outer")
     if outer is not None:
         if not (isinstance(outer, list) and len(outer) == 2
-                and all(map(_is_index, outer))
+                and all(map(_is_int, outer))
                 and 0 <= outer[0] < len(edges) and outer[1] in (0, 1)):
             raise MalformedInput("outer must be [edge index, end 0 or 1], "
                                  "got %r" % (outer,))
@@ -459,69 +416,3 @@ def graph_to_doc(g: MarkedGraph, weights=None):
             for v in g.vertices
         }
     return doc
-
-
-def gen_plane_multigraph(rng, n_vertices, n_extra_edges, marked=True,
-                         bridgeless=False):
-    """Random connected loopless plane multigraph with rotations.
-
-    Grows a tree by hanging leaves at random rotation gaps, then adds
-    edges between two corners of a common face, which keeps the rotation
-    system planar by construction.  With bridgeless=True every bridge is
-    doubled at the end (a parallel copy drawn alongside it).
-    """
-    if n_vertices < 2:
-        raise ValueError("need at least two vertices")
-    edges = [(0, 1)]
-    rot = {0: [(0, 0)], 1: [(0, 1)]}
-    nv = 2
-    while nv < n_vertices:
-        w = rng.randrange(nv)
-        gap = rng.randrange(max(1, len(rot[w])))
-        e = len(edges)
-        edges.append((w, nv))
-        rot[w].insert(gap, (e, 0))
-        rot[nv] = [(e, 1)]
-        nv += 1
-
-    def build():
-        return MarkedGraph(
-            tuple(range(nv)),
-            tuple((u, v, i) for i, (u, v) in enumerate(edges)),
-            marked=0 if marked else None,
-            rotations=tuple(tuple(rot[v]) for v in range(nv)),
-        )
-
-    added = 0
-    attempts = 0
-    while added < n_extra_edges and attempts < 50 * (n_extra_edges + 1):
-        attempts += 1
-        g = build()
-        faces = trace_faces(g)
-        face = faces[rng.randrange(len(faces))]
-        corners = face_corners(g, face)
-        if len(corners) < 2:
-            continue
-        c1 = corners[rng.randrange(len(corners))]
-        c2 = corners[rng.randrange(len(corners))]
-        if c1[0] == c2[0]:
-            continue
-        (u, gu), (v, gv) = c1, c2
-        e = len(edges)
-        edges.append((u, v))
-        rot[u].insert(gu, (e, 0))
-        rot[v].insert(gv, (e, 1))
-        added += 1
-
-    if bridgeless:
-        g = build()
-        for ei in bridges(g):
-            u, v, _ = g.edges[ei]
-            e = len(edges)
-            edges.append((u, v))
-            rot[u].insert(rot[u].index((ei, 0)) + 1, (e, 0))
-            rot[v].insert(rot[v].index((ei, 1)) + 1, (e, 1))
-
-    g = build()
-    euler_check(g)
-    return g

@@ -9,16 +9,14 @@ a zero-weight vertex of degree two.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (DegenerateGraph, InvalidFraction, MalformedInput,
                      NotAccessibleByConstruction, NotATree, NotCoprime,
                      NotExcessive, NotReducible)
-from .graphs import (MarkedGraph, _blocks, _check_id, _check_vertex_ids,
-                     _reach)
+from .graphs import (MarkedGraph, _as_document, _blocks, _check_id,
+                     _check_int, _check_vertex_ids, _edge_list, _reach)
 
 
 @dataclass(frozen=True)
@@ -81,20 +79,19 @@ def _check_tree(vertices, edges):
 
 def parse_tree_doc(text) -> PlumbingTree:
     """Parse {"vertices": [{"id", "weight"}], "edges": [[u, v], ...]}."""
-    doc = text if isinstance(text, dict) else None
-    if doc is None:
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise MalformedInput("not a valid document: %s" % exc) from exc
+    doc = _as_document(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise MalformedInput("tree document needs a 'vertices' list")
     try:
         vertices = tuple(v["id"] for v in doc["vertices"])
-        weights = tuple(int(v["weight"]) for v in doc["vertices"])
-        edges = tuple((u, v) for (u, v) in doc.get("edges", ()))
-    except (TypeError, KeyError, ValueError) as exc:
+        weights = tuple(_check_int(v["weight"], "weight")
+                        for v in doc["vertices"])
+    except (TypeError, KeyError) as exc:
         raise MalformedInput("bad tree document: %s" % exc) from exc
+    edges = _edge_list(doc)
+    if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+        raise MalformedInput("tree edges must be [u, v] pairs")
+    edges = tuple(map(tuple, edges))
     _check_vertex_ids(vertices)
     for edge in edges:
         for v in edge:
@@ -358,14 +355,6 @@ def neg_cf(p: int, q: int):
     return out
 
 
-def cf_value(terms):
-    """Evaluate a negative continued fraction back to a fraction."""
-    val = Fraction(terms[-1])
-    for a in reversed(terms[:-1]):
-        val = a - 1 / val
-    return val
-
-
 def berge_ipm(i: int, k: int):
     """Surgery parameters (p, q) for both signs p = i k +- 1.
 
@@ -421,41 +410,3 @@ def accessible_witness(g: MarkedGraph, weights, hub="hub") -> MarkedGraph:
         assert -out.degree(v) == wmap[v], \
             "hub multiplicities must realize the weights on the diagonal"
     return out
-
-
-def canonical_form(tree: PlumbingTree):
-    """Isomorphism-invariant encoding of a weighted tree.
-
-    Rooted canonical encodings minimized over all root choices; two
-    trees compare equal exactly when there is a weight-preserving
-    isomorphism.
-    """
-    if tree.empty:
-        return ("empty",)
-    adj = {v: tree.neighbors(v) for v in tree.vertices}
-    wmap = {v: w for v, w in zip(tree.vertices, tree.weights)}
-
-    def encode(v, parent):
-        subs = sorted(encode(u, v) for u in adj[v] if u != parent)
-        return (wmap[v], tuple(subs))
-
-    return min(encode(r, None) for r in tree.vertices)
-
-
-def random_tree(rng, n, weight_range=(-5, -1)):
-    """Random weighted tree on n vertices (uniform attachment)."""
-    vs = tuple(range(n))
-    edges = []
-    for v in range(1, n):
-        edges.append((rng.randrange(v), v))
-    weights = tuple(rng.randint(weight_range[0], weight_range[1])
-                    for _ in range(n))
-    return PlumbingTree(vs, weights, tuple(edges))
-
-
-def random_excessive_tree(rng, n, extra=3):
-    """Random excessive tree: weights pushed below min(-2, -degree)."""
-    base = random_tree(rng, n)
-    weights = tuple(min(-2, -base.degree(v)) - rng.randrange(extra)
-                    for v in base.vertices)
-    return PlumbingTree(base.vertices, weights, base.edges)

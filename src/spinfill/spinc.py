@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .diagram import state_covectors
 from .errors import CertificationFailure, Disconnected, NotATree, Singular
 from .exactalg import (GoeritzForm, _characteristic_supports, adjugate,
-                       det_exact, goeritz, hnf_basis, hnf_reduce, is_integral,
-                       matvec, signature, solve_rational)
+                       det_exact, goeritz, hnf_basis, hnf_reduce, matvec,
+                       signature)
 from .graphs import MarkedGraph
+from .plumbing import PlumbingTree, intersection_matrix
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class CapEntry:
 @dataclass(frozen=True)
 class ObstructionReport:
     m: int
-    det: int
+    det: int                           # |det G|, the number of spin-c classes
+    matrix_det: int                    # det G itself
     special: bool
     b2_bound: int                      # b2 <= m, equality only when special
     spin_d: Fraction | None            # correction term of the spin class
@@ -77,6 +80,8 @@ class ObstructionReport:
     tree: object                       # reduced graph as PlumbingTree, or None
     classes: tuple                     # the spin-c table, as enumerate_spinc
     subgraphs: tuple                   # as characteristic_subgraphs
+    graph: MarkedGraph                 # the marked white graph evaluated
+    form: GoeritzForm                  # its Goeritz form
 
     @property
     def tree_reduced(self):
@@ -230,15 +235,6 @@ def canonical_key(g: GoeritzForm, covector):
     return hnf_reduce(covector, _hnf_doubled(g.matrix))
 
 
-def same_class(g: GoeritzForm, v1, v2) -> bool:
-    """Orbit equality: (v1 - v2)/2 must be an integral image of G."""
-    diff = [a - b for a, b in zip(v1, v2)]
-    if any(x % 2 for x in diff):
-        return False
-    sol = solve_rational(g.matrix, [x // 2 for x in diff])
-    return is_integral(sol)
-
-
 def coker_class(g: GoeritzForm, covector):
     return hnf_reduce(covector, _hnf_plain(g.matrix))
 
@@ -248,12 +244,12 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
 
     covectors, when given, lists one characteristic covector per state;
     every class must then receive exactly one state, and each state's
-    covector must attain its orbit maximum.
+    covector must attain its orbit maximum.  The class count is checked
+    against the OrbitKernel's determinant, not one from the Hermite box.
     """
-    det = det_exact(g.matrix)
-    if det == 0:
-        raise Singular("Goeritz matrix is singular")
+    kernel = OrbitKernel(g)
     m = g.m
+    det = (-1) ** m * kernel.det
     h1 = _hnf_plain(g.matrix)
     diag = g.diagonal
 
@@ -280,7 +276,6 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
         raise failure("found %d classes, expected %d" % (len(reps), abs(det)))
 
     odd = det % 2 != 0
-    kernel = OrbitKernel(g)
     classes = [SpinCClass(rep, rep, d_invariant(g, rep, kernel),
                           coker_class(g, rep) if odd else None)
                for rep in reps]
@@ -316,16 +311,17 @@ def spin_class(classes):
     return hits[0]
 
 
-def characteristic_subgraphs(w: MarkedGraph):
+def characteristic_subgraphs(w: MarkedGraph, g=None):
     """Induced subgraphs of the reduced graph with the parity property:
     every unmarked vertex sees its own full degree mod 2 in edges toward
     the subgraph (its own degree counted when it belongs).
 
     Solved as G y = diag(G) over GF(2); each solution is re-verified on
     the graph directly.  The count is a power of two, exactly one when
-    the determinant is odd.
+    the determinant is odd.  g, when given, is w's prebuilt Goeritz form.
     """
-    g = goeritz(w)
+    if g is None:
+        g = goeritz(w)
     out = []
     for support in _characteristic_supports(g.matrix, g.vertex_order):
         _verify_characteristic(w, support)
@@ -357,7 +353,6 @@ def mu_bar(tree, c_vertices) -> Fraction:
     spans no edge and the tree is negative definite, the identity
     8 mu = cut - vertex count is asserted.
     """
-    from .plumbing import PlumbingTree, intersection_matrix
     if not isinstance(tree, PlumbingTree):
         raise NotATree("mu_bar needs a plumbing tree")
     mat = intersection_matrix(tree)
@@ -378,23 +373,18 @@ def mu_bar(tree, c_vertices) -> Fraction:
     return mu
 
 
-def obstruction_report(source, covectors=None) -> ObstructionReport:
+def obstruction_report(source) -> ObstructionReport:
     """Evaluate every filling obstruction for a diagram or marked graph.
 
     Diagram input is reduced to its white graph with the state covectors
     attached, so the class/state bijection is certified along the way.
+    Each artifact of the input is built here once and carried by the
+    report.
     """
-    from . import plumbing as _plumbing
     if isinstance(source, MarkedGraph):
-        w = source
+        w, covectors = source, None
     else:
-        from .diagram import (checkerboard, kauffman_states, state_covector,
-                              tait_graphs)
-        coloring = checkerboard(source)
-        w, _ = tait_graphs(source, coloring)
-        if covectors is None:
-            covectors = [state_covector(source, coloring, s, w)
-                         for s in kauffman_states(source)]
+        w, covectors = state_covectors(source)
     if not w.is_connected():
         raise Disconnected("white graph must be connected")
     g = goeritz(w)
@@ -407,7 +397,7 @@ def obstruction_report(source, covectors=None) -> ObstructionReport:
     odd = det % 2 != 0
 
     classes = enumerate_spinc(g, covectors=covectors)
-    subs = characteristic_subgraphs(w)
+    subs = characteristic_subgraphs(w, g)
 
     spin_d = None
     spin_bound = None
@@ -424,7 +414,7 @@ def obstruction_report(source, covectors=None) -> ObstructionReport:
     tree = None
     if reduced.vertices and reduced.is_connected() and \
             len(reduced.edges) == len(reduced.vertices) - 1:
-        tree = _plumbing.PlumbingTree(
+        tree = PlumbingTree(
             vertices=reduced.vertices,
             weights=tuple(-w.degree(v) for v in reduced.vertices),
             edges=tuple((u, v) for (u, v, _) in reduced.edges),
@@ -455,9 +445,9 @@ def obstruction_report(source, covectors=None) -> ObstructionReport:
                                 obstructed=fmin >= 9 * m)
 
     return ObstructionReport(
-        m=m, det=abs(det), special=special, b2_bound=m,
+        m=m, det=abs(det), matrix_det=det, special=special, b2_bound=m,
         spin_d=spin_d, spin_b2_bound=spin_bound,
         cutbound=cutbound, capbound=capbound, cap_entries=entries,
         tree=tree,
-        classes=tuple(classes), subgraphs=tuple(subs),
+        classes=tuple(classes), subgraphs=tuple(subs), graph=w, form=g,
     )

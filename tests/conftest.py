@@ -18,11 +18,11 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from spinfill.diagram import (checkerboard, diagram_from_plane_graph,
-                              kauffman_states, parse_pd, state_covector,
-                              tait_graphs)
-from spinfill.exactalg import quadform_q
-from spinfill.graphs import MarkedGraph, gen_plane_multigraph
+                              parse_pd, tait_graphs)
+from spinfill.graphs import MarkedGraph
 from spinfill.spinc import canonical_key
+
+from oracles import gen_plane_multigraph, quadform_q
 
 # Alternating table diagrams (PD convention: counterclockwise from the
 # incoming under-strand).  Verified against their known determinants.
@@ -151,12 +151,6 @@ def white_data(kd):
     col = checkerboard(kd)
     white, black = tait_graphs(kd, col)
     return col, white, black
-
-
-def state_covectors(kd):
-    col, white, _ = white_data(kd)
-    return white, [state_covector(kd, col, s, white)
-                   for s in kauffman_states(kd)]
 
 
 def brute_force_class_maxima(gform, bound=None):

@@ -1,0 +1,283 @@
+"""Slow reference implementations and random generators for the tests.
+
+None of these run on a library path: they are independent oracles the
+tests compare the library against (spanning-tree counts, isomorphism,
+rational solves) and seeded generators of test inputs.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from spinfill.errors import DimensionMismatch, Disconnected, Singular
+from spinfill.exactalg import GoeritzForm, _require_square
+from spinfill.graphs import (MarkedGraph, _reach, bridges, euler_check,
+                             trace_faces)
+from spinfill.plumbing import PlumbingTree
+
+
+def spanning_tree_count(graph: MarkedGraph) -> int:
+    """Number of spanning trees, by deletion-contraction.
+
+    Kept deliberately independent of the determinant code path so the
+    two can cross-check each other.  Parallel families are handled in
+    one step: delete the whole family or contract it (times its size).
+    """
+    if not graph.is_connected():
+        raise Disconnected("spanning trees need a connected graph")
+    mult = {}
+    for u, v, _ in graph.edges:
+        key = (u, v) if str(u) <= str(v) else (v, u)
+        mult[key] = mult.get(key, 0) + 1
+    verts = frozenset(graph.vertices)
+    memo = {}
+
+    def connected(vs, edges):
+        if not vs:
+            return True
+        adj = {v: [] for v in vs}
+        for (u, v) in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return len(_reach(next(iter(vs)), adj.__getitem__)) == len(vs)
+
+    def count(vs, mult):
+        if len(vs) == 1:
+            return 1
+        key = (vs, frozenset(mult.items()))
+        if key in memo:
+            return memo[key]
+        if not connected(vs, mult):
+            memo[key] = 0
+            return 0
+        (u, v) = min(mult, key=lambda p: (str(p[0]), str(p[1])))
+        k = mult[(u, v)]
+        rest = dict(mult)
+        del rest[(u, v)]
+        total = count(vs, rest) if rest else 0
+        merged = {}
+        for (a, b), c in rest.items():
+            a2 = u if a == v else a
+            b2 = u if b == v else b
+            if a2 == b2:
+                continue
+            key2 = (a2, b2) if str(a2) <= str(b2) else (b2, a2)
+            merged[key2] = merged.get(key2, 0) + c
+        total += k * count(vs - {v}, merged)
+        memo[key] = total
+        return total
+
+    return count(verts, mult)
+
+
+def solve_rational(m, b):
+    """Unique exact solution of m x = b; raises Singular otherwise."""
+    n = _require_square(m)
+    if len(b) != n:
+        raise DimensionMismatch("vector length %d != %d" % (len(b), n))
+    a = [[Fraction(x) for x in row] + [Fraction(bi)]
+         for row, bi in zip(m, b)]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if pivot is None:
+            raise Singular("matrix is singular")
+        a[k], a[pivot] = a[pivot], a[k]
+        for r in range(n):
+            if r != k and a[r][k]:
+                f = a[r][k] / a[k][k]
+                for c in range(k, n + 1):
+                    a[r][c] -= f * a[k][c]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+def quadform_q(g, v) -> Fraction:
+    """Exact v^T M^{-1} v for the Goeritz form (or any invertible M)."""
+    matrix = g.matrix if isinstance(g, GoeritzForm) else g
+    if len(v) != len(matrix):
+        raise DimensionMismatch("vector length %d != %d" % (len(v), len(matrix)))
+    x = solve_rational(matrix, v)
+    return sum((Fraction(vi) * xi for vi, xi in zip(v, x)), Fraction(0))
+
+
+def is_integral(values) -> bool:
+    return all(Fraction(x).denominator == 1 for x in values)
+
+
+def same_class(g: GoeritzForm, v1, v2) -> bool:
+    """Orbit equality: (v1 - v2)/2 must be an integral image of G."""
+    diff = [a - b for a, b in zip(v1, v2)]
+    if any(x % 2 for x in diff):
+        return False
+    sol = solve_rational(g.matrix, [x // 2 for x in diff])
+    return is_integral(sol)
+
+
+def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):
+    """Backtracking isomorphism test on small multigraphs."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return False
+    if sorted(g1.degrees.values()) != sorted(g2.degrees.values()):
+        return False
+    vs1 = sorted(g1.vertices, key=lambda v: (-g1.degree(v), str(v)))
+    cand = {
+        v: [w for w in g2.vertices if g2.degree(w) == g1.degree(v)]
+        for v in vs1
+    }
+    if respect_marked and (g1.marked is None) != (g2.marked is None):
+        return False
+
+    def extend(i, mapping, used):
+        if i == len(vs1):
+            return True
+        v = vs1[i]
+        for w in cand[v]:
+            if w in used:
+                continue
+            if respect_marked and g1.marked is not None:
+                if (v == g1.marked) != (w == g2.marked):
+                    continue
+            ok = True
+            for u, img in mapping.items():
+                if g1.edges_between(v, u) != g2.edges_between(w, img):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used.add(w)
+                if extend(i + 1, mapping, used):
+                    return True
+                del mapping[v]
+                used.remove(w)
+        return False
+
+    return extend(0, {}, set())
+
+
+def face_corners(g: MarkedGraph, face):
+    """Corner tokens (vertex, gap index) swept by a face.
+
+    The corner for a dart d is taken at the far end of d: the gap in
+    that vertex's rotation between the opposite dart and its successor.
+    Gap index i denotes the slot just before rotation entry i.
+    """
+    pos = {}
+    for v, rot in zip(g.vertices, g.rotations):
+        for i, d in enumerate(rot):
+            pos[d] = (v, i)
+    corners = []
+    for d in face:
+        opp = (d[0], 1 - d[1])
+        w, i = pos[opp]
+        corners.append((w, (i + 1) % len(g.rotations[g.index[w]])))
+    return corners
+
+
+def gen_plane_multigraph(rng, n_vertices, n_extra_edges, marked=True,
+                         bridgeless=False):
+    """Random connected loopless plane multigraph with rotations.
+
+    Grows a tree by hanging leaves at random rotation gaps, then adds
+    edges between two corners of a common face, which keeps the rotation
+    system planar by construction.  With bridgeless=True every bridge is
+    doubled at the end (a parallel copy drawn alongside it).
+    """
+    if n_vertices < 2:
+        raise ValueError("need at least two vertices")
+    edges = [(0, 1)]
+    rot = {0: [(0, 0)], 1: [(0, 1)]}
+    nv = 2
+    while nv < n_vertices:
+        w = rng.randrange(nv)
+        gap = rng.randrange(max(1, len(rot[w])))
+        e = len(edges)
+        edges.append((w, nv))
+        rot[w].insert(gap, (e, 0))
+        rot[nv] = [(e, 1)]
+        nv += 1
+
+    def build():
+        return MarkedGraph(
+            tuple(range(nv)),
+            tuple((u, v, i) for i, (u, v) in enumerate(edges)),
+            marked=0 if marked else None,
+            rotations=tuple(tuple(rot[v]) for v in range(nv)),
+        )
+
+    added = 0
+    attempts = 0
+    while added < n_extra_edges and attempts < 50 * (n_extra_edges + 1):
+        attempts += 1
+        g = build()
+        faces = trace_faces(g)
+        face = faces[rng.randrange(len(faces))]
+        corners = face_corners(g, face)
+        if len(corners) < 2:
+            continue
+        c1 = corners[rng.randrange(len(corners))]
+        c2 = corners[rng.randrange(len(corners))]
+        if c1[0] == c2[0]:
+            continue
+        (u, gu), (v, gv) = c1, c2
+        e = len(edges)
+        edges.append((u, v))
+        rot[u].insert(gu, (e, 0))
+        rot[v].insert(gv, (e, 1))
+        added += 1
+
+    if bridgeless:
+        g = build()
+        for ei in bridges(g):
+            u, v, _ = g.edges[ei]
+            e = len(edges)
+            edges.append((u, v))
+            rot[u].insert(rot[u].index((ei, 0)) + 1, (e, 0))
+            rot[v].insert(rot[v].index((ei, 1)) + 1, (e, 1))
+
+    g = build()
+    euler_check(g)
+    return g
+
+
+def cf_value(terms):
+    """Evaluate a negative continued fraction back to a fraction."""
+    val = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        val = a - 1 / val
+    return val
+
+
+def canonical_form(tree: PlumbingTree):
+    """Isomorphism-invariant encoding of a weighted tree.
+
+    Rooted canonical encodings minimized over all root choices; two
+    trees compare equal exactly when there is a weight-preserving
+    isomorphism.
+    """
+    if tree.empty:
+        return ("empty",)
+    adj = {v: tree.neighbors(v) for v in tree.vertices}
+    wmap = {v: w for v, w in zip(tree.vertices, tree.weights)}
+
+    def encode(v, parent):
+        subs = sorted(encode(u, v) for u in adj[v] if u != parent)
+        return (wmap[v], tuple(subs))
+
+    return min(encode(r, None) for r in tree.vertices)
+
+
+def random_tree(rng, n, weight_range=(-5, -1)):
+    """Random weighted tree on n vertices (uniform attachment)."""
+    vs = tuple(range(n))
+    edges = []
+    for v in range(1, n):
+        edges.append((rng.randrange(v), v))
+    weights = tuple(rng.randint(weight_range[0], weight_range[1])
+                    for _ in range(n))
+    return PlumbingTree(vs, weights, tuple(edges))
+
+
+def random_excessive_tree(rng, n, extra=3):
+    """Random excessive tree: weights pushed below min(-2, -degree)."""
+    base = random_tree(rng, n)
+    weights = tuple(min(-2, -base.degree(v)) - rng.randrange(extra)
+                    for v in base.vertices)
+    return PlumbingTree(base.vertices, weights, base.edges)

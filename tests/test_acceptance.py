@@ -8,20 +8,19 @@ import time
 from fractions import Fraction
 
 from spinfill.chainmail import build_chainmail, kaplan_filling, mk1_run
+from spinfill.diagram import state_covectors
 from spinfill.errors import Disconnected
-from spinfill.exactalg import (det_exact, goeritz, matvec, quadform_q,
-                               signature, spanning_tree_count)
-from spinfill.graphs import gen_plane_multigraph
-from spinfill.plumbing import (PlumbingTree, berge_ipm, canonical_form,
-                               check_normal_form, decide_plumbed, det_tree,
-                               intersection_matrix, linear_tree, neg_cf,
-                               random_excessive_tree, random_tree,
-                               reduce_normal_form)
+from spinfill.exactalg import det_exact, goeritz, matvec, signature
+from spinfill.plumbing import (PlumbingTree, berge_ipm, check_normal_form,
+                               decide_plumbed, det_tree, intersection_matrix,
+                               linear_tree, neg_cf, reduce_normal_form)
 from spinfill.spinc import (characteristic_subgraphs, enumerate_spinc, mu_bar,
                             obstruction_report, spin_class)
 
 from conftest import (banana_graph, brute_force_class_maxima, path_hub_graph,
-                      special44_graph, state_covectors, white_data)
+                      special44_graph, white_data)
+from oracles import (canonical_form, gen_plane_multigraph, quadform_q,
+                     random_excessive_tree, random_tree, spanning_tree_count)
 
 
 def _report(num, description):

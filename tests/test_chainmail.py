@@ -10,11 +10,12 @@ from spinfill.chainmail import (build_chainmail, characteristic_subsets,
 from spinfill.errors import (Disconnected, EmptyCharacteristicSet,
                              MalformedInput, NotCharacteristic)
 from spinfill.exactalg import goeritz
-from spinfill.graphs import MarkedGraph, gen_plane_multigraph
+from spinfill.graphs import MarkedGraph
 from spinfill.spinc import characteristic_subgraphs
 
 from conftest import (banana_graph, path_hub_graph, special44_graph,
                       two33_graph)
+from oracles import gen_plane_multigraph
 
 
 def test_build_from_tait_examples():

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import spinfill
-from spinfill import chainmail
-from spinfill.cli import main
+from spinfill import chainmail, cli, diagram, exactalg, plumbing, spinc
+from spinfill.cli import build_parser, main
 from spinfill.graphs import graph_to_doc
 
 from conftest import PD_CODES, two33_graph
@@ -146,6 +146,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["--json", "mk1", "-", "--all"], capsys)
     assert code == 3
     assert "[0]" in err and "framing 1" in err
+
+    # A diagram's marked arc is an integer arc id.
+    trefoil = write_doc(tmp_path, "trefoil.json", {"pd": PD_CODES["trefoil"]})
+    for command in ("analyze", "obstruct"):
+        for mark in ("abc", "1.5"):
+            code, _, err = run_cli([command, trefoil, "--mark", mark], capsys)
+            assert code == 2, (command, mark)
+            assert err.startswith("error: ") and mark in err
 
 
 def test_obstruct_graph(ban9_file, capsys):
@@ -306,6 +314,98 @@ def test_graph_doc_indices_must_be_integers(tmp_path, capsys):
         path = write_doc(tmp_path, "bad%d.json" % k, doc)
         code, _, err = run_cli(["mk1", path], capsys)
         assert code == 2, (doc, err)
+
+
+def test_weights_and_signs_must_be_integers(tmp_path, capsys):
+    graph = {"vertices": [{"id": 0, "weight": -3}, {"id": 1, "weight": -3}],
+             "edges": [{"u": 0, "v": 1, "sign": -1}]}
+    fine = write_doc(tmp_path, "fine.json", graph)
+    assert run_cli(["--json", "mk1", fine], capsys)[0] == 0
+    bad = [-2.9, "-3", True, None]
+    docs = [dict(graph, vertices=[{"id": 0, "weight": w},
+                                  {"id": 1, "weight": -3}]) for w in bad]
+    docs += [dict(graph, edges=[{"u": 0, "v": 1, "sign": s}])
+             for s in ("x", "-1", True, 1.0, 2)]
+    docs.append(dict(graph, edges=5))
+    for k, doc in enumerate(docs):
+        path = write_doc(tmp_path, "graph%d.json" % k, doc)
+        for command in (["mk1"], ["witness"]):
+            code, _, err = run_cli(command + [path], capsys)
+            assert code == 2, (command, doc, err)
+            assert err.startswith("error: ")
+
+    tree = {"vertices": [{"id": "a", "weight": -2}, {"id": "b", "weight": -3}],
+            "edges": [["a", "b"]]}
+    fine = write_doc(tmp_path, "tree.json", tree)
+    assert run_cli(["plumb", "check", fine], capsys)[0] == 0
+    docs = [dict(tree, vertices=[{"id": "a", "weight": w},
+                                 {"id": "b", "weight": -3}]) for w in bad]
+    docs += [dict(tree, edges=5), dict(tree, edges=["ab"]),
+             dict(tree, edges=[{"u": "a", "v": "b"}])]
+    for k, doc in enumerate(docs):
+        path = write_doc(tmp_path, "tree%d.json" % k, doc)
+        code, _, err = run_cli(["plumb", "check", path], capsys)
+        assert code == 2, (doc, err)
+        assert err.startswith("error: ")
+
+
+def test_main_calls_are_independent(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(["--json", "cf", "16", "9"], capsys)
+    assert code == 0 and json.loads(out)["terms"] == [2, 5, 2]
+    code, out, _ = run_cli(["cf", "16", "9"], capsys)
+    assert code == 0 and out.startswith("16/9 = [2, 5, 2]\n")
+
+
+def test_analyze_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
+    originals = {"goeritz": exactalg.goeritz,
+                 "det_exact": exactalg.det_exact,
+                 "checkerboard": diagram.checkerboard,
+                 "kauffman_states": diagram.kauffman_states}
+    calls = dict.fromkeys(originals, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # patched in every module that binds the function, as imports copy it
+    for mod in (chainmail, cli, diagram, exactalg, plumbing, spinc):
+        for name, fn in originals.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    inputs = {
+        "diagram": write_doc(tmp_path, "fig8.json",
+                             {"pd": PD_CODES["figure_eight"]}),
+        "graph": write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph())),
+    }
+    for kind, path in inputs.items():
+        for key in calls:
+            calls[key] = 0
+        code, out, _ = run_cli(["--json", "analyze", path, "--mk1"], capsys)
+        assert code == 0
+        assert json.loads(out)["kind"] == kind
+        states = 1 if kind == "diagram" else 0
+        assert calls["goeritz"] == 1, kind
+        assert calls["det_exact"] <= 1, kind
+        assert calls["checkerboard"] == calls["kauffman_states"] == states, kind
+
+
+def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, "trefoil.json", {"pd": PD_CODES["trefoil"]})
+    with monkeypatch.context() as patch:
+        patch.setattr(spinc, "signature", lambda m: (1, len(m) - 1, 0))
+        code, _, err = run_cli(["analyze", path], capsys)
+    assert code == 4
+    assert "spinc.obstruction_report: Goeritz form must be negative" in err
+    # the class count is held to the kernel's determinant, not the box's
+    real = spinc.adjugate
+    monkeypatch.setattr(spinc, "adjugate",
+                        lambda a: (real(a)[0], 2 * real(a)[1]))
+    code, _, err = run_cli(["analyze", path], capsys)
+    assert code == 4
+    assert "spinc.enumerate_spinc: found 3 classes, expected 6" in err
 
 
 def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.graphs import MarkedGraph, _blocks, bridges, gen_plane_multigraph
+from spinfill.graphs import MarkedGraph, _blocks, bridges
+
+from oracles import gen_plane_multigraph
 
 
 def random_plane_graph(seed):

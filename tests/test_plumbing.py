@@ -10,12 +10,13 @@ from spinfill.errors import (InvalidFraction, NotAccessibleByConstruction,
 from spinfill.exactalg import det_exact, goeritz, signature
 from spinfill.graphs import MarkedGraph
 from spinfill.plumbing import (PlumbingTree, accessible_witness, berge_ipm,
-                               canonical_form, cf_value, check_normal_form,
-                               decide_plumbed, det_tree, intersection_matrix,
-                               is_excessive, linear_tree, neg_cf,
-                               parse_tree_doc, random_excessive_tree,
-                               random_tree, reduce_normal_form)
+                               check_normal_form, decide_plumbed, det_tree,
+                               intersection_matrix, is_excessive, linear_tree,
+                               neg_cf, parse_tree_doc, reduce_normal_form)
 from spinfill.spinc import characteristic_subgraphs
+
+from oracles import (canonical_form, cf_value, random_excessive_tree,
+                     random_tree)
 
 
 @st.composite

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.diagram import parse_pd
+from spinfill.diagram import parse_pd, state_covectors
 from spinfill.errors import CertificationFailure
-from spinfill.exactalg import GoeritzForm, det_exact, goeritz, quadform_q
-from spinfill.graphs import gen_plane_multigraph
+from spinfill.exactalg import GoeritzForm, det_exact, goeritz
 from spinfill.plumbing import PlumbingTree, linear_tree
 from spinfill.spinc import (OrbitKernel, characteristic_subgraphs, cut_size,
                             d_invariant, enumerate_spinc, mu_bar,
-                            obstruction_report, orbit_max_q, same_class,
-                            spin_class)
+                            obstruction_report, orbit_max_q, spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
-                      path_hub_graph, special44_graph, state_covectors,
-                      two33_graph, white_data)
+                      path_hub_graph, special44_graph, two33_graph,
+                      white_data)
+from oracles import gen_plane_multigraph, quadform_q, same_class
 
 
 def form(graph):
