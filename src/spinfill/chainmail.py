@@ -186,9 +186,6 @@ class _PlaneWork:
         e, end = dart
         return self.edges[e][end]
 
-    def vertices(self):
-        return list(self.rot)
-
     def parallel_edges(self, u, v):
         return [e for e, (a, b) in self.edges.items() if {a, b} == {u, v}]
 

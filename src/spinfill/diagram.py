@@ -29,7 +29,6 @@ class KnotDiagram:
     arcs: tuple               # sorted arc ids
     regions: tuple            # per region, cyclic tuple of (crossing, corner) tokens
     corner_region: tuple      # corner_region[c][s] = region at corner s of crossing c
-    arc_ends: dict            # arc id -> ((c1, s1), (c2, s2))
     marked_arc: object
     marked_regions: tuple     # (region, region) flanking the marked arc
 
@@ -138,56 +137,22 @@ def parse_pd(text) -> KnotDiagram:
         arcs=arcs,
         regions=tuple(regions),
         corner_region=tuple(tuple(r) for r in corner_region),
-        arc_ends={a: tuple(w) for a, w in ends.items()},
         marked_arc=marked_arc,
         marked_regions=marked_regions,
     )
 
 
 def checkerboard(diagram: KnotDiagram) -> Coloring:
-    """The unique proper 2-coloring with corners 0/2 white everywhere."""
-    nreg = len(diagram.regions)
-    colors = [None] * nreg
-    colors[diagram.corner_region[0][0]] = WHITE
-    # Adjacent regions (across any arc) get opposite colors.
-    stack = [diagram.corner_region[0][0]]
-    adjacency = {i: set() for i in range(nreg)}
-    for c in range(diagram.n):
-        for s in range(4):
-            a = diagram.corner_region[c][s]
-            b = diagram.corner_region[c][(s + 1) % 4]
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    while stack:
-        r = stack.pop()
-        nxt = WHITE if colors[r] == BLACK else BLACK
-        for w in adjacency[r]:
-            if colors[w] is None:
-                colors[w] = nxt
-                stack.append(w)
-            elif colors[w] == colors[r]:
-                raise NonPlanar("regions are not checkerboard colorable")
-    coloring = Coloring(tuple(colors))
-    if not convention_ok(diagram, coloring):
-        # A validated alternating diagram always satisfies the convention
-        # in exactly one of the two proper colorings.
-        raise NotAlternating("no coloring matches the crossing convention")
-    return coloring
-
-
-def convention_ok(diagram: KnotDiagram, coloring: Coloring) -> bool:
-    """True when every crossing has white at corners 0 and 2."""
-    for c in range(diagram.n):
-        reg = diagram.corner_region[c]
-        if coloring.color(reg[0]) != WHITE or coloring.color(reg[2]) != WHITE:
-            return False
-        if coloring.color(reg[1]) != BLACK or coloring.color(reg[3]) != BLACK:
-            return False
-    return True
-
-
-def swap_colors(coloring: Coloring) -> Coloring:
-    return Coloring(tuple(WHITE if c == BLACK else BLACK for c in coloring.colors))
+    """The unique proper 2-coloring with corners 0/2 white everywhere:
+    on an alternating diagram each region sweeps corners of one parity."""
+    colors = []
+    for r, corners in enumerate(diagram.regions):
+        found = {BLACK if s % 2 else WHITE for (_, s) in corners}
+        if len(found) != 1:
+            raise NotAlternating(
+                "region %d sweeps corners of both colors" % r)
+        colors.append(found.pop())
+    return Coloring(tuple(colors))
 
 
 def tait_graphs(diagram: KnotDiagram, coloring: Coloring):
@@ -228,33 +193,6 @@ def tait_graphs(diagram: KnotDiagram, coloring: Coloring):
             color=color,
         ))
     return out[0], out[1]
-
-
-def is_special(w: MarkedGraph, b: MarkedGraph | None = None) -> bool:
-    """All white degrees even; checked against bipartiteness of black."""
-    special = all(d % 2 == 0 for d in w.degrees.values())
-    if b is not None:
-        assert special == _bipartite(b), \
-            "even white degrees must match black bipartiteness"
-    return special
-
-
-def _bipartite(g: MarkedGraph) -> bool:
-    color = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
 
 
 def kauffman_states(diagram: KnotDiagram):
@@ -321,7 +259,7 @@ def state_covectors(diagram: KnotDiagram):
                    for s in kauffman_states(diagram)]
 
 
-def diagram_from_plane_graph(g: MarkedGraph, marked_arc_hint=True):
+def diagram_from_plane_graph(g: MarkedGraph):
     """PD code of the alternating diagram whose white graph is g.
 
     This is the medial construction: one crossing per edge, one arc per
@@ -402,7 +340,7 @@ def diagram_from_plane_graph(g: MarkedGraph, marked_arc_hint=True):
         pd.append([tup[(s0 + k) % 4] for k in range(4)])
 
     doc = {"pd": pd}
-    if marked_arc_hint and g.marked is not None:
+    if g.marked is not None:
         rot = g.rotation_of(g.marked)
         doc["marked_arc"] = arc_id[(g.marked, 0)] if rot else None
     return doc

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (DegenerateGraph, DimensionMismatch, NonSquare,
                      NonSymmetric, Singular)
@@ -31,6 +32,11 @@ class GoeritzForm:
     @property
     def diagonal(self):
         return tuple(self.matrix[i][i] for i in range(self.m))
+
+    @cached_property
+    def hermite(self):
+        """Column Hermite basis of the lattice G Z^m, computed once."""
+        return hnf_basis(self.matrix)
 
 
 def goeritz(w: MarkedGraph) -> GoeritzForm:
@@ -258,16 +264,18 @@ def hnf_basis(m):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def hnf_reduce(v, h):
-    """Canonical representative of v modulo the column lattice of h.
+def hnf_reduce(v, h, scale=1):
+    """Canonical representative of v modulo the column lattice of scale h.
 
     h must be upper triangular (hnf_basis output); the result lies in
-    the box 0 <= r[i] < h[i][i].
+    the box 0 <= r[i] < scale h[i][i].  hnf_basis commutes with scaling
+    (floor quotients and sort keys are scale-invariant), so reducing
+    against h = hnf_basis(M) with scale 2 reduces modulo 2M.
     """
     n = len(h)
     r = list(v)
     for i in range(n - 1, -1, -1):
-        q = r[i] // h[i][i]
+        q = r[i] // (scale * h[i][i]) * scale
         if q:
             for k in range(i + 1):
                 r[k] -= q * h[k][i]

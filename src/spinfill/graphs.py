@@ -104,9 +104,6 @@ class MarkedGraph:
     def rotation_of(self, v):
         return self.rotations[self.index[v]]
 
-    def faces(self):
-        return trace_faces(self)
-
 
 def _pair(u, v):
     return (u, v) if str(u) <= str(v) else (v, u)

@@ -106,18 +106,6 @@ def linear_tree(weights, prefix="a"):
                         tuple((vs[i], vs[i + 1]) for i in range(len(vs) - 1)))
 
 
-def intersection_matrix(tree: PlumbingTree):
-    n = len(tree.vertices)
-    idx = {v: i for i, v in enumerate(tree.vertices)}
-    mat = [[0] * n for _ in range(n)]
-    for i, w in enumerate(tree.weights):
-        mat[i][i] = w
-    for (u, v) in tree.edges:
-        mat[idx[u]][idx[v]] += 1
-        mat[idx[v]][idx[u]] += 1
-    return tuple(tuple(row) for row in mat)
-
-
 def is_excessive(tree: PlumbingTree) -> bool:
     """Every weight at most min(-2, -degree)."""
     return all(tree.weight(v) <= min(-2, -tree.degree(v))

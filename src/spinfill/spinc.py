@@ -12,21 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 
 from .diagram import state_covectors
 from .errors import CertificationFailure, Disconnected, NotATree, Singular
 from .exactalg import (GoeritzForm, _characteristic_supports, adjugate,
-                       det_exact, goeritz, hnf_basis, hnf_reduce, matvec,
-                       signature)
+                       det_exact, goeritz, hnf_reduce, matvec)
 from .graphs import MarkedGraph
-from .plumbing import PlumbingTree, intersection_matrix
+from .plumbing import PlumbingTree
 
 
 @dataclass(frozen=True)
 class SpinCClass:
-    representative: tuple        # characteristic covector
-    canonical_key: tuple         # Hermite-reduced representative
+    canonical_key: tuple         # Hermite-reduced characteristic covector
     d: Fraction                  # correction term
     c1_class: tuple | None       # coker class when det is odd
     state_index: int | None = None
@@ -94,6 +92,8 @@ def _ldl_integer(a):
     Returns (pivots, low): pivots[k] is the leading principal minor of
     size k + 1, and the exact factors are L[i][k] = low[i][k] / pivots[k]
     for i > k and D[k] = pivots[k] / pivots[k - 1] (pivots[-1] read as 1).
+    Raises Singular at the first pivot <= 0: by Sylvester's criterion a
+    is positive definite exactly when every leading minor is positive.
     """
     n = len(a)
     b = [list(row) for row in a]
@@ -126,6 +126,7 @@ class OrbitKernel:
     share the denominators P = lcm of the leading minors and S = 2 det A,
     so with Q = P S every search center is C / Q for an integer C, and
     every partial cost is an integer over the fixed constant W Q^2.
+    Building it certifies G negative definite, else raises Singular.
     """
 
     def __init__(self, g: GoeritzForm):
@@ -215,91 +216,62 @@ def orbit_max_q(g: GoeritzForm, covector, kernel=None) -> Fraction:
 
 def d_invariant(g: GoeritzForm, cls, kernel=None) -> Fraction:
     """Correction term: max of (q(v) + m) / 4 over the class orbit."""
-    covector = cls.representative if isinstance(cls, SpinCClass) else tuple(cls)
+    covector = cls.canonical_key if isinstance(cls, SpinCClass) else tuple(cls)
     qmax = orbit_max_q(g, covector, kernel)
     return (qmax + g.m) / Fraction(4)
 
 
-@lru_cache(maxsize=256)
-def _hnf_doubled(matrix):
-    return hnf_basis([[2 * x for x in row] for row in matrix])
-
-
-@lru_cache(maxsize=256)
-def _hnf_plain(matrix):
-    return hnf_basis([list(row) for row in matrix])
-
-
 def canonical_key(g: GoeritzForm, covector):
     """Canonical orbit representative, reduced against twice the form."""
-    return hnf_reduce(covector, _hnf_doubled(g.matrix))
+    return hnf_reduce(covector, g.hermite, 2)
 
 
 def coker_class(g: GoeritzForm, covector):
-    return hnf_reduce(covector, _hnf_plain(g.matrix))
+    return hnf_reduce(covector, g.hermite)
 
 
-def enumerate_spinc(g: GoeritzForm, covectors=None):
+def enumerate_spinc(g: GoeritzForm, covectors=None, kernel=None):
     """All spin-c classes in canonical order, with correction terms.
 
     covectors, when given, lists one characteristic covector per state;
     every class must then receive exactly one state, and each state's
     covector must attain its orbit maximum.  The class count is checked
     against the OrbitKernel's determinant, not one from the Hermite box.
+    kernel, when given, is the form's prebuilt OrbitKernel.
     """
-    kernel = OrbitKernel(g)
+    if kernel is None:
+        kernel = OrbitKernel(g)
     m = g.m
     det = (-1) ** m * kernel.det
-    h1 = _hnf_plain(g.matrix)
-    diag = g.diagonal
 
     def failure(message):
         return _certification_failure("enumerate_spinc", m, det, message)
 
-    reps = set()
-    box = [h1[i][i] for i in range(m)]
-    idx = [0] * m
-    while True:
-        v = tuple(diag[i] + 2 * idx[i] for i in range(m))
-        reps.add(canonical_key(g, v))
-        k = m - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < box[k]:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    reps = sorted(reps)
-    if len(reps) != abs(det):
-        raise failure("found %d classes, expected %d" % (len(reps), abs(det)))
+    box = product(*(range(x, x + 2 * g.hermite[i][i], 2)
+                    for i, x in enumerate(g.diagonal)))
+    keys = sorted({canonical_key(g, v) for v in box})
+    if len(keys) != abs(det):
+        raise failure("found %d classes, expected %d" % (len(keys), abs(det)))
+    d = {key: d_invariant(g, key, kernel) for key in keys}
 
-    odd = det % 2 != 0
-    classes = [SpinCClass(rep, rep, d_invariant(g, rep, kernel),
-                          coker_class(g, rep) if odd else None)
-               for rep in reps]
-
+    state = {}
     if covectors is not None:
-        by_key = {cls.canonical_key: i for i, cls in enumerate(classes)}
-        assigned = {}
         for si, vec in enumerate(covectors):
-            ci = by_key.get(canonical_key(g, tuple(vec)))
-            if ci is None or ci in assigned:
+            key = canonical_key(g, tuple(vec))
+            if key not in d or key in state:
                 raise failure("states do not biject onto spin-c classes")
-            if kernel.quadform(vec) != 4 * classes[ci].d - m:
+            if kernel.quadform(vec) != 4 * d[key] - m:
                 raise failure(
                     "state %d covector does not attain the orbit maximum"
                     % si)
-            assigned[ci] = si
-        if len(assigned) != len(classes):
+            state[key] = si
+        if len(state) != len(keys):
             raise failure("states do not biject onto spin-c classes")
-        classes = [
-            SpinCClass(cls.representative, cls.canonical_key, cls.d,
-                       cls.c1_class, assigned[i])
-            for i, cls in enumerate(classes)
-        ]
-    return classes
+
+    odd = det % 2 != 0
+    return [SpinCClass(key, d[key], coker_class(g, key) if odd else None,
+                       state.get(key))
+            for key in keys]
 
 
 def spin_class(classes):
@@ -346,29 +318,16 @@ def cut_size(w: MarkedGraph, vertices) -> int:
     return sum(1 for (u, v, _) in w.edges if (u in inside) != (v in inside))
 
 
-def mu_bar(tree, c_vertices) -> Fraction:
-    """Spin defect of a plumbing: (signature - <w_C, w_C>) / 8.
-
-    The tree's intersection matrix supplies both terms; when the subset
-    spans no edge and the tree is negative definite, the identity
-    8 mu = cut - vertex count is asserted.
-    """
-    if not isinstance(tree, PlumbingTree):
-        raise NotATree("mu_bar needs a plumbing tree")
-    mat = intersection_matrix(tree)
-    sig = signature(mat)
-    sigma = sig[0] - sig[1]
-    idx = {v: i for i, v in enumerate(tree.vertices)}
-    w = [0] * len(tree.vertices)
-    for v in c_vertices:
-        w[idx[v]] = 1
-    pairing = sum(wi * x for wi, x in zip(w, matvec(mat, w)))
-    mu = Fraction(sigma - pairing, 8)
-    inside = set(c_vertices)
-    spans_edge = any(u in inside and v in inside for (u, v) in tree.edges)
-    if not spans_edge and sig == (0, len(tree.vertices), 0):
-        cut = sum(-tree.weight(v) for v in c_vertices)
-        assert 8 * mu == -len(tree.vertices) + cut, \
+def _spin_defect(g: GoeritzForm, sub: CharSubgraph) -> Fraction:
+    """Neumann-Siebenmann mu = (signature - y^T G y) / 8 of the subgraph
+    with indicator y, for a reduced graph that is a tree: its intersection
+    matrix is G, certified negative definite by the OrbitKernel, so the
+    signature is -m."""
+    inside = set(sub.vertices)
+    idx = [i for i, v in enumerate(g.vertex_order) if v in inside]
+    mu = Fraction(-g.m - sum(g.matrix[i][j] for i in idx for j in idx), 8)
+    if not any(g.matrix[i][j] for i in idx for j in idx if i != j):
+        assert 8 * mu == sub.cut - g.m, \
             "8 mu must equal cut minus vertex count for definite trees"
     return mu
 
@@ -388,15 +347,18 @@ def obstruction_report(source) -> ObstructionReport:
     if not w.is_connected():
         raise Disconnected("white graph must be connected")
     g = goeritz(w)
-    det = det_exact(g.matrix)
     m = g.m
-    if signature(g.matrix) != (0, m, 0):
-        raise _certification_failure("obstruction_report", m, det,
-                                     "Goeritz form must be negative definite")
+    try:
+        kernel = OrbitKernel(g)
+    except Singular:
+        raise _certification_failure(
+            "obstruction_report", m, det_exact(g.matrix),
+            "Goeritz form must be negative definite") from None
+    det = (-1) ** m * kernel.det
     special = all(d % 2 == 0 for d in w.degrees.values())
     odd = det % 2 != 0
 
-    classes = enumerate_spinc(g, covectors=covectors)
+    classes = enumerate_spinc(g, covectors=covectors, kernel=kernel)
     subs = characteristic_subgraphs(w, g)
 
     spin_d = None
@@ -410,15 +372,13 @@ def obstruction_report(source) -> ObstructionReport:
         "empty characteristic subgraph must coincide with specialness"
     nonempty = [c for c in subs if c.vertices]
 
-    reduced = w.without_vertex(w.marked)
-    tree = None
-    if reduced.vertices and reduced.is_connected() and \
-            len(reduced.edges) == len(reduced.vertices) - 1:
-        tree = PlumbingTree(
-            vertices=reduced.vertices,
-            weights=tuple(-w.degree(v) for v in reduced.vertices),
-            edges=tuple((u, v) for (u, v, _) in reduced.edges),
-        )
+    # The reduced graph, as a plumbing of its Goeritz form when a tree.
+    try:
+        tree = PlumbingTree(g.vertex_order, g.diagonal,
+                            tuple((u, v) for (u, v, _) in w.edges
+                                  if w.marked not in (u, v)))
+    except NotATree:
+        tree = None
 
     if special:
         cutbound = BoundVerdict(False, "link is special (empty subgraph is spin)")
@@ -435,7 +395,7 @@ def obstruction_report(source) -> ObstructionReport:
         for c in nonempty:
             mu = lo = hi = None
             if tree is not None:
-                mu = mu_bar(tree, c.vertices)
+                mu = _spin_defect(g, c)
                 lo = Fraction(-8) * mu / 9
                 hi = Fraction(-8) * mu
             entries.append(CapEntry(c.vertices, c.cut, c.cut >= 9 * m,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -145,6 +146,39 @@ def diagram_suite():
 @pytest.fixture(scope="session")
 def all_diagrams():
     return diagram_suite()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn, ...) counts the calls of library functions.
+
+    Imports copy bindings, so each function is patched wherever a
+    spinfill module or one of its classes binds it (a method is counted
+    through its class).  Returns a dict of counts by function name.
+    """
+    calls = {}
+
+    def install(*fns):
+        for fn in fns:
+            calls[fn.__name__] = 0
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] != "spinfill":
+                    continue
+                spaces = [mod] + [v for v in vars(mod).values()
+                                  if isinstance(v, type)
+                                  and v.__module__ == name]
+                for space in spaces:
+                    for attr, value in list(vars(space).items()):
+                        if value is fn:
+                            monkeypatch.setattr(space, attr, counted)
+        return calls
+
+    return install
 
 
 def white_data(kd):

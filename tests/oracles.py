@@ -8,8 +8,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from spinfill.errors import DimensionMismatch, Disconnected, Singular
-from spinfill.exactalg import GoeritzForm, _require_square
+from spinfill.diagram import BLACK, WHITE, Coloring, KnotDiagram
+from spinfill.errors import (DimensionMismatch, Disconnected, NonPlanar,
+                             NotAlternating, NotATree, Singular)
+from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
+                               signature)
 from spinfill.graphs import (MarkedGraph, _reach, bridges, euler_check,
                              trace_faces)
 from spinfill.plumbing import PlumbingTree
@@ -281,3 +284,115 @@ def random_excessive_tree(rng, n, extra=3):
     weights = tuple(min(-2, -base.degree(v)) - rng.randrange(extra)
                     for v in base.vertices)
     return PlumbingTree(base.vertices, weights, base.edges)
+
+
+def intersection_matrix(tree: PlumbingTree):
+    n = len(tree.vertices)
+    idx = {v: i for i, v in enumerate(tree.vertices)}
+    mat = [[0] * n for _ in range(n)]
+    for i, w in enumerate(tree.weights):
+        mat[i][i] = w
+    for (u, v) in tree.edges:
+        mat[idx[u]][idx[v]] += 1
+        mat[idx[v]][idx[u]] += 1
+    return tuple(tuple(row) for row in mat)
+
+
+def mu_bar(tree, c_vertices) -> Fraction:
+    """Spin defect of a plumbing: (signature - <w_C, w_C>) / 8.
+
+    The tree's intersection matrix supplies both terms; when the subset
+    spans no edge and the tree is negative definite, the identity
+    8 mu = cut - vertex count is asserted.
+    """
+    if not isinstance(tree, PlumbingTree):
+        raise NotATree("mu_bar needs a plumbing tree")
+    mat = intersection_matrix(tree)
+    sig = signature(mat)
+    sigma = sig[0] - sig[1]
+    idx = {v: i for i, v in enumerate(tree.vertices)}
+    w = [0] * len(tree.vertices)
+    for v in c_vertices:
+        w[idx[v]] = 1
+    pairing = sum(wi * x for wi, x in zip(w, matvec(mat, w)))
+    mu = Fraction(sigma - pairing, 8)
+    inside = set(c_vertices)
+    spans_edge = any(u in inside and v in inside for (u, v) in tree.edges)
+    if not spans_edge and sig == (0, len(tree.vertices), 0):
+        cut = sum(-tree.weight(v) for v in c_vertices)
+        assert 8 * mu == -len(tree.vertices) + cut, \
+            "8 mu must equal cut minus vertex count for definite trees"
+    return mu
+
+
+def checkerboard_bfs(diagram: KnotDiagram) -> Coloring:
+    """The unique proper 2-coloring with corners 0/2 white everywhere."""
+    nreg = len(diagram.regions)
+    colors = [None] * nreg
+    colors[diagram.corner_region[0][0]] = WHITE
+    # Adjacent regions (across any arc) get opposite colors.
+    stack = [diagram.corner_region[0][0]]
+    adjacency = {i: set() for i in range(nreg)}
+    for c in range(diagram.n):
+        for s in range(4):
+            a = diagram.corner_region[c][s]
+            b = diagram.corner_region[c][(s + 1) % 4]
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    while stack:
+        r = stack.pop()
+        nxt = WHITE if colors[r] == BLACK else BLACK
+        for w in adjacency[r]:
+            if colors[w] is None:
+                colors[w] = nxt
+                stack.append(w)
+            elif colors[w] == colors[r]:
+                raise NonPlanar("regions are not checkerboard colorable")
+    coloring = Coloring(tuple(colors))
+    if not convention_ok(diagram, coloring):
+        # A validated alternating diagram always satisfies the convention
+        # in exactly one of the two proper colorings.
+        raise NotAlternating("no coloring matches the crossing convention")
+    return coloring
+
+
+def convention_ok(diagram: KnotDiagram, coloring: Coloring) -> bool:
+    """True when every crossing has white at corners 0 and 2."""
+    for c in range(diagram.n):
+        reg = diagram.corner_region[c]
+        if coloring.color(reg[0]) != WHITE or coloring.color(reg[2]) != WHITE:
+            return False
+        if coloring.color(reg[1]) != BLACK or coloring.color(reg[3]) != BLACK:
+            return False
+    return True
+
+
+def swap_colors(coloring: Coloring) -> Coloring:
+    return Coloring(tuple(WHITE if c == BLACK else BLACK for c in coloring.colors))
+
+
+def is_special(w: MarkedGraph, b: MarkedGraph | None = None) -> bool:
+    """All white degrees even; checked against bipartiteness of black."""
+    special = all(d % 2 == 0 for d in w.degrees.values())
+    if b is not None:
+        assert special == _bipartite(b), \
+            "even white degrees must match black bipartiteness"
+    return special
+
+
+def _bipartite(g: MarkedGraph) -> bool:
+    color = {}
+    for start in g.vertices:
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True

@@ -12,15 +12,16 @@ from spinfill.diagram import state_covectors
 from spinfill.errors import Disconnected
 from spinfill.exactalg import det_exact, goeritz, matvec, signature
 from spinfill.plumbing import (PlumbingTree, berge_ipm, check_normal_form,
-                               decide_plumbed, det_tree, intersection_matrix,
-                               linear_tree, neg_cf, reduce_normal_form)
-from spinfill.spinc import (characteristic_subgraphs, enumerate_spinc, mu_bar,
+                               decide_plumbed, det_tree, linear_tree, neg_cf,
+                               reduce_normal_form)
+from spinfill.spinc import (characteristic_subgraphs, enumerate_spinc,
                             obstruction_report, spin_class)
 
 from conftest import (banana_graph, brute_force_class_maxima, path_hub_graph,
                       special44_graph, white_data)
-from oracles import (canonical_form, gen_plane_multigraph, quadform_q,
-                     random_excessive_tree, random_tree, spanning_tree_count)
+from oracles import (canonical_form, gen_plane_multigraph, intersection_matrix,
+                     mu_bar, quadform_q, random_excessive_tree, random_tree,
+                     spanning_tree_count)
 
 
 def _report(num, description):

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import spinfill
-from spinfill import chainmail, cli, diagram, exactalg, plumbing, spinc
+from spinfill import chainmail, diagram, exactalg, spinc
 from spinfill.cli import build_parser, main
-from spinfill.graphs import graph_to_doc
+from spinfill.graphs import MarkedGraph, graph_to_doc
 
 from conftest import PD_CODES, two33_graph
 
@@ -357,45 +357,41 @@ def test_main_calls_are_independent(capsys):
     assert code == 0 and out.startswith("16/9 = [2, 5, 2]\n")
 
 
-def test_analyze_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
-    originals = {"goeritz": exactalg.goeritz,
-                 "det_exact": exactalg.det_exact,
-                 "checkerboard": diagram.checkerboard,
-                 "kauffman_states": diagram.kauffman_states}
-    calls = dict.fromkeys(originals, 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # patched in every module that binds the function, as imports copy it
-    for mod in (chainmail, cli, diagram, exactalg, plumbing, spinc):
-        for name, fn in originals.items():
-            if getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted(name, fn))
+def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
+    calls = count_calls(exactalg.goeritz, exactalg.det_exact,
+                        exactalg.signature, exactalg.hnf_basis,
+                        diagram.checkerboard, diagram.kauffman_states,
+                        MarkedGraph.without_vertex)
     inputs = {
         "diagram": write_doc(tmp_path, "fig8.json",
                              {"pd": PD_CODES["figure_eight"]}),
         "graph": write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph())),
     }
     for kind, path in inputs.items():
-        for key in calls:
-            calls[key] = 0
-        code, out, _ = run_cli(["--json", "analyze", path, "--mk1"], capsys)
-        assert code == 0
-        assert json.loads(out)["kind"] == kind
-        states = 1 if kind == "diagram" else 0
-        assert calls["goeritz"] == 1, kind
-        assert calls["det_exact"] <= 1, kind
-        assert calls["checkerboard"] == calls["kauffman_states"] == states, kind
+        for extra in ([], ["--mk1"]):
+            calls.update(dict.fromkeys(calls, 0))
+            code, out, _ = run_cli(["--json", "analyze", path] + extra,
+                                   capsys)
+            assert code == 0
+            assert json.loads(out)["kind"] == kind
+            states = 1 if kind == "diagram" else 0
+            assert calls["goeritz"] == calls["hnf_basis"] == 1, kind
+            assert calls["det_exact"] == 0, kind
+            assert calls["checkerboard"] == calls["kauffman_states"] \
+                == states, kind
+            # the tree is read off the form; only the link deletes a vertex
+            assert calls["without_vertex"] == len(extra), (kind, extra)
+            if not extra:
+                assert calls["signature"] == 0, kind
 
 
 def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "trefoil.json", {"pd": PD_CODES["trefoil"]})
+    real_ldl = spinc._ldl_integer
     with monkeypatch.context() as patch:
-        patch.setattr(spinc, "signature", lambda m: (1, len(m) - 1, 0))
+        # the kernel factors -A = G instead: its first pivot is negative
+        patch.setattr(spinc, "_ldl_integer",
+                      lambda a: real_ldl([[-x for x in row] for row in a]))
         code, _, err = run_cli(["analyze", path], capsys)
     assert code == 4
     assert "spinc.obstruction_report: Goeritz form must be negative" in err
@@ -408,18 +404,8 @@ def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):
     assert "spinc.enumerate_spinc: found 3 classes, expected 6" in err
 
 
-def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, monkeypatch):
-    calls = {"mk1_run": 0, "signature": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(chainmail, name,
-                            counted(name, getattr(chainmail, name)))
+def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
+    calls = count_calls(chainmail.mk1_run, exactalg.signature)
     path = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
     code, out, _ = run_cli(["--json", "mk1", path, "--all"], capsys)
     assert code == 0

@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinfill.diagram import (BLACK, WHITE, checkerboard, convention_ok,
-                              diagram_from_plane_graph, is_special,
-                              kauffman_states, parse_pd, state_covector,
-                              state_covectors, swap_colors, tait_graphs)
+from spinfill.diagram import (BLACK, WHITE, checkerboard,
+                              diagram_from_plane_graph, kauffman_states,
+                              parse_pd, state_covector, state_covectors,
+                              tait_graphs)
 from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
                              NotAlternating, NotReduced)
 from spinfill.exactalg import det_exact, goeritz
 from spinfill.spinc import enumerate_spinc
 
 from conftest import PD_CODES, banana_graph, white_data
-from oracles import gen_plane_multigraph, multigraph_isomorphic
+from oracles import (checkerboard_bfs, convention_ok, gen_plane_multigraph,
+                     is_special, multigraph_isomorphic, swap_colors)
 
 TREFOIL = PD_CODES["trefoil"]
 
@@ -200,3 +203,15 @@ def test_medial_rejects_bridges():
     path = banana_graph(1)  # single edge: a bridge
     with pytest.raises(NotReduced):
         diagram_from_plane_graph(path)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_checkerboard_matches_bfs_oracle(seed):
+    rng = random.Random(seed)
+    g = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 6),
+                             bridgeless=True)
+    kd = parse_pd(diagram_from_plane_graph(g))
+    col = checkerboard(kd)
+    assert col == checkerboard_bfs(kd)
+    assert convention_ok(kd, col)

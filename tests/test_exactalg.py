@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinfill.errors import Disconnected, NonSquare, NonSymmetric, Singular
@@ -209,3 +209,14 @@ def test_adjugate_with_row_swaps(seed):
             adjugate(m)
     else:
         assert_adjugate(m)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_hnf_basis_commutes_with_doubling(m):
+    # canonical keys reduce modulo 2 GoeritzForm.hermite on this identity
+    assume(det_exact(m) != 0)
+    doubled = hnf_basis([[2 * x for x in row] for row in m])
+    assert doubled == tuple(tuple(2 * x for x in row) for row in hnf_basis(m))

@@ -11,12 +11,12 @@ from spinfill.exactalg import det_exact, goeritz, signature
 from spinfill.graphs import MarkedGraph
 from spinfill.plumbing import (PlumbingTree, accessible_witness, berge_ipm,
                                check_normal_form, decide_plumbed, det_tree,
-                               intersection_matrix, is_excessive, linear_tree,
-                               neg_cf, parse_tree_doc, reduce_normal_form)
+                               is_excessive, linear_tree, neg_cf,
+                               parse_tree_doc, reduce_normal_form)
 from spinfill.spinc import characteristic_subgraphs
 
-from oracles import (canonical_form, cf_value, random_excessive_tree,
-                     random_tree)
+from oracles import (canonical_form, cf_value, intersection_matrix,
+                     random_excessive_tree, random_tree)
 
 
 @st.composite

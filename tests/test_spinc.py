@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfill.diagram import parse_pd, state_covectors
-from spinfill.errors import CertificationFailure
-from spinfill.exactalg import GoeritzForm, det_exact, goeritz
+from spinfill.errors import CertificationFailure, Singular
+from spinfill.exactalg import GoeritzForm, det_exact, goeritz, signature
 from spinfill.plumbing import PlumbingTree, linear_tree
-from spinfill.spinc import (OrbitKernel, characteristic_subgraphs, cut_size,
-                            d_invariant, enumerate_spinc, mu_bar,
+from spinfill.spinc import (OrbitKernel, _ldl_integer, characteristic_subgraphs,
+                            cut_size, d_invariant, enumerate_spinc,
                             obstruction_report, orbit_max_q, spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
-from oracles import gen_plane_multigraph, quadform_q, same_class
+from oracles import gen_plane_multigraph, mu_bar, quadform_q, same_class
 
 
 def form(graph):
@@ -295,3 +295,43 @@ def test_kernel_quadform_matches_solve(seed):
     v = [rng.randint(-9, 9) for _ in range(g.m)]
     assert kernel.quadform(v) == quadform_q(g, v)
     assert orbit_max_q(g, v, kernel) == orbit_max_q(g, v) >= quadform_q(g, v)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric integer matrices, shifted down the diagonal so that
+    negative definite and indefinite ones both come up."""
+    n = draw(st.integers(1, 5))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    shift = draw(st.integers(0, 12))
+    return [[x - (shift if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(g)]
+
+
+@given(symmetric_forms())
+@settings(max_examples=150, deadline=None)
+def test_kernel_pivots_certify_definiteness(g):
+    a = [[-x for x in row] for row in g]
+    definite = signature(g) == (0, len(g), 0)
+    try:
+        pivots, _ = _ldl_integer(a)
+    except Singular:
+        assert not definite
+    else:
+        assert definite and all(p > 0 for p in pivots)
+        assert pivots[-1] == det_exact(a)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_report_mu_matches_tree_oracle(seed):
+    rng = random.Random(seed)
+    rep = None
+    while rep is None or not (rep.tree_reduced and rep.cap_entries):
+        w = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 4))
+        rep = obstruction_report(w)
+    for entry in rep.cap_entries:
+        assert entry.mu == mu_bar(rep.tree, entry.vertices)
