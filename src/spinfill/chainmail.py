@@ -33,7 +33,9 @@ class ChainmailLink:
     def vertices(self):
         return self.graph.vertices
 
+    @cached_property
     def linking_matrix(self):
+        """Linking matrix as a tuple of rows, built once per link."""
         n = len(self.vertices)
         idx = self.graph.index
         mat = [[0] * n for _ in range(n)]
@@ -42,12 +44,12 @@ class ChainmailLink:
         for (u, v, _), sign in zip(self.graph.edges, self.signs):
             mat[idx[u]][idx[v]] += sign
             mat[idx[v]][idx[u]] += sign
-        return [list(row) for row in mat]
+        return tuple(tuple(row) for row in mat)
 
     @cached_property
     def sigma(self):
         """Signature of the linking matrix, computed once per link."""
-        pos, neg, _ = signature(self.linking_matrix())
+        pos, neg, _ = signature(self.linking_matrix)
         return pos - neg
 
 
@@ -157,7 +159,7 @@ def _parse_chainmail_doc(text) -> ChainmailLink:
 
 def is_characteristic(link: ChainmailLink, subset) -> bool:
     """Sublink parity test: L w ~ diag(L) mod 2 for the indicator w."""
-    mat = link.linking_matrix()
+    mat = link.linking_matrix
     idx = link.graph.index
     w = [0] * len(link.vertices)
     for v in subset:
@@ -171,16 +173,19 @@ def is_characteristic(link: ChainmailLink, subset) -> bool:
 
 def characteristic_subsets(link: ChainmailLink):
     """All characteristic sublinks, as sorted vertex tuples."""
-    return _characteristic_supports(link.linking_matrix(), link.vertices)
+    return _characteristic_supports(link.linking_matrix, link.vertices)
 
 
 class _PlaneWork:
-    """Mutable contracted copy of a plane multigraph."""
+    """Mutable contracted copy of the sub-embedding induced on vertices."""
 
-    def __init__(self, graph: MarkedGraph, outer_dart):
-        self.edges = {i: (u, v) for i, (u, v, _) in enumerate(graph.edges)}
-        self.rot = {v: list(graph.rotation_of(v)) for v in graph.vertices}
-        self.outer = outer_dart
+    def __init__(self, graph: MarkedGraph, outer_dart, vertices):
+        self.edges = {i: (u, v) for i, (u, v, _) in enumerate(graph.edges)
+                      if u in vertices and v in vertices}
+        self.rot = {v: [d for d in graph.rotation_of(v) if d[0] in self.edges]
+                    for v in graph.vertices if v in vertices}
+        self.outer = (outer_dart if outer_dart and outer_dart[0] in self.edges
+                      else None)
 
     def endpoint(self, dart):
         e, end = dart
@@ -290,8 +295,8 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
         if v not in idx:
             raise MalformedInput("unknown vertex %r" % (v,))
 
-    mat = link.linking_matrix()
-    initial = tuple(tuple(row) for row in mat)
+    initial = link.linking_matrix
+    mat = [list(row) for row in initial]
     order = link.vertices
     steps = []
 
@@ -327,19 +332,8 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
             continue
         if link.graph.rotations is None:
             raise InvalidEmbedding("handle-slide order needs a rotation system")
-        work = _PlaneWork(link.graph, link.outer_dart)
-        # Restrict to the component: delete all other vertices' edges so
-        # face regions reflect the component's own sub-embedding.
-        for v in list(work.rot):
-            if v not in comp:
-                dead = [e for e, (a, b) in work.edges.items() if v in (a, b)]
-                for e in dead:
-                    del work.edges[e]
-                del work.rot[v]
-        for v in comp:
-            work.rot[v] = [d for d in work.rot[v] if d[0] in work.edges]
-        if work.outer is not None and work.outer[0] not in work.edges:
-            work.outer = None
+        # Face regions of the component's own sub-embedding only.
+        work = _PlaneWork(link.graph, link.outer_dart, comp)
         active = set(comp)
         while len(active) > 1:
             pair = None
@@ -399,8 +393,8 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
         raise NotCharacteristic("subset fails the linking parity test")
     n = len(link.vertices)
     if not subset:
-        mat = link.linking_matrix()
-        assert all(mat[i][i] % 2 == 0 for i in range(n)), \
+        assert all(row[i] % 2 == 0
+                   for i, row in enumerate(link.linking_matrix)), \
             "empty characteristic sublink needs an even diagonal"
         return FillingStats(b2=n, sigma=link.sigma, even_form=True, f=0)
 

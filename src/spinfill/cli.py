@@ -29,12 +29,12 @@ def _frac(x):
 
 
 def _load(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput("cannot read %s: %s" % (path, exc)) from exc
 
 

@@ -6,6 +6,7 @@ these results being exact.  Matrices are lists/tuples of rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,11 @@ class GoeritzForm:
         """Column Hermite basis of the lattice G Z^m, computed once."""
         return hnf_basis(self.matrix)
 
+    @cached_property
+    def kernel(self):
+        """The form's OrbitKernel, built once; raises Singular unless G < 0."""
+        return OrbitKernel(self)
+
 
 def goeritz(w: MarkedGraph) -> GoeritzForm:
     if w.marked is None:
@@ -62,61 +68,6 @@ def _require_square(m):
     if any(len(row) != n for row in m):
         raise NonSquare("matrix is not square")
     return n
-
-
-def det_exact(m) -> int:
-    """Fraction-free Bareiss elimination; exact integer determinant."""
-    n = _require_square(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def adjugate(m):
-    """Integer adjugate and determinant of a nonsingular integer matrix.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I]: every
-    division is exact, the left block ends as p I and the right block as
-    p m^{-1}, where p is the determinant up to the sign of the row swaps.
-    Returns (adj, det) with m adj = det I; raises Singular when det = 0.
-    """
-    n = _require_square(m)
-    a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(m)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                raise Singular("matrix is singular")
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        p = a[k][k]
-        pivot_row = a[k]
-        for i in range(n):
-            if i != k:
-                row = a[i]
-                f = row[k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = p
-    adj = tuple(tuple(sign * x for x in row[n:]) for row in a)
-    return adj, sign * prev
 
 
 def signature(m) -> tuple:
@@ -284,3 +235,116 @@ def hnf_reduce(v, h, scale=1):
 
 def matvec(m, v):
     return tuple(sum(mi * vi for mi, vi in zip(row, v)) for row in m)
+
+
+def _sweep(a):
+    """One fraction-free Gauss-Jordan pass (Bareiss) over [a | I], a = -G.
+
+    Returns (pivots, low, adj): pivots[k] is the leading minor of order
+    k + 1 (the last is det a), low[k] is column k below the pivot at step
+    k (zeros above), and the right block ends as adj(a).  Raises Singular
+    at the first pivot <= 0: by Sylvester's criterion a is positive
+    definite exactly when every leading minor is positive, so no row
+    swap is ever needed.
+    """
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    low = []
+    pivots = []
+    prev = 1
+    for k in range(n):
+        p = rows[k][k]
+        if p <= 0:
+            raise Singular("leading minor %d of -G is %d" % (k + 1, p))
+        pivots.append(p)
+        low.append([0] * (k + 1) + [rows[i][k] for i in range(k + 1, n)])
+        pivot_row = rows[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev
+                           for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    return pivots, low, tuple(tuple(row[n:]) for row in rows)
+
+
+class OrbitKernel:
+    """Closest-vector data of one Goeritz form, on integers only.
+
+    For A = -G the orbit maximum of v is -4 min_y (y - t)^T A (y - t)
+    with t = adj(A) v / (2 det A).  The LDL^T factors of A and the target
+    share the denominators P = lcm of the leading minors and S = 2 det A,
+    so with Q = P S every search center is C / Q for an integer C, and
+    every partial cost is an integer over the fixed constant W Q^2.
+    One sweep gives the factors, adj(A) and det A; building the kernel
+    certifies G negative definite, else raises Singular.
+    """
+
+    def __init__(self, g: GoeritzForm):
+        self.m = g.m
+        pivots, low, self.adj = _sweep([[-x for x in row]
+                                        for row in g.matrix])
+        self.pivots = pivots
+        self.det = pivots[-1]
+        p = math.lcm(*pivots)
+        w = math.lcm(*pivots[:-1])
+        self.p = p
+        self.s = 2 * self.det
+        self.q = p * self.s
+        # P L[j][k] = P low[k][j] / pivots[k], read by level k
+        self.low = [[x * (p // pivots[k]) for x in col]
+                    for k, col in enumerate(low)]
+        # W D[k]
+        self.weight = [pivots[k] * (w // (pivots[k - 1] if k else 1))
+                       for k in range(self.m)]
+        self.denominator = w * self.q * self.q
+
+    def quadform(self, v) -> Fraction:
+        """v^T G^{-1} v = -v^T adj(A) v / det A."""
+        return Fraction(-sum(x * y for x, y in zip(v, matvec(self.adj, v))),
+                        self.det)
+
+    def min_cost(self, target):
+        """W Q^2 min over integer y of (y - t)^T A (y - t), t = target / S.
+
+        Depth-first enumeration over the LDL cone with incumbent pruning;
+        per level the candidates zigzag outward from the real center, so
+        once both frontier candidates prune, the level is exhausted.
+        """
+        n, q, s = self.m, self.q, self.s
+        low, weight = self.low, self.weight
+        centers = [self.p * x for x in target]
+        shifts = [0] * n          # S z_j - target_j on the levels above
+        best = None
+
+        def search(level, partial):
+            nonlocal best
+            if level < 0:
+                if best is None or partial < best:
+                    best = partial
+                return
+            c = centers[level]
+            row = low[level]
+            for j in range(level + 1, n):
+                c -= row[j] * shifts[j]
+            wl = weight[level]
+            tl = target[level]
+            base = c // q
+            offset = 0
+            while True:
+                pruned = 0
+                for z in (base - offset, base + offset + 1):
+                    r = q * z - c
+                    cost = partial + wl * r * r
+                    if best is not None and cost >= best:
+                        pruned += 1
+                        continue
+                    shifts[level] = s * z - tl
+                    search(level - 1, cost)
+                if pruned == 2:
+                    break
+                offset += 1
+
+        search(n - 1, 0)
+        return best

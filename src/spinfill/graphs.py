@@ -277,7 +277,8 @@ def _as_document(text):
         return text
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integers
         raise MalformedInput("not a valid document: %s" % exc) from exc
 
 

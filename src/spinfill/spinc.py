@@ -16,8 +16,8 @@ from itertools import product
 
 from .diagram import state_covectors
 from .errors import CertificationFailure, Disconnected, NotATree, Singular
-from .exactalg import (GoeritzForm, _characteristic_supports, adjugate,
-                       det_exact, goeritz, hnf_reduce, matvec)
+from .exactalg import (GoeritzForm, _characteristic_supports, goeritz,
+                       hnf_reduce, matvec)
 from .graphs import MarkedGraph
 from .plumbing import PlumbingTree
 
@@ -86,139 +86,20 @@ class ObstructionReport:
         return self.tree is not None
 
 
-def _ldl_integer(a):
-    """Fraction-free LDL^T of a positive definite integer matrix.
-
-    Returns (pivots, low): pivots[k] is the leading principal minor of
-    size k + 1, and the exact factors are L[i][k] = low[i][k] / pivots[k]
-    for i > k and D[k] = pivots[k] / pivots[k - 1] (pivots[-1] read as 1).
-    Raises Singular at the first pivot <= 0: by Sylvester's criterion a
-    is positive definite exactly when every leading minor is positive.
-    """
-    n = len(a)
-    b = [list(row) for row in a]
-    low = [[0] * n for _ in range(n)]
-    pivots = []
-    prev = 1
-    for k in range(n):
-        p = b[k][k]
-        if p <= 0:
-            raise Singular("matrix is not positive definite")
-        pivots.append(p)
-        for i in range(k + 1, n):
-            low[i][k] = b[i][k]
-            for j in range(k + 1, n):
-                b[i][j] = (b[i][j] * p - b[i][k] * b[k][j]) // prev
-        prev = p
-    return pivots, low
-
-
-def _certification_failure(stage, m, det, message):
-    return CertificationFailure(
-        "spinc.%s: %s (rank %d, det %d)" % (stage, message, m, det))
-
-
-class OrbitKernel:
-    """Closest-vector data of one Goeritz form, on integers only.
-
-    For A = -G the orbit maximum of v is -4 min_y (y - t)^T A (y - t)
-    with t = adj(A) v / (2 det A).  The LDL^T factors of A and the target
-    share the denominators P = lcm of the leading minors and S = 2 det A,
-    so with Q = P S every search center is C / Q for an integer C, and
-    every partial cost is an integer over the fixed constant W Q^2.
-    Building it certifies G negative definite, else raises Singular.
-    """
-
-    def __init__(self, g: GoeritzForm):
-        a = [[-x for x in row] for row in g.matrix]
-        self.m = g.m
-        pivots, low = _ldl_integer(a)
-        self.adj, self.det = adjugate(a)
-        p = math.lcm(*pivots)
-        w = math.lcm(*pivots[:-1])
-        self.p = p
-        self.s = 2 * self.det
-        self.q = p * self.s
-        # P L[j][k], read by level k
-        self.low = [[low[j][k] * (p // pivots[k]) for j in range(self.m)]
-                    for k in range(self.m)]
-        # W D[k]
-        self.weight = [pivots[k] * (w // (pivots[k - 1] if k else 1))
-                       for k in range(self.m)]
-        self.denominator = w * self.q * self.q
-
-    def quadform(self, v) -> Fraction:
-        """v^T G^{-1} v = -v^T adj(A) v / det A."""
-        return Fraction(-sum(x * y for x, y in zip(v, matvec(self.adj, v))),
-                        self.det)
-
-    def min_cost(self, target):
-        """W Q^2 min over integer y of (y - t)^T A (y - t), t = target / S.
-
-        Depth-first enumeration over the LDL cone with incumbent pruning;
-        per level the candidates zigzag outward from the real center, so
-        once both frontier candidates prune, the level is exhausted.
-        """
-        n, q, s = self.m, self.q, self.s
-        low, weight = self.low, self.weight
-        centers = [self.p * x for x in target]
-        shifts = [0] * n          # S z_j - target_j on the levels above
-        best = None
-
-        def search(level, partial):
-            nonlocal best
-            if level < 0:
-                if best is None or partial < best:
-                    best = partial
-                return
-            c = centers[level]
-            row = low[level]
-            for j in range(level + 1, n):
-                c -= row[j] * shifts[j]
-            wl = weight[level]
-            tl = target[level]
-            base = c // q
-            offset = 0
-            while True:
-                pruned = 0
-                for z in (base - offset, base + offset + 1):
-                    r = q * z - c
-                    cost = partial + wl * r * r
-                    if best is not None and cost >= best:
-                        pruned += 1
-                        continue
-                    shifts[level] = s * z - tl
-                    search(level - 1, cost)
-                if pruned == 2:
-                    break
-                offset += 1
-
-        search(n - 1, 0)
-        if best is None:
-            raise _certification_failure(
-                "orbit_max_q", self.m, (-1) ** self.m * self.det,
-                "lattice search returned nothing")
-        return best
-
-
-def orbit_max_q(g: GoeritzForm, covector, kernel=None) -> Fraction:
+def orbit_max_q(g: GoeritzForm, covector) -> Fraction:
     """Exact max of v^T G^{-1} v over the orbit of a covector.
 
     Writing v = v0 + 2Gy turns the maximum over integer y into a closest
-    vector problem for the positive form -G.  kernel, when given, is the
-    form's prebuilt OrbitKernel.
+    vector problem for the positive form -G.
     """
-    if kernel is None:
-        kernel = OrbitKernel(g)
+    kernel = g.kernel
     best = kernel.min_cost(matvec(kernel.adj, covector))
     return Fraction(-4 * best, kernel.denominator)
 
 
-def d_invariant(g: GoeritzForm, cls, kernel=None) -> Fraction:
+def d_invariant(g: GoeritzForm, covector) -> Fraction:
     """Correction term: max of (q(v) + m) / 4 over the class orbit."""
-    covector = cls.canonical_key if isinstance(cls, SpinCClass) else tuple(cls)
-    qmax = orbit_max_q(g, covector, kernel)
-    return (qmax + g.m) / Fraction(4)
+    return (orbit_max_q(g, covector) + g.m) / Fraction(4)
 
 
 def canonical_key(g: GoeritzForm, covector):
@@ -230,29 +111,29 @@ def coker_class(g: GoeritzForm, covector):
     return hnf_reduce(covector, g.hermite)
 
 
-def enumerate_spinc(g: GoeritzForm, covectors=None, kernel=None):
+def enumerate_spinc(g: GoeritzForm, covectors=None):
     """All spin-c classes in canonical order, with correction terms.
 
+    The keys, one per class in sorted order, are the characteristic points
+    of the Hermite box 0 <= r_i < 2 H[i][i], all reduced modulo 2G; their
+    count is checked against the determinant of the form's OrbitKernel.
     covectors, when given, lists one characteristic covector per state;
-    every class must then receive exactly one state, and each state's
-    covector must attain its orbit maximum.  The class count is checked
-    against the OrbitKernel's determinant, not one from the Hermite box.
-    kernel, when given, is the form's prebuilt OrbitKernel.
+    every class must then receive exactly one state, whose covector
+    attains its orbit maximum.
     """
-    if kernel is None:
-        kernel = OrbitKernel(g)
+    kernel = g.kernel
     m = g.m
     det = (-1) ** m * kernel.det
 
     def failure(message):
-        return _certification_failure("enumerate_spinc", m, det, message)
+        return CertificationFailure(
+            "spinc.enumerate_spinc: %s (rank %d, det %d)" % (message, m, det))
 
-    box = product(*(range(x, x + 2 * g.hermite[i][i], 2)
-                    for i, x in enumerate(g.diagonal)))
-    keys = sorted({canonical_key(g, v) for v in box})
+    keys = list(product(*(range(x % 2, 2 * g.hermite[i][i], 2)
+                          for i, x in enumerate(g.diagonal))))
     if len(keys) != abs(det):
         raise failure("found %d classes, expected %d" % (len(keys), abs(det)))
-    d = {key: d_invariant(g, key, kernel) for key in keys}
+    d = {key: d_invariant(g, key) for key in keys}
 
     state = {}
     if covectors is not None:
@@ -349,16 +230,16 @@ def obstruction_report(source) -> ObstructionReport:
     g = goeritz(w)
     m = g.m
     try:
-        kernel = OrbitKernel(g)
-    except Singular:
-        raise _certification_failure(
-            "obstruction_report", m, det_exact(g.matrix),
-            "Goeritz form must be negative definite") from None
+        kernel = g.kernel
+    except Singular as exc:
+        raise CertificationFailure(
+            "spinc.obstruction_report: Goeritz form must be negative "
+            "definite (rank %d, %s)" % (m, exc)) from None
     det = (-1) ** m * kernel.det
     special = all(d % 2 == 0 for d in w.degrees.values())
     odd = det % 2 != 0
 
-    classes = enumerate_spinc(g, covectors=covectors, kernel=kernel)
+    classes = enumerate_spinc(g, covectors=covectors)
     subs = characteristic_subgraphs(w, g)
 
     spin_d = None

@@ -1,12 +1,14 @@
 """Slow reference implementations and random generators for the tests.
 
 None of these run on a library path: they are independent oracles the
-tests compare the library against (spanning-tree counts, isomorphism,
-rational solves) and seeded generators of test inputs.
+tests compare the library against (spanning-tree counts, determinants
+and adjugates, isomorphism, rational solves) and seeded generators of
+test inputs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from spinfill.diagram import BLACK, WHITE, Coloring, KnotDiagram
 from spinfill.errors import (DimensionMismatch, Disconnected, NonPlanar,
@@ -16,6 +18,7 @@ from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
 from spinfill.graphs import (MarkedGraph, _reach, bridges, euler_check,
                              trace_faces)
 from spinfill.plumbing import PlumbingTree
+from spinfill.spinc import canonical_key
 
 
 def spanning_tree_count(graph: MarkedGraph) -> int:
@@ -72,6 +75,61 @@ def spanning_tree_count(graph: MarkedGraph) -> int:
     return count(verts, mult)
 
 
+def det_exact(m) -> int:
+    """Fraction-free Bareiss elimination; exact integer determinant."""
+    n = _require_square(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def adjugate(m):
+    """Integer adjugate and determinant of a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I]: every
+    division is exact, the left block ends as p I and the right block as
+    p m^{-1}, where p is the determinant up to the sign of the row swaps.
+    Returns (adj, det) with m adj = det I; raises Singular when det = 0.
+    """
+    n = _require_square(m)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                raise Singular("matrix is singular")
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p = a[k][k]
+        pivot_row = a[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    adj = tuple(tuple(sign * x for x in row[n:]) for row in a)
+    return adj, sign * prev
+
+
 def solve_rational(m, b):
     """Unique exact solution of m x = b; raises Singular otherwise."""
     n = _require_square(m)
@@ -112,6 +170,14 @@ def same_class(g: GoeritzForm, v1, v2) -> bool:
         return False
     sol = solve_rational(g.matrix, [x // 2 for x in diff])
     return is_integral(sol)
+
+
+def box_keys(g: GoeritzForm):
+    """Spin-c keys as the sorted canonical_key images of the Hermite box
+    shifted to start at the diagonal, one characteristic point per class."""
+    box = product(*(range(x, x + 2 * g.hermite[i][i], 2)
+                    for i, x in enumerate(g.diagonal)))
+    return sorted({canonical_key(g, v) for v in box})
 
 
 def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):

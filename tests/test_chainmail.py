@@ -22,20 +22,20 @@ def test_build_from_tait_examples():
     link = build_chainmail(special44_graph())
     assert link.weights == (-4, -4)
     assert len(link.graph.edges) == 1
-    assert link.linking_matrix() == [[-4, 1], [1, -4]]
+    assert link.linking_matrix == ((-4, 1), (1, -4))
 
     link = build_chainmail(banana_graph(3))
     assert link.weights == (-3,) and not link.graph.edges
 
     link = build_chainmail(path_hub_graph())
-    assert [link.linking_matrix()[i][i] for i in range(4)] == [-4, -2, -5, -2]
+    assert [link.linking_matrix[i][i] for i in range(4)] == [-4, -2, -5, -2]
 
 
 def test_linking_matrix_matches_goeritz():
     for graph in (special44_graph(), path_hub_graph(), two33_graph()):
         link = build_chainmail(graph)
         g = goeritz(graph)
-        assert tuple(tuple(r) for r in link.linking_matrix()) == g.matrix
+        assert link.linking_matrix == g.matrix
 
 
 def test_build_document_with_signs():
@@ -46,7 +46,19 @@ def test_build_document_with_signs():
     }
     link = build_chainmail(doc)
     assert link.signs == (-1, 1)
-    assert link.linking_matrix() == [[-1, 0], [0, 2]]
+    assert link.linking_matrix == ((-1, 0), (0, 2))
+
+
+def test_linking_matrix_is_built_once():
+    link = build_chainmail(path_hub_graph())
+    mat = link.linking_matrix
+    snapshot = tuple(tuple(row) for row in mat)
+    for sub in characteristic_subsets(link):
+        if sub:
+            mk1_run(link, sub)
+        kaplan_filling(link, sub)
+        assert link.linking_matrix is mat
+    assert mat == snapshot
 
 
 def test_build_rejects_disconnected():

@@ -156,6 +156,33 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
             assert err.startswith("error: ") and mark in err
 
 
+UNREADABLE = {
+    "utf16_bom": b"\xff\xfe" + json.dumps({"pd": PD_CODES["trefoil"]})
+    .encode("utf-16-le"),
+    "deep_nesting": b"[" * 100000,
+    "huge_arc_id": json.dumps({"pd": PD_CODES["trefoil"]})
+    .replace("1", "1" * 5000, 1).encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_unreadable_input_exits_2(name, source, tmp_path, capsys,
+                                  monkeypatch):
+    data = UNREADABLE[name]
+    if source == "file":
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        arg = str(path)
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8"))
+        arg = "-"
+    code, out, err = run_cli(["analyze", arg], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_obstruct_graph(ban9_file, capsys):
     code, out, _ = run_cli(["obstruct", ban9_file], capsys)
     assert code == 0
@@ -358,7 +385,7 @@ def test_main_calls_are_independent(capsys):
 
 
 def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
-    calls = count_calls(exactalg.goeritz, exactalg.det_exact,
+    calls = count_calls(exactalg.goeritz, spinc.canonical_key,
                         exactalg.signature, exactalg.hnf_basis,
                         diagram.checkerboard, diagram.kauffman_states,
                         MarkedGraph.without_vertex)
@@ -376,7 +403,9 @@ def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
             assert json.loads(out)["kind"] == kind
             states = 1 if kind == "diagram" else 0
             assert calls["goeritz"] == calls["hnf_basis"] == 1, kind
-            assert calls["det_exact"] == 0, kind
+            # the class keys are the Hermite box; only states are reduced
+            assert calls["canonical_key"] == (
+                len(json.loads(out)["spinc"]) if states else 0), kind
             assert calls["checkerboard"] == calls["kauffman_states"] \
                 == states, kind
             # the tree is read off the form; only the link deletes a vertex
@@ -387,18 +416,22 @@ def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
 
 def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "trefoil.json", {"pd": PD_CODES["trefoil"]})
-    real_ldl = spinc._ldl_integer
+    real = exactalg._sweep
     with monkeypatch.context() as patch:
-        # the kernel factors -A = G instead: its first pivot is negative
-        patch.setattr(spinc, "_ldl_integer",
-                      lambda a: real_ldl([[-x for x in row] for row in a]))
+        # the sweep factors -A = G instead: its first pivot is negative
+        patch.setattr(exactalg, "_sweep",
+                      lambda a: real([[-x for x in row] for row in a]))
         code, _, err = run_cli(["analyze", path], capsys)
     assert code == 4
     assert "spinc.obstruction_report: Goeritz form must be negative" in err
+    assert "leading minor 1 of -G is -" in err
+
     # the class count is held to the kernel's determinant, not the box's
-    real = spinc.adjugate
-    monkeypatch.setattr(spinc, "adjugate",
-                        lambda a: (real(a)[0], 2 * real(a)[1]))
+    def doubled_det(a):
+        pivots, low, adj = real(a)
+        return pivots[:-1] + [2 * pivots[-1]], low, adj
+
+    monkeypatch.setattr(exactalg, "_sweep", doubled_det)
     code, _, err = run_cli(["analyze", path], capsys)
     assert code == 4
     assert "spinc.enumerate_spinc: found 3 classes, expected 6" in err

@@ -10,12 +10,13 @@ from spinfill.diagram import (BLACK, WHITE, checkerboard,
                               tait_graphs)
 from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
                              NotAlternating, NotReduced)
-from spinfill.exactalg import det_exact, goeritz
+from spinfill.exactalg import goeritz
 from spinfill.spinc import enumerate_spinc
 
 from conftest import PD_CODES, banana_graph, white_data
-from oracles import (checkerboard_bfs, convention_ok, gen_plane_multigraph,
-                     is_special, multigraph_isomorphic, swap_colors)
+from oracles import (checkerboard_bfs, convention_ok, det_exact,
+                     gen_plane_multigraph, is_special, multigraph_isomorphic,
+                     swap_colors)
 
 TREFOIL = PD_CODES["trefoil"]
 

@@ -6,14 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinfill.errors import Disconnected, NonSquare, NonSymmetric, Singular
-from spinfill.exactalg import (adjugate, det_exact, gf2_affine_solutions, goeritz,
-                               hnf_basis, hnf_reduce, matvec, signature)
+from spinfill.exactalg import (gf2_affine_solutions, goeritz, hnf_basis,
+                               hnf_reduce, matvec, signature)
 from spinfill.graphs import MarkedGraph
 
 from conftest import (banana_graph, special44_graph, path_hub_graph,
                       two33_graph, white_data)
-from oracles import (gen_plane_multigraph, quadform_q, solve_rational,
-                     spanning_tree_count)
+from oracles import (adjugate, det_exact, gen_plane_multigraph, quadform_q,
+                     solve_rational, spanning_tree_count)
 
 
 def test_det_examples():

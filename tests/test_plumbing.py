@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinfill.errors import (InvalidFraction, NotAccessibleByConstruction,
                              NotATree, NotCoprime, NotExcessive)
-from spinfill.exactalg import det_exact, goeritz, signature
+from spinfill.exactalg import goeritz, signature
 from spinfill.graphs import MarkedGraph
 from spinfill.plumbing import (PlumbingTree, accessible_witness, berge_ipm,
                                check_normal_form, decide_plumbed, det_tree,
@@ -15,8 +15,8 @@ from spinfill.plumbing import (PlumbingTree, accessible_witness, berge_ipm,
                                parse_tree_doc, reduce_normal_form)
 from spinfill.spinc import characteristic_subgraphs
 
-from oracles import (canonical_form, cf_value, intersection_matrix,
-                     random_excessive_tree, random_tree)
+from oracles import (canonical_form, cf_value, det_exact,
+                     intersection_matrix, random_excessive_tree, random_tree)
 
 
 @st.composite

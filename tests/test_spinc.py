@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from spinfill.diagram import parse_pd, state_covectors
 from spinfill.errors import CertificationFailure, Singular
-from spinfill.exactalg import GoeritzForm, det_exact, goeritz, signature
+from spinfill.exactalg import GoeritzForm, goeritz, signature
 from spinfill.plumbing import PlumbingTree, linear_tree
-from spinfill.spinc import (OrbitKernel, _ldl_integer, characteristic_subgraphs,
-                            cut_size, d_invariant, enumerate_spinc,
-                            obstruction_report, orbit_max_q, spin_class)
+from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
+                            enumerate_spinc, obstruction_report, orbit_max_q,
+                            spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
-from oracles import gen_plane_multigraph, mu_bar, quadform_q, same_class
+from oracles import (box_keys, det_exact, gen_plane_multigraph, mu_bar,
+                     quadform_q, same_class)
 
 
 def form(graph):
@@ -291,10 +292,18 @@ def test_d_multiset_ignores_vertex_order(seed):
 @settings(max_examples=40, deadline=None)
 def test_kernel_quadform_matches_solve(seed):
     rng, g = random_goeritz(seed)
-    kernel = OrbitKernel(g)
+    kernel = g.kernel
+    assert g.kernel is kernel
     v = [rng.randint(-9, 9) for _ in range(g.m)]
     assert kernel.quadform(v) == quadform_q(g, v)
-    assert orbit_max_q(g, v, kernel) == orbit_max_q(g, v) >= quadform_q(g, v)
+    assert orbit_max_q(g, v) >= quadform_q(g, v)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_keys_are_the_reduced_box(seed):
+    _, g = random_goeritz(seed)
+    assert [c.canonical_key for c in enumerate_spinc(g)] == box_keys(g)
 
 
 @st.composite
@@ -314,15 +323,22 @@ def symmetric_forms(draw):
 @given(symmetric_forms())
 @settings(max_examples=150, deadline=None)
 def test_kernel_pivots_certify_definiteness(g):
+    n = len(g)
     a = [[-x for x in row] for row in g]
-    definite = signature(g) == (0, len(g), 0)
+    definite = signature(g) == (0, n, 0)
     try:
-        pivots, _ = _ldl_integer(a)
+        kernel = GoeritzForm(tuple(map(tuple, g)), tuple(range(n))).kernel
     except Singular:
         assert not definite
     else:
+        pivots = kernel.pivots
         assert definite and all(p > 0 for p in pivots)
-        assert pivots[-1] == det_exact(a)
+        assert pivots == [det_exact([row[:k] for row in a[:k]])
+                          for k in range(1, n + 1)]
+        assert pivots[-1] == kernel.det == det_exact(a)
+        assert [[sum(x * y for x, y in zip(row, col))
+                 for col in zip(*kernel.adj)] for row in a] == \
+            [[kernel.det * (i == j) for j in range(n)] for i in range(n)]
 
 
 @given(st.integers(0, 10 ** 6))
