@@ -18,7 +18,7 @@ from .errors import (DegenerateGraph, Disconnected, EmptyCharacteristicSet,
                      NotCharacteristic)
 from .exactalg import _characteristic_supports, signature
 from .graphs import (MarkedGraph, _dart_orbits, _face_successor, _reach,
-                     default_outer_dart, euler_check)
+                     default_outer_dart, euler_check, parse_graph_doc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +28,12 @@ class ChainmailLink:
     signs: tuple                # +1 / -1 per edge
     outer_dart: tuple | None    # dart on the unbounded face
     from_tait: bool = False     # weights are minus full white degrees
+
+    def __post_init__(self):
+        if not self.graph.is_connected():
+            raise Disconnected("chainmail graph must be connected")
+        if self.graph.rotations is not None:
+            euler_check(self.graph)
 
     @property
     def vertices(self):
@@ -59,7 +65,6 @@ class SlideStep:
     over: object                # component slid over (leaves the sublink)
     kind: str                   # "contract" or "merge"
     framing_after: int
-    diagonal_after: tuple
 
 
 @dataclass(frozen=True)
@@ -81,39 +86,32 @@ class FillingStats:
     f: int
 
 
-def build_chainmail(source, weights=None, signs=None) -> ChainmailLink:
+def build_chainmail(source) -> ChainmailLink:
     """Build a chainmail link from a document or a marked white graph.
 
     A marked graph drops its marked vertex; framings are minus the full
     degrees and all clasps are positive, so the linking matrix is the
-    Goeritz matrix.  Documents carry explicit weights, signs, rotations.
+    Goeritz matrix.  Unmarked documents carry explicit weights, signs
+    and rotations.
     """
     if isinstance(source, MarkedGraph):
-        if source.marked is None:
-            graph = source
-            if weights is None:
-                raise MalformedInput("weights required for unmarked graphs")
-            weights = tuple(weights)
-            from_tait = False
-            outer = default_outer_dart(graph) if graph.rotations else None
-        else:
-            full = source
-            graph = full.without_vertex(full.marked)
-            if not graph.vertices:
-                raise DegenerateGraph("no components after reduction")
-            weights = tuple(-full.degree(v) for v in graph.vertices)
-            from_tait = True
-            outer = _outer_from_deletion(full, graph)
-        if signs is None:
-            signs = tuple(1 for _ in graph.edges)
-        link = ChainmailLink(graph, weights, tuple(signs), outer, from_tait)
+        graph, weights, signs, outer = source, None, None, None
     else:
-        link = _parse_chainmail_doc(source)
-    if not link.graph.is_connected():
-        raise Disconnected("chainmail graph must be connected")
-    if link.graph.rotations is not None:
-        euler_check(link.graph)
-    return link
+        graph, weights, signs, outer = parse_graph_doc(source)
+    if graph.marked is None:
+        if weights is None:
+            raise MalformedInput("chainmail document needs vertex weights")
+        if outer is None and graph.rotations is not None:
+            outer = default_outer_dart(graph)
+        return ChainmailLink(graph, weights, signs, outer)
+    # Marked input carries white-graph semantics.
+    reduced = graph.without_vertex(graph.marked)
+    if not reduced.vertices:
+        raise DegenerateGraph("no components after reduction")
+    return ChainmailLink(reduced,
+                         tuple(-graph.degree(v) for v in reduced.vertices),
+                         tuple(1 for _ in reduced.edges),
+                         _outer_from_deletion(graph, reduced), from_tait=True)
 
 
 def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
@@ -143,32 +141,11 @@ def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
     return default_outer_dart(reduced)
 
 
-def _parse_chainmail_doc(text) -> ChainmailLink:
-    from .graphs import parse_graph_doc
-    graph, weights, signs, outer = parse_graph_doc(text)
-    if graph.marked is not None:
-        # Marked documents carry white-graph semantics: weights are
-        # minus the full degrees, clasps all positive.
-        return build_chainmail(graph)
-    if weights is None:
-        raise MalformedInput("chainmail document needs vertex weights")
-    if outer is None and graph.rotations is not None:
-        outer = default_outer_dart(graph)
-    return ChainmailLink(graph, weights, signs, outer)
-
-
 def is_characteristic(link: ChainmailLink, subset) -> bool:
     """Sublink parity test: L w ~ diag(L) mod 2 for the indicator w."""
-    mat = link.linking_matrix
-    idx = link.graph.index
-    w = [0] * len(link.vertices)
-    for v in subset:
-        w[idx[v]] = 1
-    for i in range(len(mat)):
-        total = sum(mat[i][j] * w[j] for j in range(len(mat)))
-        if (total - mat[i][i]) % 2:
-            return False
-    return True
+    cols = {link.graph.index[v] for v in subset}
+    return all((sum(row[j] for j in cols) - row[i]) % 2 == 0
+               for i, row in enumerate(link.linking_matrix))
 
 
 def characteristic_subsets(link: ChainmailLink):
@@ -288,8 +265,6 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
     subset = tuple(subset)
     if not subset:
         raise EmptyCharacteristicSet("nothing to slide")
-    if not link.graph.is_connected():
-        raise Disconnected("chainmail graph must be connected")
     idx = link.graph.index
     for v in subset:
         if v not in idx:
@@ -297,7 +272,6 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
 
     initial = link.linking_matrix
     mat = [list(row) for row in initial]
-    order = link.vertices
     steps = []
 
     def slide(slid, over, kind):
@@ -307,11 +281,8 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
             mat[p][j] += mat[s][j]
         for i in range(n):
             mat[i][p] += mat[i][s]
-        steps.append(SlideStep(
-            slid=slid, over=over, kind=kind,
-            framing_after=mat[p][p],
-            diagonal_after=tuple(mat[i][i] for i in range(n)),
-        ))
+        steps.append(SlideStep(slid=slid, over=over, kind=kind,
+                               framing_after=mat[p][p]))
 
     # Connected components of the induced subgraph, processed in order
     # of their smallest member.
@@ -354,9 +325,8 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
 
     p = idx[center]
     final_framing = mat[p][p]
-    w = [1 if v in inside else 0 for v in order]
-    quad = sum(w[i] * initial[i][j] * w[j]
-               for i in range(len(order)) for j in range(len(order)))
+    rows = [idx[v] for v in inside]
+    quad = sum(initial[i][j] for i in rows for j in rows)
     assert final_framing == quad, \
         "slides must accumulate the sublink self-pairing"
     if link.from_tait:
@@ -368,7 +338,7 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
         assert cut == direct, "final framing must equal minus the cut"
 
     return SlideLog(
-        vertex_order=order,
+        vertex_order=link.vertices,
         subset=subset,
         steps=tuple(steps),
         initial_matrix=initial,
@@ -382,11 +352,14 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
     """Spin-filling statistics after sliding, blowing up and down.
 
     Starting from the chainmail filling, the tracked sublink is slid to
-    one component with framing -f, its framing is pushed to -1 by f-1
-    meridian blow-ups and the component is blown down.  The surviving
-    matrix must have an even diagonal, which certifies the spin form.
-    log, when given, is mk1_run(link, subset), so the slides are not
-    run twice.
+    one component K with framing -f, its framing is pushed to -1 by f-1
+    meridian blow-ups and K is blown down: b2 = n + f - 2 and sigma
+    gains f.  Everything is read off the slid matrix L' (K at index p):
+    blowing K down adds L'[i][p]^2 to every other diagonal entry and
+    each meridian ends at 1 + 1, so the surviving diagonal is even
+    exactly when L'[i][i] + L'[i][p] is even for every i != p, which
+    certifies the spin form.  log, when given, is mk1_run(link, subset),
+    so the slides are not run twice.
     """
     subset = tuple(subset)
     if not is_characteristic(link, subset):
@@ -400,7 +373,7 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
 
     if log is None:
         log = mk1_run(link, subset)
-    mat = [list(row) for row in log.final_matrix]
+    mat = log.final_matrix
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]
     if framing >= 0:
@@ -408,42 +381,11 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
             "sublink %s slides to framing %d; the Kaplan filling needs a "
             "negative framing" % (list(subset), framing))
     f = -framing
-    b2 = n
-    sigma = link.sigma
-
-    # f - 1 blow-ups: adjoin a +1-framed meridian and slide over it.
-    for _ in range(f - 1):
-        for row in mat:
-            row.append(0)
-        mat.append([0] * (len(mat) + 1))
-        mat[-1][-1] = 1
-        k = len(mat) - 1
-        for j in range(len(mat)):
-            mat[p][j] += mat[k][j]
-        for i in range(len(mat)):
-            mat[i][p] += mat[i][k]
-        b2 += 1
-        sigma += 1
-    assert mat[p][p] == -1
-
-    # Blow down: clear the row/column with the -1 pivot, then delete it.
-    for i in range(len(mat)):
-        if i == p:
-            continue
-        c = mat[i][p]
-        if c:
-            for j in range(len(mat)):
-                mat[i][j] += c * mat[p][j]
-            for j in range(len(mat)):
-                mat[j][i] += c * mat[j][p]
-    mat = [[mat[i][j] for j in range(len(mat)) if j != p]
-           for i in range(len(mat)) if i != p]
-    b2 -= 1
-    sigma += 1
-
-    even = all(mat[i][i] % 2 == 0 for i in range(len(mat)))
+    even = all((row[i] + row[p]) % 2 == 0
+               for i, row in enumerate(mat) if i != p)
     assert even, "blown-down matrix must be even on the diagonal"
-    return FillingStats(b2=b2, sigma=sigma, even_form=even, f=f)
+    return FillingStats(b2=n + f - 2, sigma=link.sigma + f, even_form=even,
+                        f=f)
 
 
 @dataclass(frozen=True)

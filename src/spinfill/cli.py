@@ -320,9 +320,13 @@ def cmd_mk1(args, out):
         link = _chainmail.build_chainmail(white)
     else:
         link = _chainmail.build_chainmail(doc)
-    if args.set:
+    if args.set is not None:
         tokens = [t for t in args.set.split(",") if t]
-        subsets = [tuple(_coerce_vertex(t, link.vertices) for t in tokens)]
+        subset = tuple(_coerce_vertex(t, link.vertices) for t in tokens)
+        for k, v in enumerate(subset):
+            if v in subset[:k]:
+                raise MalformedInput("vertex %r is repeated in --set" % (v,))
+        subsets = [subset]
     else:
         all_subs = [vs for vs in _chainmail.characteristic_subsets(link) if vs]
         if not all_subs:
@@ -453,9 +457,11 @@ def build_parser():
 
     p = sub.add_parser("mk1", help="handle-slide simulation")
     p.add_argument("file")
-    p.add_argument("--set", default=None, help="comma separated vertex ids")
-    p.add_argument("--all", action="store_true",
-                   help="run on every characteristic sublink")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--set", default=None,
+                       help="comma separated vertex ids, each at most once")
+    which.add_argument("--all", action="store_true",
+                       help="run on every characteristic sublink")
     p.set_defaults(func=cmd_mk1)
 
     p = sub.add_parser("plumb", help="plumbing tree operations")

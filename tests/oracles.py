@@ -2,17 +2,21 @@
 
 None of these run on a library path: they are independent oracles the
 tests compare the library against (spanning-tree counts, determinants
-and adjugates, isomorphism, rational solves) and seeded generators of
-test inputs.
+and adjugates, isomorphism, rational solves, the Kaplan filling by
+explicit blow-ups and a blow-down) and seeded generators of test
+inputs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 
+from spinfill.chainmail import (ChainmailLink, FillingStats,
+                                is_characteristic, mk1_run)
 from spinfill.diagram import BLACK, WHITE, Coloring, KnotDiagram
-from spinfill.errors import (DimensionMismatch, Disconnected, NonPlanar,
-                             NotAlternating, NotATree, Singular)
+from spinfill.errors import (DimensionMismatch, Disconnected,
+                             NonNegativeFraming, NonPlanar, NotAlternating,
+                             NotATree, NotCharacteristic, Singular)
 from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
                                signature)
 from spinfill.graphs import (MarkedGraph, _reach, bridges, euler_check,
@@ -462,3 +466,71 @@ def _bipartite(g: MarkedGraph) -> bool:
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+def kaplan_filling_by_moves(link: ChainmailLink, subset, log=None) -> FillingStats:
+    """Spin-filling statistics after sliding, blowing up and down.
+
+    Starting from the chainmail filling, the tracked sublink is slid to
+    one component with framing -f, its framing is pushed to -1 by f-1
+    meridian blow-ups and the component is blown down.  The surviving
+    matrix must have an even diagonal, which certifies the spin form.
+    log, when given, is mk1_run(link, subset), so the slides are not
+    run twice.
+    """
+    subset = tuple(subset)
+    if not is_characteristic(link, subset):
+        raise NotCharacteristic("subset fails the linking parity test")
+    n = len(link.vertices)
+    if not subset:
+        assert all(row[i] % 2 == 0
+                   for i, row in enumerate(link.linking_matrix)), \
+            "empty characteristic sublink needs an even diagonal"
+        return FillingStats(b2=n, sigma=link.sigma, even_form=True, f=0)
+
+    if log is None:
+        log = mk1_run(link, subset)
+    mat = [list(row) for row in log.final_matrix]
+    p = link.graph.index[log.final_vertex]
+    framing = mat[p][p]
+    if framing >= 0:
+        raise NonNegativeFraming(
+            "sublink %s slides to framing %d; the Kaplan filling needs a "
+            "negative framing" % (list(subset), framing))
+    f = -framing
+    b2 = n
+    sigma = link.sigma
+
+    # f - 1 blow-ups: adjoin a +1-framed meridian and slide over it.
+    for _ in range(f - 1):
+        for row in mat:
+            row.append(0)
+        mat.append([0] * (len(mat) + 1))
+        mat[-1][-1] = 1
+        k = len(mat) - 1
+        for j in range(len(mat)):
+            mat[p][j] += mat[k][j]
+        for i in range(len(mat)):
+            mat[i][p] += mat[i][k]
+        b2 += 1
+        sigma += 1
+    assert mat[p][p] == -1
+
+    # Blow down: clear the row/column with the -1 pivot, then delete it.
+    for i in range(len(mat)):
+        if i == p:
+            continue
+        c = mat[i][p]
+        if c:
+            for j in range(len(mat)):
+                mat[i][j] += c * mat[p][j]
+            for j in range(len(mat)):
+                mat[j][i] += c * mat[j][p]
+    mat = [[mat[i][j] for j in range(len(mat)) if j != p]
+           for i in range(len(mat)) if i != p]
+    b2 -= 1
+    sigma += 1
+
+    even = all(mat[i][i] % 2 == 0 for i in range(len(mat)))
+    assert even, "blown-down matrix must be even on the diagonal"
+    return FillingStats(b2=b2, sigma=sigma, even_form=even, f=f)

@@ -8,14 +8,15 @@ from spinfill.chainmail import (build_chainmail, characteristic_subsets,
                                 furuta_check, is_characteristic,
                                 kaplan_filling, mk1_run)
 from spinfill.errors import (Disconnected, EmptyCharacteristicSet,
-                             MalformedInput, NotCharacteristic)
+                             MalformedInput, NonNegativeFraming,
+                             NotCharacteristic)
 from spinfill.exactalg import goeritz
-from spinfill.graphs import MarkedGraph
+from spinfill.graphs import MarkedGraph, graph_to_doc
 from spinfill.spinc import characteristic_subgraphs
 
 from conftest import (banana_graph, path_hub_graph, special44_graph,
                       two33_graph)
-from oracles import gen_plane_multigraph
+from oracles import gen_plane_multigraph, kaplan_filling_by_moves
 
 
 def test_build_from_tait_examples():
@@ -59,6 +60,14 @@ def test_linking_matrix_is_built_once():
         kaplan_filling(link, sub)
         assert link.linking_matrix is mat
     assert mat == snapshot
+
+
+def test_build_needs_weights_or_a_mark():
+    with pytest.raises(MalformedInput):
+        build_chainmail(banana_graph(3, marked=False))
+    with pytest.raises(MalformedInput):
+        build_chainmail({"vertices": [{"id": 0}, {"id": 1}],
+                         "edges": [[0, 1]]})
 
 
 def test_build_rejects_disconnected():
@@ -146,7 +155,6 @@ def test_mk1_steps_are_unimodular():
                             for a in range(n) for b in range(n))
                         for j in range(n)] for i in range(n)]
                 assert step.framing_after == mat[p][p]
-                assert step.diagonal_after == tuple(mat[i][i] for i in range(n))
             assert tuple(tuple(r) for r in mat) == log.final_matrix
             done += 1
 
@@ -192,6 +200,57 @@ def test_kaplan_accounting_random():
             else:
                 assert (stats.b2, stats.sigma) == (m, -m)
             done += 1
+
+
+def random_chainmail_doc(rng):
+    """Unmarked embedded document with random weights and clasp signs."""
+    g = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 6),
+                             marked=False)
+    doc = graph_to_doc(g, [rng.randint(-6, 2) for _ in g.vertices])
+    doc["edges"] = [{"u": u, "v": v, "sign": rng.choice((1, -1))}
+                    for u, v in doc["edges"]]
+    return doc
+
+
+def kaplan_matches_moves(link):
+    """The closed form against the explicit blow-ups and blow-down, on
+    every characteristic sublink; returns the slid framings met."""
+    framings = []
+    for sub in characteristic_subsets(link):
+        if not sub:
+            assert kaplan_filling(link, sub) == \
+                kaplan_filling_by_moves(link, sub)
+            continue
+        log = mk1_run(link, sub)
+        framings.append(log.final_framing)
+        if log.final_framing >= 0:
+            for filling in (kaplan_filling, kaplan_filling_by_moves):
+                with pytest.raises(NonNegativeFraming):
+                    filling(link, sub, log)
+        else:
+            assert kaplan_filling(link, sub, log) == \
+                kaplan_filling_by_moves(link, sub, log), sub
+    return framings
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_kaplan_matches_moves_random(seed):
+    kaplan_matches_moves(build_chainmail(random_chainmail_doc(
+        random.Random(seed))))
+
+
+def test_kaplan_matches_moves_covers_every_framing():
+    # f = 1 needs no blow-up, f >= 2 needs some, framing >= 0 is refused
+    single = build_chainmail({"vertices": [{"id": 0, "weight": -1}],
+                              "edges": []})
+    assert kaplan_matches_moves(single) == [-1]
+    rng = random.Random(8)
+    framings = []
+    for _ in range(40):
+        framings += kaplan_matches_moves(
+            build_chainmail(random_chainmail_doc(rng)))
+    assert -1 in framings and min(framings) < -1 and max(framings) >= 0
 
 
 def _nested_lens_doc(outer_dart):

@@ -12,7 +12,7 @@ from spinfill import chainmail, diagram, exactalg, spinc
 from spinfill.cli import build_parser, main
 from spinfill.graphs import MarkedGraph, graph_to_doc
 
-from conftest import PD_CODES, two33_graph
+from conftest import PD_CODES, path_hub_graph, two33_graph
 
 
 def run_cli(args, capsys):
@@ -146,6 +146,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["--json", "mk1", "-", "--all"], capsys)
     assert code == 3
     assert "[0]" in err and "framing 1" in err
+
+    # --set names each vertex at most once, an empty --set slides
+    # nothing, and --set excludes --all.
+    hub = write_doc(tmp_path, "hub.json", graph_to_doc(path_hub_graph()))
+    code, out, err = run_cli(["--json", "mk1", hub, "--set", "d,d"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'d'" in err and "repeated" in err
+    code, out, err = run_cli(["mk1", hub, "--set", ""], capsys)
+    assert code == 3 and out == "" and "nothing to slide" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["mk1", hub, "--set", "d", "--all"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
     # A diagram's marked arc is an integer arc id.
     trefoil = write_doc(tmp_path, "trefoil.json", {"pd": PD_CODES["trefoil"]})
@@ -445,6 +458,36 @@ def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
     assert calls == {"mk1_run": len(json.loads(out)["runs"]),
                      "signature": 1}
     assert calls["mk1_run"] > 1
+
+
+def banana_path_doc(m):
+    """Marked hub h joined to 1 by three edges and a path 1, ..., m of
+    doubled edges.  Mod 2 the Goeritz form is diag(1, 0, ..., 0), so the
+    characteristic sublinks are the 2^(m-1) sets that contain 1."""
+    bundles = [("h", 1, 3)] + [(i, i + 1, 2) for i in range(1, m)]
+    edges, rot = [], {v: [] for v in ["h"] + list(range(1, m + 1))}
+    for u, v, k in bundles:
+        ids = range(len(edges), len(edges) + k)
+        edges += [(u, v, e) for e in ids]
+        rot[u] += [(e, 0) for e in ids]
+        rot[v] = [(e, 1) for e in reversed(ids)] + rot[v]
+    return graph_to_doc(MarkedGraph(tuple(rot), tuple(edges), marked="h",
+                                    rotations=tuple(map(tuple, rot.values()))))
+
+
+def test_mk1_checks_connectivity_once(capsys, monkeypatch, count_calls):
+    calls = count_calls(MarkedGraph.is_connected)
+    seen = {}
+    for m in (1, 2, 3, 4):
+        calls["is_connected"] = 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps(banana_path_doc(m))))
+        code, out, _ = run_cli(["--json", "mk1", "-", "--all"], capsys)
+        assert code == 0
+        seen[len(json.loads(out)["runs"])] = calls["is_connected"]
+    assert sorted(seen) == [1, 2, 4, 8]
+    # the link checks itself when built, not once per sublink
+    assert len(set(seen.values())) == 1, seen
 
 
 def test_python_dash_m_runs_the_cli():

@@ -176,8 +176,15 @@ def test_states_to_classes_injective(all_diagrams):
 
 
 def test_marked_arc_independence():
-    for name in ("trefoil", "figure_eight", "hopf", "5_2"):
-        pd = PD_CODES[name]
+    inputs = [(name, PD_CODES[name])
+              for name in ("trefoil", "figure_eight", "hopf", "5_2")]
+    rng = random.Random(404)
+    while len(inputs) < 44:
+        g = gen_plane_multigraph(rng, rng.randint(2, 5), rng.randint(1, 4),
+                                 bridgeless=True)
+        inputs.append(("medial%d" % len(inputs),
+                       diagram_from_plane_graph(g)["pd"]))
+    for name, pd in inputs:
         reference = None
         for arc in parse_pd({"pd": pd}).arcs:
             kd = parse_pd({"pd": pd, "marked_arc": arc})

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.diagram import parse_pd, state_covectors
+from spinfill.diagram import (diagram_from_plane_graph, parse_pd,
+                              state_covectors)
 from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, signature
 from spinfill.plumbing import PlumbingTree, linear_tree
@@ -171,6 +172,33 @@ def test_nonspecial_classes_below_quarter_m(all_diagrams):
         g = form(white)
         for c in enumerate_spinc(g):
             assert c.d < Fraction(g.m, 4), name
+
+
+def tait_dual_d_multisets(kd):
+    """d-multisets of the white report and of the negated black one.
+
+    Sigma(K) bounds the white Goeritz plumbing and -Sigma(K) the black
+    one, so the two agree."""
+    _, white, black = white_data(kd)
+    return (sorted(c.d for c in obstruction_report(white).classes),
+            sorted(-c.d for c in obstruction_report(black).classes))
+
+
+def test_tait_duality_table_knots():
+    for name, pd in PD_CODES.items():
+        white, black = tait_dual_d_multisets(parse_pd({"pd": pd}))
+        assert white == black, name
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_tait_duality_medials(seed):
+    rng = random.Random(seed)
+    g = gen_plane_multigraph(rng, rng.randint(2, 6), rng.randint(1, 5),
+                             bridgeless=True)
+    kd = parse_pd(diagram_from_plane_graph(g))
+    white, black = tait_dual_d_multisets(kd)
+    assert white == black
 
 
 def test_mu_bar_examples():
