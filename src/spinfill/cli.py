@@ -17,8 +17,8 @@ from . import chainmail as _chainmail
 from . import diagram as _diagram
 from . import plumbing as _plumbing
 from . import spinc as _spinc
-from .errors import (CertificationFailure, MalformedInput, NotReducible,
-                     SpinfillError)
+from .errors import (CertificationFailure, EmptyCharacteristicSet,
+                     MalformedInput, NotReducible, SpinfillError)
 from .graphs import MarkedGraph, _as_document, graph_to_doc, parse_graph_doc
 
 
@@ -330,7 +330,8 @@ def cmd_mk1(args, out):
     else:
         all_subs = [vs for vs in _chainmail.characteristic_subsets(link) if vs]
         if not all_subs:
-            raise MalformedInput("only the empty characteristic sublink exists")
+            raise EmptyCharacteristicSet(
+                "only the empty characteristic sublink exists")
         subsets = all_subs if args.all else [all_subs[0]]
     report = {"kind": "mk1", "runs": _mk1_section(link, subsets)}
     if args.json:

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (DegenerateGraph, DimensionMismatch, NonSquare,
                      NonSymmetric, Singular)
@@ -234,7 +235,7 @@ def hnf_reduce(v, h, scale=1):
 
 
 def matvec(m, v):
-    return tuple(sum(mi * vi for mi, vi in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _sweep(a):

@@ -86,20 +86,19 @@ class ObstructionReport:
         return self.tree is not None
 
 
-def orbit_max_q(g: GoeritzForm, covector) -> Fraction:
-    """Exact max of v^T G^{-1} v over the orbit of a covector.
+def d_invariant(g: GoeritzForm, covector) -> Fraction:
+    """Correction term: max of (q(v) + m) / 4 over the class orbit.
 
-    Writing v = v0 + 2Gy turns the maximum over integer y into a closest
-    vector problem for the positive form -G.
+    Writing v = v0 + 2Gy turns the maximum of q(v) = v^T G^{-1} v over
+    integer y into a closest vector problem for the positive form -G:
+    the orbit maximum is -4 min_cost / denominator.  Each call is one
+    lattice search, so enumerate_spinc makes one per conjugate pair of
+    classes.
     """
     kernel = g.kernel
     best = kernel.min_cost(matvec(kernel.adj, covector))
-    return Fraction(-4 * best, kernel.denominator)
-
-
-def d_invariant(g: GoeritzForm, covector) -> Fraction:
-    """Correction term: max of (q(v) + m) / 4 over the class orbit."""
-    return (orbit_max_q(g, covector) + g.m) / Fraction(4)
+    return Fraction(g.m * kernel.denominator - 4 * best,
+                    4 * kernel.denominator)
 
 
 def canonical_key(g: GoeritzForm, covector):
@@ -117,6 +116,16 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
     The keys, one per class in sorted order, are the characteristic points
     of the Hermite box 0 <= r_i < 2 H[i][i], all reduced modulo 2G; their
     count is checked against the determinant of the form's OrbitKernel.
+
+    Conjugation [v] -> [-v] preserves d, since the orbit of -v is the
+    negated orbit of v and q(-x) = q(x).  So one walk over the sorted keys
+    searches each key whose d is not yet known and hands the value to its
+    conjugate key, -key reduced modulo 2G.  A self-conjugate key (a spin
+    structure) is searched once, as itself.  The pairing certifies itself:
+    every conjugate must be a key, each key must receive its d exactly
+    once, and the number of self-conjugate keys must be a power of two,
+    exactly one when det is odd.
+
     covectors, when given, lists one characteristic covector per state;
     every class must then receive exactly one state, whose covector
     attains its orbit maximum.
@@ -133,7 +142,25 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
                           for i, x in enumerate(g.diagonal))))
     if len(keys) != abs(det):
         raise failure("found %d classes, expected %d" % (len(keys), abs(det)))
-    d = {key: d_invariant(g, key) for key in keys}
+    box = set(keys)
+    d = {}
+    spin = 0
+    for key in keys:
+        if key in d:
+            continue
+        d[key] = d_invariant(g, key)
+        twin = hnf_reduce([-x for x in key], g.hermite, 2)
+        if twin == key:
+            spin += 1
+        elif twin not in box:
+            raise failure("conjugate %r of class %r is not a class key"
+                          % (twin, key))
+        elif twin in d:
+            raise failure("conjugation pairs class %r twice" % (twin,))
+        else:
+            d[twin] = d[key]
+    if spin < 1 or spin & (spin - 1) or (det % 2 != 0 and spin != 1):
+        raise failure("found %d self-conjugate classes" % spin)
 
     state = {}
     if covectors is not None:

@@ -2,9 +2,9 @@
 
 None of these run on a library path: they are independent oracles the
 tests compare the library against (spanning-tree counts, determinants
-and adjugates, isomorphism, rational solves, the Kaplan filling by
-explicit blow-ups and a blow-down) and seeded generators of test
-inputs.
+and adjugates, isomorphism, rational solves, orbit maxima and the d
+table by one lattice search per class, the Kaplan filling by explicit
+blow-ups and a blow-down) and seeded generators of test inputs.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
 from spinfill.graphs import (MarkedGraph, _reach, bridges, euler_check,
                              trace_faces)
 from spinfill.plumbing import PlumbingTree
-from spinfill.spinc import canonical_key
+from spinfill.spinc import canonical_key, d_invariant
 
 
 def spanning_tree_count(graph: MarkedGraph) -> int:
@@ -182,6 +182,23 @@ def box_keys(g: GoeritzForm):
     box = product(*(range(x, x + 2 * g.hermite[i][i], 2)
                     for i, x in enumerate(g.diagonal)))
     return sorted({canonical_key(g, v) for v in box})
+
+
+def orbit_max_q(g: GoeritzForm, covector) -> Fraction:
+    """Exact max of v^T G^{-1} v over the orbit of a covector.
+
+    Writing v = v0 + 2Gy turns the maximum over integer y into a closest
+    vector problem for the positive form -G.
+    """
+    kernel = g.kernel
+    best = kernel.min_cost(matvec(kernel.adj, covector))
+    return Fraction(-4 * best, kernel.denominator)
+
+
+def d_by_search(g: GoeritzForm):
+    """d of every spin-c class by its own lattice search, keyed by
+    box_keys: the per-class table, without the conjugation pairing."""
+    return {key: d_invariant(g, key) for key in box_keys(g)}
 
 
 def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):

@@ -12,7 +12,7 @@ from spinfill import chainmail, diagram, exactalg, spinc
 from spinfill.cli import build_parser, main
 from spinfill.graphs import MarkedGraph, graph_to_doc
 
-from conftest import PD_CODES, path_hub_graph, two33_graph
+from conftest import PD_CODES, banana_graph, path_hub_graph, two33_graph
 
 
 def run_cli(args, capsys):
@@ -217,9 +217,10 @@ def test_mk1_command(ban9_file, capsys):
 
 
 def test_mk1_diagram_input(trefoil_file, capsys):
-    # special: only the empty sublink exists
-    code, _, err = run_cli(["mk1", trefoil_file], capsys)
-    assert code == 2
+    # special: only the empty sublink exists, a failed precondition
+    code, out, err = run_cli(["mk1", trefoil_file], capsys)
+    assert code == 3 and out == ""
+    assert "only the empty characteristic sublink exists" in err
 
 
 def test_analyze_mk1_on_diagram(tmp_path, capsys):
@@ -448,6 +449,59 @@ def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["analyze", path], capsys)
     assert code == 4
     assert "spinc.enumerate_spinc: found 3 classes, expected 6" in err
+
+
+def test_one_search_per_conjugate_pair(tmp_path, capsys, count_calls):
+    calls = count_calls(spinc.d_invariant)
+    inputs = {
+        # det 6 with 2 spin structures
+        "diagram": write_doc(tmp_path, "ban6.json",
+                             diagram.diagram_from_plane_graph(banana_graph(6))),
+        # Goeritz [[-6, 2], [2, -6]]: det 32, even mod 2, 4 spin structures
+        "graph": write_doc(tmp_path, "two33x2.json", {
+            "vertices": [{"id": "h"}, {"id": "a"}, {"id": "b"}],
+            "edges": [["h", "a"]] * 4 + [["a", "b"]] * 2 + [["h", "b"]] * 4,
+            "marked": "h",
+        }),
+    }
+    seen = {}
+    for kind, path in inputs.items():
+        calls["d_invariant"] = 0
+        code, out, _ = run_cli(["--json", "analyze", path], capsys)
+        assert code == 0
+        report = json.loads(out)
+        det = report["invariants"]["det"]
+        spin = len(report["char_subgraphs"])
+        assert len(report["spinc"]) == det
+        # a spin structure is searched as itself, any other class with
+        # its conjugate; one search per class would make det calls
+        assert calls["d_invariant"] == (det + spin) // 2 < det, kind
+        seen[kind] = (det, spin)
+    assert seen == {"diagram": (6, 2), "graph": (32, 4)}
+
+
+def test_conjugation_certificate_fails_with_exit_4(tmp_path, capsys,
+                                                   monkeypatch):
+    real = exactalg.hnf_reduce
+    graph = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
+    trefoil = write_doc(tmp_path, "trefoil.json", {"pd": PD_CODES["trefoil"]})
+    faults = [
+        # no reduction: a conjugate -key leaves the box
+        (graph, lambda v, h, scale=1: tuple(v), "is not a class key"),
+        # every key conjugate to the first one
+        (graph, lambda v, h, scale=1: tuple(x % 2 for x in v),
+         "conjugation pairs class (1, 1) twice"),
+        # every class self-conjugate, 3 spin structures at odd det
+        (trefoil, lambda v, h, scale=1: real([-x for x in v], h, scale),
+         "found 3 self-conjugate classes (rank 2, det 3)"),
+    ]
+    for path, fault, message in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(spinc, "hnf_reduce", fault)
+            code, out, err = run_cli(["analyze", path], capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: spinc.enumerate_spinc: ")
+        assert message in err
 
 
 def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):

@@ -5,7 +5,7 @@ plumbing trees.  Each mode names a golden file suffix and the command
 line that produces it: `--json analyze`, `--json obstruct` and
 `--json mk1 --all`, plus the text renderings of `mk1 --all` and
 `analyze --mk1`, for diagrams and graphs; `plumb check|reduce|decide`,
-as JSON and as text, for trees.  `mk1` exits 2 on the special inputs
+as JSON and as text, for trees.  `mk1` exits 3 on the special inputs
 (only the empty sublink is characteristic) and `plumb decide` exits 3
 on trees that are not excessive, so those have no files.  To
 regenerate the files after an intended output change:

@@ -11,14 +11,13 @@ from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, signature
 from spinfill.plumbing import PlumbingTree, linear_tree
 from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
-                            enumerate_spinc, obstruction_report, orbit_max_q,
-                            spin_class)
+                            enumerate_spinc, obstruction_report, spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
-from oracles import (box_keys, det_exact, gen_plane_multigraph, mu_bar,
-                     quadform_q, same_class)
+from oracles import (box_keys, d_by_search, det_exact, gen_plane_multigraph,
+                     mu_bar, orbit_max_q, quadform_q, same_class)
 
 
 def form(graph):
@@ -332,6 +331,27 @@ def test_kernel_quadform_matches_solve(seed):
 def test_keys_are_the_reduced_box(seed):
     _, g = random_goeritz(seed)
     assert [c.canonical_key for c in enumerate_spinc(g)] == box_keys(g)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_paired_table_matches_search(seed, medial):
+    # The medial construction needs a bridgeless graph.  Both kinds often
+    # have an even det with 2 to 16 spin structures.
+    rng = random.Random(seed)
+    w = gen_plane_multigraph(rng, rng.randint(2, 6), rng.randint(0, 3),
+                             bridgeless=medial)
+    covectors = None
+    if medial:
+        w, covectors = state_covectors(
+            parse_pd(diagram_from_plane_graph(w)))
+    g = goeritz(w)
+    classes = enumerate_spinc(g, covectors=covectors)
+    assert {c.canonical_key: c.d for c in classes} == d_by_search(g)
+    # the self-conjugate classes are the spin structures
+    spin = [c for c in classes
+            if same_class(g, c.canonical_key, [-x for x in c.canonical_key])]
+    assert len(spin) == len(characteristic_subgraphs(w, g))
 
 
 @st.composite
