@@ -10,7 +10,6 @@ slid-over component leaves the tracked sublink at each step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (DegenerateGraph, Disconnected, EmptyCharacteristicSet,
@@ -387,29 +386,3 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
     return FillingStats(b2=n + f - 2, sigma=link.sigma + f, even_form=even,
                         f=f)
 
-
-@dataclass(frozen=True)
-class FurutaVerdict:
-    m: int
-    f: int
-    threshold: int
-    obstructed: bool
-    b2: int | None = None
-    b2_feasible: bool | None = None
-
-
-def furuta_check(m: int, f: int, b2=None) -> FurutaVerdict:
-    """Ten-eighths arithmetic for a closed-up spin pairing.
-
-    Obstructed exactly when f >= 9 m.  With a hypothetical b2 the exact
-    inequality b2 + m + f - 2 >= 10/8 |m - f - b2| + 2 is evaluated.
-    """
-    if m < 1 or f < 0:
-        raise MalformedInput("need m >= 1 and f >= 0")
-    feasible = None
-    if b2 is not None:
-        lhs = Fraction(b2 + m + f - 2)
-        rhs = Fraction(10, 8) * abs(m - f - b2) + 2
-        feasible = lhs >= rhs
-    return FurutaVerdict(m=m, f=f, threshold=9 * m,
-                         obstructed=f >= 9 * m, b2=b2, b2_feasible=feasible)

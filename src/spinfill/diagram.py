@@ -9,7 +9,9 @@ an alternating diagram exactly one of the two proper face colorings
 satisfies this at every crossing.
 
 The regions of the diagram are recovered purely combinatorially by
-tracing the faces of the rotation system implied by tuple order.
+tracing the faces of the rotation system implied by tuple order.  The
+Kauffman states are walked once, straight to one covector per state on
+the white graph.
 """
 from __future__ import annotations
 
@@ -46,11 +48,6 @@ class Coloring:
 
     def regions_of(self, color):
         return tuple(i for i, c in enumerate(self.colors) if c == color)
-
-
-@dataclass(frozen=True)
-class KauffmanState:
-    assignment: tuple  # region index per crossing
 
 
 def parse_pd(text) -> KnotDiagram:
@@ -195,68 +192,52 @@ def tait_graphs(diagram: KnotDiagram, coloring: Coloring):
     return out[0], out[1]
 
 
-def kauffman_states(diagram: KnotDiagram):
-    """All bijections crossing -> incident unmarked region.
+def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
+    """The covector of every Kauffman state, in state order.
 
-    Backtracking over crossings in index order, candidate regions in
-    ascending id order, so the output order is deterministic.
+    A state is a bijection crossing -> incident unmarked region, found by
+    backtracking over crossings in index order, candidate regions in
+    ascending id order, so the output order is deterministic.  Choosing
+    a region orients the white edge of its crossing toward the white
+    corner on the same side of the over-strand; corners 0 and 3 sit on
+    the incoming-under side, corners 1 and 2 on the other.  The walk
+    keeps the signed degree of every region up to date and each leaf
+    emits it at the unmarked white vertices, in graph order.
     """
-    marked = set(diagram.marked_regions)
-    candidates = []
-    for c in range(diagram.n):
-        opts = sorted(set(diagram.corner_region[c]) - marked)
-        candidates.append(opts)
-    states = []
-    used = set()
-    assignment = [None] * diagram.n
+    marked = diagram.marked_regions
+    choices = []
+    for reg in diagram.corner_region:
+        choices.append(sorted(
+            (r,) + ((reg[0], reg[2]) if s in (0, 3) else (reg[2], reg[0]))
+            for s, r in enumerate(reg) if r not in marked))
+    unmarked = [v for v in white.vertices if v != white.marked]
+    degree = [0] * len(diagram.regions)
+    used = [False] * len(diagram.regions)
+    covectors = []
+    n = diagram.n
 
-    def backtrack(c):
-        if c == diagram.n:
-            states.append(KauffmanState(tuple(assignment)))
+    def walk(c):
+        if c == n:
+            covectors.append(tuple([degree[v] for v in unmarked]))
             return
-        for r in candidates[c]:
-            if r not in used:
-                used.add(r)
-                assignment[c] = r
-                backtrack(c + 1)
-                used.remove(r)
-        assignment[c] = None
+        for r, head, tail in choices[c]:
+            if not used[r]:
+                used[r] = True
+                degree[head] += 1
+                degree[tail] -= 1
+                walk(c + 1)
+                degree[head] -= 1
+                degree[tail] += 1
+                used[r] = False
 
-    backtrack(0)
-    return states
-
-
-def state_covector(diagram: KnotDiagram, state: KauffmanState,
-                   white: MarkedGraph):
-    """Signed degrees of the state-induced orientation at unmarked whites.
-
-    Each white edge points toward the white corner on the same side of
-    the over-strand as the state's chosen corner; the returned vector is
-    indexed by the unmarked white vertices in graph order.
-    """
-    d = {v: 0 for v in white.vertices}
-    for c, region in enumerate(state.assignment):
-        reg = diagram.corner_region[c]
-        slot = next(s for s in range(4) if reg[s] == region)
-        # Corners 0 and 3 sit on the incoming-under side of the
-        # over-strand, corners 1 and 2 on the other side.
-        head = reg[0] if slot in (0, 3) else reg[2]
-        tail = reg[2] if slot in (0, 3) else reg[0]
-        d[head] += 1
-        d[tail] -= 1
-    assert sum(d.values()) == 0, "each edge contributes +1 and -1"
-    vec = tuple(d[v] for v in white.vertices if v != white.marked)
-    for v, value in zip((v for v in white.vertices if v != white.marked), vec):
-        assert (value - white.degree(v)) % 2 == 0, \
-            "covector parity must match vertex degree"
-    return vec
+    walk(0)
+    return covectors
 
 
 def state_covectors(diagram: KnotDiagram):
     """The white graph and the covectors of kauffman_states, in order."""
     white, _ = tait_graphs(diagram, checkerboard(diagram))
-    return white, [state_covector(diagram, s, white)
-                   for s in kauffman_states(diagram)]
+    return white, kauffman_states(diagram, white)
 
 
 def diagram_from_plane_graph(g: MarkedGraph):

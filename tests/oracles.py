@@ -3,11 +3,14 @@
 None of these run on a library path: they are independent oracles the
 tests compare the library against (spanning-tree counts, determinants
 and adjugates, isomorphism, rational solves, orbit maxima and the d
-table by one lattice search per class, the Kaplan filling by explicit
-blow-ups and a blow-down) and seeded generators of test inputs.
+table by one lattice search per class, the Kauffman states as region
+assignments with a covector per state, the Kaplan filling by explicit
+blow-ups and a blow-down, the f >= 9 m Furuta rule) and seeded
+generators of test inputs.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -15,8 +18,9 @@ from spinfill.chainmail import (ChainmailLink, FillingStats,
                                 is_characteristic, mk1_run)
 from spinfill.diagram import BLACK, WHITE, Coloring, KnotDiagram
 from spinfill.errors import (DimensionMismatch, Disconnected,
-                             NonNegativeFraming, NonPlanar, NotAlternating,
-                             NotATree, NotCharacteristic, Singular)
+                             MalformedInput, NonNegativeFraming, NonPlanar,
+                             NotAlternating, NotATree, NotCharacteristic,
+                             Singular)
 from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
                                signature)
 from spinfill.graphs import (MarkedGraph, _reach, bridges, euler_check,
@@ -458,6 +462,62 @@ def swap_colors(coloring: Coloring) -> Coloring:
     return Coloring(tuple(WHITE if c == BLACK else BLACK for c in coloring.colors))
 
 
+def kauffman_state_assignments(diagram: KnotDiagram):
+    """All bijections crossing -> incident unmarked region, as tuples.
+
+    Backtracking over crossings in index order, candidate regions in
+    ascending id order, so the output order is deterministic.
+    """
+    marked = set(diagram.marked_regions)
+    candidates = []
+    for c in range(diagram.n):
+        opts = sorted(set(diagram.corner_region[c]) - marked)
+        candidates.append(opts)
+    states = []
+    used = set()
+    assignment = [None] * diagram.n
+
+    def backtrack(c):
+        if c == diagram.n:
+            states.append(tuple(assignment))
+            return
+        for r in candidates[c]:
+            if r not in used:
+                used.add(r)
+                assignment[c] = r
+                backtrack(c + 1)
+                used.remove(r)
+        assignment[c] = None
+
+    backtrack(0)
+    return states
+
+
+def state_covector(diagram: KnotDiagram, assignment, white: MarkedGraph):
+    """Signed degrees of the state-induced orientation at unmarked whites.
+
+    Each white edge points toward the white corner on the same side of
+    the over-strand as the state's chosen corner; the returned vector is
+    indexed by the unmarked white vertices in graph order.
+    """
+    d = {v: 0 for v in white.vertices}
+    for c, region in enumerate(assignment):
+        reg = diagram.corner_region[c]
+        slot = next(s for s in range(4) if reg[s] == region)
+        # Corners 0 and 3 sit on the incoming-under side of the
+        # over-strand, corners 1 and 2 on the other side.
+        head = reg[0] if slot in (0, 3) else reg[2]
+        tail = reg[2] if slot in (0, 3) else reg[0]
+        d[head] += 1
+        d[tail] -= 1
+    assert sum(d.values()) == 0, "each edge contributes +1 and -1"
+    vec = tuple(d[v] for v in white.vertices if v != white.marked)
+    for v, value in zip((v for v in white.vertices if v != white.marked), vec):
+        assert (value - white.degree(v)) % 2 == 0, \
+            "covector parity must match vertex degree"
+    return vec
+
+
 def is_special(w: MarkedGraph, b: MarkedGraph | None = None) -> bool:
     """All white degrees even; checked against bipartiteness of black."""
     special = all(d % 2 == 0 for d in w.degrees.values())
@@ -551,3 +611,30 @@ def kaplan_filling_by_moves(link: ChainmailLink, subset, log=None) -> FillingSta
     even = all(mat[i][i] % 2 == 0 for i in range(len(mat)))
     assert even, "blown-down matrix must be even on the diagonal"
     return FillingStats(b2=b2, sigma=sigma, even_form=even, f=f)
+
+
+@dataclass(frozen=True)
+class FurutaVerdict:
+    m: int
+    f: int
+    threshold: int
+    obstructed: bool
+    b2: int | None = None
+    b2_feasible: bool | None = None
+
+
+def furuta_check(m: int, f: int, b2=None) -> FurutaVerdict:
+    """Ten-eighths arithmetic for a closed-up spin pairing.
+
+    Obstructed exactly when f >= 9 m.  With a hypothetical b2 the exact
+    inequality b2 + m + f - 2 >= 10/8 |m - f - b2| + 2 is evaluated.
+    """
+    if m < 1 or f < 0:
+        raise MalformedInput("need m >= 1 and f >= 0")
+    feasible = None
+    if b2 is not None:
+        lhs = Fraction(b2 + m + f - 2)
+        rhs = Fraction(10, 8) * abs(m - f - b2) + 2
+        feasible = lhs >= rhs
+    return FurutaVerdict(m=m, f=f, threshold=9 * m,
+                         obstructed=f >= 9 * m, b2=b2, b2_feasible=feasible)

@@ -79,7 +79,7 @@ def test_criterion_03_counting_laws(all_diagrams):
         _, white, _ = white_data(kd)
         g = goeritz(white)
         det = abs(det_exact(g.matrix))
-        assert len(kauffman_states(kd)) == det, name
+        assert len(kauffman_states(kd, white)) == det, name
         assert spanning_tree_count(white) == det, name
         assert len(enumerate_spinc(g)) == det, name
     _report(3, "states = |det| = spanning trees = spin-c classes on "

@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinfill.chainmail import (build_chainmail, characteristic_subsets,
-                                furuta_check, is_characteristic,
-                                kaplan_filling, mk1_run)
+                                is_characteristic, kaplan_filling, mk1_run)
 from spinfill.errors import (Disconnected, EmptyCharacteristicSet,
                              MalformedInput, NonNegativeFraming,
                              NotCharacteristic)
@@ -16,7 +15,8 @@ from spinfill.spinc import characteristic_subgraphs
 
 from conftest import (banana_graph, path_hub_graph, special44_graph,
                       two33_graph)
-from oracles import gen_plane_multigraph, kaplan_filling_by_moves
+from oracles import (furuta_check, gen_plane_multigraph,
+                     kaplan_filling_by_moves)
 
 
 def test_build_from_tait_examples():

@@ -504,6 +504,22 @@ def test_conjugation_certificate_fails_with_exit_4(tmp_path, capsys,
         assert message in err
 
 
+def test_wrong_state_covector_fails_with_exit_4(trefoil_file, capsys,
+                                                monkeypatch):
+    walk = diagram.kauffman_states
+
+    def off_by_one(kd, white):
+        covectors = walk(kd, white)
+        covectors[0] = (covectors[0][0] + 1,) + covectors[0][1:]
+        return covectors
+
+    monkeypatch.setattr(diagram, "kauffman_states", off_by_one)
+    code, out, err = run_cli(["analyze", trefoil_file], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith(
+        "internal error: spinc.enumerate_spinc: states do not biject")
+
+
 def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
     calls = count_calls(chainmail.mk1_run, exactalg.signature)
     path = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from spinfill.diagram import (BLACK, WHITE, checkerboard,
                               diagram_from_plane_graph, kauffman_states,
-                              parse_pd, state_covector, state_covectors,
-                              tait_graphs)
+                              parse_pd, state_covectors, tait_graphs)
 from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
                              NotAlternating, NotReduced)
 from spinfill.exactalg import goeritz
@@ -15,8 +14,9 @@ from spinfill.spinc import enumerate_spinc
 
 from conftest import PD_CODES, banana_graph, white_data
 from oracles import (checkerboard_bfs, convention_ok, det_exact,
-                     gen_plane_multigraph, is_special, multigraph_isomorphic,
-                     swap_colors)
+                     gen_plane_multigraph, is_special,
+                     kauffman_state_assignments, multigraph_isomorphic,
+                     state_covector, swap_colors)
 
 TREFOIL = PD_CODES["trefoil"]
 
@@ -134,14 +134,16 @@ def test_state_count_equals_det(all_diagrams):
     for name, kd in all_diagrams:
         _, white, _ = white_data(kd)
         g = goeritz(white)
-        states = kauffman_states(kd)
-        assert len(states) == abs(det_exact(g.matrix)), name
+        covectors = kauffman_states(kd, white)
+        assert len(covectors) == abs(det_exact(g.matrix)), name
         # assignments are bijections onto unmarked regions at corners
         unmarked = set(range(len(kd.regions))) - set(kd.marked_regions)
-        for st in states:
-            assert set(st.assignment) <= unmarked
-            assert len(set(st.assignment)) == kd.n
-            for c, r in enumerate(st.assignment):
+        assignments = kauffman_state_assignments(kd)
+        assert len(assignments) == len(covectors), name
+        for assignment in assignments:
+            assert set(assignment) <= unmarked
+            assert len(set(assignment)) == kd.n
+            for c, r in enumerate(assignment):
                 assert r in kd.corner_region[c]
 
 
@@ -149,10 +151,37 @@ def test_covector_parity_and_balance(all_diagrams):
     for name, kd in all_diagrams:
         _, white, _ = white_data(kd)
         g = goeritz(white)
-        for st in kauffman_states(kd):
-            vec = state_covector(kd, st, white)
+        marked_degree = white.degree(white.marked)
+        for vec in kauffman_states(kd, white):
             for x, gd in zip(vec, g.diagonal):
                 assert (x - gd) % 2 == 0, name
+            # the signed degrees sum to 0, so the marked vertex holds
+            # -sum(vec): at most its degree, and of the same parity
+            assert abs(sum(vec)) <= marked_degree, name
+            assert (sum(vec) - marked_degree) % 2 == 0, name
+
+
+def assert_walk_matches_oracle(kd):
+    _, white, _ = white_data(kd)
+    assert kauffman_states(kd, white) == \
+        [state_covector(kd, a, white) for a in kauffman_state_assignments(kd)]
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_state_walk_matches_oracle_on_medials(seed):
+    rng = random.Random(seed)
+    g = gen_plane_multigraph(rng, rng.randint(2, 6), rng.randint(0, 4),
+                             bridgeless=True)
+    pd = diagram_from_plane_graph(g)["pd"]
+    arc = rng.choice(parse_pd({"pd": pd}).arcs)
+    assert_walk_matches_oracle(parse_pd({"pd": pd, "marked_arc": arc}))
+
+
+def test_state_walk_matches_oracle_at_every_arc():
+    for pd in PD_CODES.values():
+        for arc in parse_pd({"pd": pd}).arcs:
+            assert_walk_matches_oracle(parse_pd({"pd": pd, "marked_arc": arc}))
 
 
 def test_special_examples(all_diagrams):

@@ -9,6 +9,7 @@ from spinfill.diagram import (diagram_from_plane_graph, parse_pd,
                               state_covectors)
 from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, signature
+from spinfill.graphs import parse_graph_doc
 from spinfill.plumbing import PlumbingTree, linear_tree
 from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
                             enumerate_spinc, obstruction_report, spin_class)
@@ -16,8 +17,10 @@ from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
-from oracles import (box_keys, d_by_search, det_exact, gen_plane_multigraph,
-                     mu_bar, orbit_max_q, quadform_q, same_class)
+from oracles import (box_keys, d_by_search, det_exact, furuta_check,
+                     gen_plane_multigraph, mu_bar, orbit_max_q, quadform_q,
+                     same_class)
+from test_golden import corpus
 
 
 def form(graph):
@@ -399,3 +402,25 @@ def test_report_mu_matches_tree_oracle(seed):
         rep = obstruction_report(w)
     for entry in rep.cap_entries:
         assert entry.mu == mu_bar(rep.tree, entry.vertices)
+
+
+def test_capbound_is_the_furuta_rule():
+    verdicts = []
+    for name, doc in corpus().items():
+        if name.startswith("pd_"):
+            rep = obstruction_report(parse_pd(doc))
+        elif name.startswith("graph_"):
+            rep = obstruction_report(parse_graph_doc(doc)[0])
+        else:
+            continue
+        if rep.special:
+            assert rep.capbound.obstructed is None and not rep.cap_entries
+            continue
+        assert rep.capbound.obstructed == \
+            furuta_check(rep.m, rep.capbound.value).obstructed, name
+        for entry in rep.cap_entries:
+            assert entry.obstructed == \
+                furuta_check(rep.m, entry.cut).obstructed, name
+            verdicts.append(entry.obstructed)
+    # banana9 (m 1, cut 9) sits on the threshold
+    assert True in verdicts and False in verdicts
