@@ -16,8 +16,8 @@ from .errors import (DegenerateGraph, Disconnected, EmptyCharacteristicSet,
                      InvalidEmbedding, MalformedInput, NonNegativeFraming,
                      NotCharacteristic)
 from .exactalg import _characteristic_supports, signature
-from .graphs import (MarkedGraph, _dart_orbits, _face_successor, _reach,
-                     default_outer_dart, euler_check, parse_graph_doc)
+from .graphs import (MarkedGraph, _pair, _reach, default_outer_dart,
+                     euler_check, parse_graph_doc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,91 +163,77 @@ class _PlaneWork:
         self.outer = (outer_dart if outer_dart and outer_dart[0] in self.edges
                       else None)
 
-    def endpoint(self, dart):
+    def family(self, u, v):
+        """The parallel edges between u and v, read off u's rotation."""
+        return {e for e, _ in self.rot[u] if v in self.edges[e]}
+
+    def adjacent_pairs(self):
+        return sorted({_pair(a, b) for a, b in self.edges.values()},
+                      key=lambda p: (str(p[0]), str(p[1])))
+
+    def _turn(self, dart):
+        """Next dart on dart's face: cross its edge, turn once there."""
         e, end = dart
-        return self.edges[e][end]
+        rot = self.rot[self.edges[e][1 - end]]
+        return rot[(rot.index((e, 1 - end)) + 1) % len(rot)]
 
-    def parallel_edges(self, u, v):
-        return [e for e, (a, b) in self.edges.items() if {a, b} == {u, v}]
+    def encloses(self, u, v):
+        """Whether the parallel family between u and v encloses another
+        vertex, relative to the tracked outer face.
 
-    def adjacent_pairs(self, inside):
-        pairs = set()
-        for (a, b) in self.edges.values():
-            if a in inside and b in inside and a != b:
-                pairs.add((a, b) if str(a) <= str(b) else (b, a))
-        return sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))
-
-    def faces(self):
-        darts = ((e, end) for e in self.edges for end in (0, 1))
-        return _dart_orbits(darts, _face_successor(self.rot.values()))
-
-    def vertices_inside(self, u, v):
-        """Vertices strictly inside the region enclosed by the parallel
-        family between u and v, relative to the tracked outer face.
-
-        Faces of the whole drawing are merged across every edge outside
-        the family; the classes are the faces of the two-vertex
-        subgraph.  Vertices not in the outer class are inside.
+        The k family edges cut the sphere into k regions, each with one
+        gap between consecutive family darts at u and one at v; since
+        the graph is connected, a region holds a vertex exactly when one
+        of its gaps holds another dart.  A u-gap is labelled by the
+        family edge that closes it, a v-gap by the one that opens it:
+        the face through the last corner of a u-gap runs along that edge
+        into the first corner of its v-gap, so a label names a region.
+        Two occupied regions always enclose one; with one, the rest are
+        empty two-dart lenses and the family encloses exactly when the
+        outer face is such a lens.  An untracked outer face counts as
+        the largest face, which is never a lens.
         """
-        family = set(self.parallel_edges(u, v))
-        if len(family) <= 1:
-            return set()
-        faces = self.faces()
-        side = {}
-        for fi, face in enumerate(faces):
-            for d in face:
-                side[d] = fi
-        parent = list(range(len(faces)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            if e not in family:
-                a, b = find(side[(e, 0)]), find(side[(e, 1)])
-                if a != b:
-                    parent[a] = b
-        if self.outer is not None and self.outer in side:
-            outer_class = find(side[self.outer])
-        else:
-            # largest face fallback
-            big = max(range(len(faces)), key=lambda i: (len(faces[i]), -i))
-            outer_class = find(big)
-        inside = set()
-        for w, rot in self.rot.items():
-            if w in (u, v) or not rot:
-                continue
-            cls = find(side[rot[0]])
-            if cls != outer_class:
-                inside.add(w)
-        return inside
+        family = self.family(u, v)
+        if len(family) < 2:
+            return False
+        labels = set()
+        for w, closing in ((u, True), (v, False)):
+            rot = self.rot[w]
+            start = next(i for i, d in enumerate(rot) if d[0] in family)
+            last, held = rot[start][0], False
+            for e, _ in rot[start + 1:] + rot[:start + 1]:
+                if e not in family:
+                    held = True
+                    continue
+                if held:
+                    labels.add(e if closing else last)
+                last, held = e, False
+        if len(labels) != 1:
+            return len(labels) > 1
+        d = self.outer
+        if d is None or d[0] not in family:
+            return False
+        nxt = self._turn(d)
+        return nxt[0] in family and self._turn(nxt) == d
 
     def contract(self, keep, drop):
         """Contract the whole parallel family between keep and drop."""
-        family = self.parallel_edges(keep, drop)
-        e0 = next(e for e in family
-                  if (e, 0) in self.rot[keep] or (e, 1) in self.rot[keep])
-        d_keep = (e0, 0) if self.endpoint((e0, 0)) == keep else (e0, 1)
-        d_drop = (e0, 1 - d_keep[1])
-        rk = self.rot[keep]
-        rd = self.rot[drop]
-        i = rk.index(d_keep)
-        j = rd.index(d_drop)
+        family = self.family(keep, drop)
+        e0 = min(family)
+        end = self.edges[e0].index(keep)
+        rk, rd = self.rot[keep], self.rot[drop]
+        i, j = rk.index((e0, end)), rd.index((e0, 1 - end))
         spliced = rk[:i] + rd[j + 1:] + rd[:j] + rk[i + 1:]
         # reattach drop's darts, then delete the family (now loops)
-        for e, (a, b) in list(self.edges.items()):
-            na = keep if a == drop else a
-            nb = keep if b == drop else b
-            self.edges[e] = (na, nb)
-        spliced = [d for d in spliced if d[0] not in family]
+        for e, k in rd:
+            ends = list(self.edges[e])
+            ends[k] = keep
+            self.edges[e] = tuple(ends)
+        self.rot[keep] = [d for d in spliced if d[0] not in family]
         if self.outer is not None and self.outer[0] in family:
             self.outer = None
         for e in family:
             del self.edges[e]
-        self.rot[keep] = spliced
         del self.rot[drop]
 
 
@@ -302,21 +288,16 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
             continue
         if link.graph.rotations is None:
             raise InvalidEmbedding("handle-slide order needs a rotation system")
-        # Face regions of the component's own sub-embedding only.
+        # Regions of the component's own sub-embedding only.
         work = _PlaneWork(link.graph, link.outer_dart, comp)
-        active = set(comp)
-        while len(active) > 1:
-            pair = None
-            for (a, b) in work.adjacent_pairs(active):
-                if not work.vertices_inside(a, b):
-                    pair = (a, b)
-                    break
+        while len(work.rot) > 1:
+            pair = next((p for p in work.adjacent_pairs()
+                         if not work.encloses(*p)), None)
             assert pair is not None, "a slidable pair always exists"
             keep, drop = pair
             slide(keep, drop, "contract")
             work.contract(keep, drop)
-            active.discard(drop)
-        reps.append(next(iter(active)))
+        reps.append(next(iter(work.rot)))
 
     center = reps[0]
     for other in reps[1:]:

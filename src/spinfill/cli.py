@@ -500,6 +500,12 @@ def main(argv=None):
     except SpinfillError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except RecursionError:
+        # the state walk and the lattice search recurse once per
+        # crossing or lattice level
+        print("error: input too large: it nests deeper than the "
+              "recursion limit", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

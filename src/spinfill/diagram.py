@@ -187,7 +187,6 @@ def tait_graphs(diagram: KnotDiagram, coloring: Coloring):
             edges=tuple(edges),
             marked=marked,
             rotations=tuple(rotations),
-            color=color,
         ))
     return out[0], out[1]
 

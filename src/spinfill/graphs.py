@@ -23,7 +23,6 @@ class MarkedGraph:
     edges: tuple  # (u, v, label)
     marked: object = None
     rotations: tuple | None = None  # per vertex, tuple of darts, ccw
-    color: str | None = None
 
     def __post_init__(self):
         seen = set(self.vertices)
@@ -99,7 +98,7 @@ class MarkedGraph:
                 for w in new_vertices
             )
         return MarkedGraph(new_vertices, new_edges, marked=None,
-                           rotations=new_rot, color=self.color)
+                           rotations=new_rot)
 
     def rotation_of(self, v):
         return self.rotations[self.index[v]]

@@ -99,9 +99,9 @@ def parse_tree_doc(text) -> PlumbingTree:
     return PlumbingTree(vertices, weights, edges)
 
 
-def linear_tree(weights, prefix="a"):
+def linear_tree(weights):
     """Chain with the given weights, vertices a0 - a1 - ..."""
-    vs = tuple("%s%d" % (prefix, i) for i in range(len(weights)))
+    vs = tuple("a%d" % i for i in range(len(weights)))
     return PlumbingTree(vs, tuple(int(w) for w in weights),
                         tuple((vs[i], vs[i + 1]) for i in range(len(vs) - 1)))
 
@@ -360,7 +360,7 @@ def berge_ipm(i: int, k: int):
     return tuple(out)
 
 
-def accessible_witness(g: MarkedGraph, weights, hub="hub") -> MarkedGraph:
+def accessible_witness(g: MarkedGraph, weights) -> MarkedGraph:
     """Attach an outer hub so the weighted graph becomes a white graph.
 
     Sufficient conditions checked: connected; negative excessive; any
@@ -369,6 +369,7 @@ def accessible_witness(g: MarkedGraph, weights, hub="hub") -> MarkedGraph:
     edges to each vertex, which makes the Goeritz diagonal equal the
     weights; this is asserted.
     """
+    hub = "hub"
     if hub in g.vertices:
         raise MalformedInput("hub id %r already in use" % (hub,))
     if not g.is_connected():

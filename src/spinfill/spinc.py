@@ -234,9 +234,8 @@ def _spin_defect(g: GoeritzForm, sub: CharSubgraph) -> Fraction:
     inside = set(sub.vertices)
     idx = [i for i, v in enumerate(g.vertex_order) if v in inside]
     mu = Fraction(-g.m - sum(g.matrix[i][j] for i in idx for j in idx), 8)
-    if not any(g.matrix[i][j] for i in idx for j in idx if i != j):
-        assert 8 * mu == sub.cut - g.m, \
-            "8 mu must equal cut minus vertex count for definite trees"
+    assert 8 * mu == sub.cut - g.m, \
+        "8 mu must equal cut minus vertex count for definite trees"
     return mu
 
 

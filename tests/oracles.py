@@ -5,7 +5,8 @@ tests compare the library against (spanning-tree counts, determinants
 and adjugates, isomorphism, rational solves, orbit maxima and the d
 table by one lattice search per class, the Kauffman states as region
 assignments with a covector per state, the Kaplan filling by explicit
-blow-ups and a blow-down, the f >= 9 m Furuta rule) and seeded
+blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
+by face tracing, the f >= 9 m Furuta rule) and seeded
 generators of test inputs.
 """
 from __future__ import annotations
@@ -23,8 +24,8 @@ from spinfill.errors import (DimensionMismatch, Disconnected,
                              Singular)
 from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
                                signature)
-from spinfill.graphs import (MarkedGraph, _reach, bridges, euler_check,
-                             trace_faces)
+from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
+                             _reach, bridges, euler_check, trace_faces)
 from spinfill.plumbing import PlumbingTree
 from spinfill.spinc import canonical_key, d_invariant
 
@@ -329,6 +330,54 @@ def gen_plane_multigraph(rng, n_vertices, n_extra_edges, marked=True,
     g = build()
     euler_check(g)
     return g
+
+
+def encloses_by_faces(work, u, v) -> bool:
+    """Whether the parallel family between u and v in a chainmail
+    _PlaneWork encloses another vertex, relative to the tracked outer
+    face, by tracing every face of the working embedding.
+
+    Faces of the whole drawing are merged across every edge outside
+    the family; the classes are the faces of the two-vertex
+    subgraph.  Vertices not in the outer class are inside.  With no
+    tracked outer face the largest face is taken to be outside.
+    """
+    family = {e for e, (a, b) in work.edges.items() if {a, b} == {u, v}}
+    if len(family) <= 1:
+        return False
+    darts = ((e, end) for e in work.edges for end in (0, 1))
+    faces = _dart_orbits(darts, _face_successor(work.rot.values()))
+    side = {}
+    for fi, face in enumerate(faces):
+        for d in face:
+            side[d] = fi
+    parent = list(range(len(faces)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in work.edges:
+        if e not in family:
+            a, b = find(side[(e, 0)]), find(side[(e, 1)])
+            if a != b:
+                parent[a] = b
+    if work.outer is not None and work.outer in side:
+        outer_class = find(side[work.outer])
+    else:
+        # largest face fallback
+        big = max(range(len(faces)), key=lambda i: (len(faces[i]), -i))
+        outer_class = find(big)
+    inside = set()
+    for w, rot in work.rot.items():
+        if w in (u, v) or not rot:
+            continue
+        cls = find(side[rot[0]])
+        if cls != outer_class:
+            inside.add(w)
+    return bool(inside)
 
 
 def cf_value(terms):

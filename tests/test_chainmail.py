@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinfill.chainmail import (build_chainmail, characteristic_subsets,
-                                is_characteristic, kaplan_filling, mk1_run)
+from spinfill import chainmail
+from spinfill.chainmail import (ChainmailLink, build_chainmail,
+                                characteristic_subsets, is_characteristic,
+                                kaplan_filling, mk1_run)
 from spinfill.errors import (Disconnected, EmptyCharacteristicSet,
                              MalformedInput, NonNegativeFraming,
                              NotCharacteristic)
@@ -15,7 +17,7 @@ from spinfill.spinc import characteristic_subgraphs
 
 from conftest import (banana_graph, path_hub_graph, special44_graph,
                       two33_graph)
-from oracles import (furuta_check, gen_plane_multigraph,
+from oracles import (encloses_by_faces, furuta_check, gen_plane_multigraph,
                      kaplan_filling_by_moves)
 
 
@@ -292,6 +294,60 @@ def test_mk1_pair_selection_respects_enclosed_regions():
 
     # slide order never changes the final framing
     assert log.final_framing == log2.final_framing == 2
+
+
+def encloses_agreement(rng):
+    """mk1 on a random unmarked link, over characteristic and random
+    sublinks and several outer darts, with the rotation-based pair test
+    checked against the face-tracing oracle at every call.  Returns the
+    number of calls, of enclosing answers and of calls on a family of
+    two or more edges with no tracked outer face."""
+    g = gen_plane_multigraph(rng, rng.randint(2, 12), rng.randint(0, 12),
+                             marked=False)
+    weights = tuple(rng.randint(-6, 2) for _ in g.vertices)
+    signs = tuple(rng.choice((1, -1)) for _ in g.edges)
+    counts = {"calls": 0, "enclosed": 0, "untracked": 0}
+    real = chainmail._PlaneWork.encloses
+
+    def checked(work, u, v):
+        got = real(work, u, v)
+        assert got == encloses_by_faces(work, u, v), (u, v, work.rot,
+                                                      work.outer)
+        counts["calls"] += 1
+        counts["enclosed"] += got
+        counts["untracked"] += (work.outer is None
+                                and len(work.family(u, v)) > 1)
+        return got
+
+    probe = ChainmailLink(g, weights, signs, None)
+    subsets = [sub for sub in characteristic_subsets(probe) if sub][:6]
+    subsets += [tuple(v for v in g.vertices if rng.random() < 0.7)
+                for _ in range(4)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chainmail._PlaneWork, "encloses", checked)
+        for sub in filter(None, subsets):
+            inner = [(e, end) for e, (a, b, _) in enumerate(g.edges)
+                     if a in sub and b in sub for end in (0, 1)]
+            for outer in (None, rng.choice(inner) if inner else None):
+                mk1_run(ChainmailLink(g, weights, signs, outer), sub)
+    return counts
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_encloses_matches_face_tracing(seed):
+    encloses_agreement(random.Random(seed))
+
+
+def test_encloses_agreement_covers_both_answers():
+    rng = random.Random(13)
+    total = {"calls": 0, "enclosed": 0, "untracked": 0}
+    for _ in range(30):
+        for key, count in encloses_agreement(rng).items():
+            total[key] += count
+    assert total["calls"] > 500
+    assert 0 < total["enclosed"] < total["calls"]
+    assert total["untracked"] > 0, total
 
 
 def test_mk1_disconnected_sublink_merges():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spinfill
-from spinfill import chainmail, diagram, exactalg, spinc
+from spinfill import chainmail, diagram, exactalg, graphs, spinc
 from spinfill.cli import build_parser, main
 from spinfill.graphs import MarkedGraph, graph_to_doc
 
@@ -558,6 +558,38 @@ def test_mk1_checks_connectivity_once(capsys, monkeypatch, count_calls):
     assert sorted(seen) == [1, 2, 4, 8]
     # the link checks itself when built, not once per sublink
     assert len(set(seen.values())) == 1, seen
+
+
+def test_mk1_traces_no_faces(capsys, monkeypatch, count_calls):
+    calls = count_calls(graphs._dart_orbits)
+    run, traced = chainmail.mk1_run, []
+
+    def counted(link, subset):
+        before = calls["_dart_orbits"]
+        log = run(link, subset)
+        traced.append(calls["_dart_orbits"] - before)
+        return log
+
+    monkeypatch.setattr(chainmail, "mk1_run", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        json.dumps(banana_path_doc(4))))
+    code, out, _ = run_cli(["--json", "mk1", "-", "--all"], capsys)
+    assert code == 0
+    runs = json.loads(out)["runs"]
+    # sublinks such as {1, 2} contract a doubled family
+    assert any(len(r["subset"]) > 1 for r in runs)
+    # the pair rule reads only the rotations at the pair's two ends
+    assert traced == [0] * len(runs) == [0] * 8
+
+
+def test_too_deep_input_exits_3(tmp_path, capsys):
+    # 1100 crossings: the Kauffman state walk recurses once per crossing
+    path = write_doc(tmp_path, "ban1100.json",
+                     diagram.diagram_from_plane_graph(banana_graph(1100)))
+    code, out, err = run_cli(["analyze", path], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: input too large")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_python_dash_m_runs_the_cli():
