@@ -281,9 +281,78 @@ def _render_mk1_runs(runs, out):
           % (fl["b2"], fl["sigma"], fl["even_form"], fl["f"]))
 
 
+def encode_json(doc):
+    """The text of json.dumps(doc, sort_keys=True, indent=2).
+
+    doc holds dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else (a float, a Fraction, a non-str key) raises
+    TypeError, since reports carry exact numbers only.  An indent sends
+    json.dumps to its pure-Python encoder; this one dispatches on the
+    exact type of each value and joins an all-int list in one step.
+    """
+    chunks = []
+    put = chunks.append
+    encode_str = json.encoder.encode_basestring_ascii
+    int_repr = int.__repr__
+    key_prefixes = {}
+
+    def value(x, nl):
+        t = type(x)
+        if t is str:
+            put(encode_str(x))
+        elif t is int:
+            put(int_repr(x))
+        elif t is dict:
+            if not x:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(x):
+                prefix = key_prefixes.get(key)
+                if prefix is None:
+                    if type(key) is not str:
+                        raise TypeError("report keys must be str, not %s"
+                                        % type(key).__name__)
+                    prefix = key_prefixes[key] = encode_str(key) + ": "
+                put(sep)
+                put(prefix)
+                value(x[key], inner)
+                sep = "," + inner
+            put(nl + "}")
+        elif t is list or t is tuple:
+            if not x:
+                put("[]")
+                return
+            inner = nl + "  "
+            # exact types: a bool among the ints prints as true
+            if set(map(type, x)) == {int}:
+                put("[" + inner + ("," + inner).join(map(int_repr, x))
+                    + nl + "]")
+                return
+            sep = "[" + inner
+            for item in x:
+                put(sep)
+                value(item, inner)
+                sep = "," + inner
+            put(nl + "]")
+        elif x is True:
+            put("true")
+        elif x is False:
+            put("false")
+        elif x is None:
+            put("null")
+        else:
+            raise TypeError("%s values are not written to reports"
+                            % t.__name__)
+
+    value(doc, "\n")
+    return "".join(chunks)
+
+
 def _emit(report, args, out):
     if args.json:
-        out.write(json.dumps(report, sort_keys=True, indent=2))
+        out.write(encode_json(report))
         out.write("\n")
     else:
         _render(report, out)

@@ -300,13 +300,31 @@ def _edge_list(doc):
     return edges
 
 
+def _check_text(ids):
+    """String ids are written out as UTF-8 text, which has no lone
+    surrogates, though JSON can spell them."""
+    strings = [v for v in ids if isinstance(v, str)]
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        for v in strings:
+            try:
+                v.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedInput("id %r is not valid Unicode text"
+                                     % (v,)) from None
+
+
 def _check_vertex_ids(vertices):
     """Vertex ids of a document: valid ids with distinct str() forms,
-    since vertices are ordered and keyed by those forms."""
-    for v in vertices:
-        _check_id(v)
-    if len({str(v) for v in vertices}) != len(vertices):
+    since vertices are ordered and keyed by those forms, and printable
+    as text."""
+    if not set(map(type, vertices)) <= {int, str}:
+        for v in vertices:
+            _check_id(v)
+    if len(set(map(str, vertices))) != len(vertices):
         raise MalformedInput("duplicate vertex ids (compared as strings)")
+    _check_text(vertices)
 
 
 def parse_graph_doc(text):
@@ -381,6 +399,7 @@ def parse_graph_doc(text):
     marked = doc.get("marked")
     if marked is not None:
         _check_id(marked)
+        _check_text((marked,))
     graph = MarkedGraph(vertices, tuple(edges), marked=marked,
                         rotations=rotations)
     outer = doc.get("outer")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (DegenerateGraph, InvalidFraction, MalformedInput,
                      NotAccessibleByConstruction, NotATree, NotCoprime,
@@ -52,50 +53,72 @@ class PlumbingTree:
 
 def _check_tree(vertices, edges):
     """Validate a tree; returns its adjacency, neighbors in edge order."""
-    vs = set(vertices)
-    if len(vs) != len(vertices):
+    if len(set(vertices)) != len(vertices):
         raise MalformedInput("duplicate vertex ids")
-    seen_pairs = set()
     adj = {v: [] for v in vertices}
+    try:
+        for (u, v) in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+    except (KeyError, TypeError, ValueError):
+        pass  # _tree_fault words the fault
+    else:
+        # n - 1 edges that reach all n vertices leave no room for a
+        # loop or a parallel edge
+        if not vertices or (
+                len(edges) == len(vertices) - 1
+                and len(_reach(vertices[0], adj.__getitem__)) == len(vertices)):
+            return adj
+    raise _tree_fault(vertices, edges)
+
+
+def _tree_fault(vertices, edges):
+    """The first fault of edges that do not make a tree on vertices."""
+    vs = set(vertices)
+    seen_pairs = set()
     for (u, v) in edges:
         if u not in vs or v not in vs:
-            raise NotATree("edge endpoint not in vertex set")
+            return NotATree("edge endpoint not in vertex set")
         if u == v:
-            raise NotATree("loop edge in tree")
+            return NotATree("loop edge in tree")
         key = frozenset((u, v))
         if key in seen_pairs:
-            raise NotATree("parallel edges in tree")
+            return NotATree("parallel edges in tree")
         seen_pairs.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    if not vertices:
-        return adj
     if len(edges) != len(vertices) - 1:
-        raise NotATree("edge count must be vertex count minus one")
-    if len(_reach(vertices[0], adj.__getitem__)) != len(vertices):
-        raise NotATree("tree must be connected")
-    return adj
+        return NotATree("edge count must be vertex count minus one")
+    return NotATree("tree must be connected")
 
 
 def parse_tree_doc(text) -> PlumbingTree:
-    """Parse {"vertices": [{"id", "weight"}], "edges": [[u, v], ...]}."""
+    """Parse {"vertices": [{"id", "weight"}], "edges": [[u, v], ...]}.
+
+    Each field is checked in bulk; the per-item checks run only to word
+    the first fault.
+    """
     doc = _as_document(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise MalformedInput("tree document needs a 'vertices' list")
+    vertex_docs = doc["vertices"]
     try:
-        vertices = tuple(v["id"] for v in doc["vertices"])
-        weights = tuple(_check_int(v["weight"], "weight")
-                        for v in doc["vertices"])
+        vertices = tuple(v["id"] for v in vertex_docs)
+        weights = tuple(v.get("weight") for v in vertex_docs)
+        if not set(map(type, weights)) <= {int}:
+            weights = tuple(_check_int(v["weight"], "weight")
+                            for v in vertex_docs)
     except (TypeError, KeyError) as exc:
         raise MalformedInput("bad tree document: %s" % exc) from exc
     edges = _edge_list(doc)
-    if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            or all(isinstance(e, (list, tuple)) and len(e) == 2
+                   for e in edges)):
         raise MalformedInput("tree edges must be [u, v] pairs")
     edges = tuple(map(tuple, edges))
     _check_vertex_ids(vertices)
-    for edge in edges:
-        for v in edge:
-            _check_id(v)
+    if not set(map(type, chain.from_iterable(edges))) <= {int, str}:
+        for edge in edges:
+            for v in edge:
+                _check_id(v)
     return PlumbingTree(vertices, weights, edges)
 
 

@@ -6,8 +6,8 @@ and adjugates, isomorphism, rational solves, orbit maxima and the d
 table by one lattice search per class, the Kauffman states as region
 assignments with a covector per state, the Kaplan filling by explicit
 blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
-by face tracing, the f >= 9 m Furuta rule) and seeded
-generators of test inputs.
+by face tracing, tree validation edge by edge, the f >= 9 m Furuta
+rule) and seeded generators of test inputs.
 """
 from __future__ import annotations
 
@@ -405,6 +405,34 @@ def canonical_form(tree: PlumbingTree):
         return (wmap[v], tuple(subs))
 
     return min(encode(r, None) for r in tree.vertices)
+
+
+def check_tree_per_edge(vertices, edges):
+    """Tree validation one edge at a time, in edge order; returns the
+    adjacency or raises the first fault."""
+    vs = set(vertices)
+    if len(vs) != len(vertices):
+        raise MalformedInput("duplicate vertex ids")
+    seen_pairs = set()
+    adj = {v: [] for v in vertices}
+    for (u, v) in edges:
+        if u not in vs or v not in vs:
+            raise NotATree("edge endpoint not in vertex set")
+        if u == v:
+            raise NotATree("loop edge in tree")
+        key = frozenset((u, v))
+        if key in seen_pairs:
+            raise NotATree("parallel edges in tree")
+        seen_pairs.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    if not vertices:
+        return adj
+    if len(edges) != len(vertices) - 1:
+        raise NotATree("edge count must be vertex count minus one")
+    if len(_reach(vertices[0], adj.__getitem__)) != len(vertices):
+        raise NotATree("tree must be connected")
+    return adj
 
 
 def random_tree(rng, n, weight_range=(-5, -1)):

@@ -273,6 +273,63 @@ def test_plumb_commands(path_tree_file, tmp_path, capsys):
     assert code == 3
 
 
+def abc_tree(ids=("a", "b", "c"), weights=(-2, -2, -2), edges=None):
+    """A tree document on three vertices, the path a - b - c by default."""
+    return {"vertices": [{"id": v, "weight": w} for v, w in zip(ids, weights)],
+            "edges": [["a", "b"], ["b", "c"]] if edges is None else edges}
+
+
+# name -> (tree document, exit code, stderr); the first fault wins
+TREE_REFUSALS = {
+    "duplicate_ids": (abc_tree(ids=("a", "b", "a")), 2,
+                      "duplicate vertex ids (compared as strings)"),
+    "duplicate_as_strings": (abc_tree(ids=(1, "1", 2),
+                                      edges=[[1, 2], ["1", 2]]), 2,
+                             "duplicate vertex ids (compared as strings)"),
+    "endpoint_outside": (abc_tree(edges=[["a", "b"], ["b", "z"]]), 3,
+                         "edge endpoint not in vertex set"),
+    "loop": (abc_tree(edges=[["a", "b"], ["b", "b"]]), 3,
+             "loop edge in tree"),
+    "parallel": (abc_tree(edges=[["a", "b"], ["b", "a"]]), 3,
+                 "parallel edges in tree"),
+    "edge_count": (abc_tree(edges=[["a", "b"]]), 3,
+                   "edge count must be vertex count minus one"),
+    "disconnected": (abc_tree(ids="abcd", weights=(-2,) * 4,
+                              edges=[["a", "b"], ["b", "c"], ["c", "a"]]), 3,
+                     "tree must be connected"),
+    "bool_id": (abc_tree(ids=(True, "b", "c")), 2,
+                "id True is neither an integer nor a string"),
+    "float_id": (abc_tree(ids=("a", "b", 1.5)), 2,
+                 "id 1.5 is neither an integer nor a string"),
+    "float_endpoint": (abc_tree(edges=[["a", "b"], ["b", 2.0]]), 2,
+                       "id 2.0 is neither an integer nor a string"),
+    "bool_weight": (abc_tree(weights=(-2, False, -2)), 2,
+                    "weight False is not an integer"),
+    "float_weight": (abc_tree(weights=(-2, -2, -2.0)), 2,
+                     "weight -2.0 is not an integer"),
+    "missing_weight": (dict(abc_tree(), vertices=[{"id": "a"}]), 2,
+                       "bad tree document: 'weight'"),
+    "bad_weight_before_missing": (
+        dict(abc_tree(), vertices=[{"id": "a", "weight": "x"},
+                                   {"id": "b"}]), 2,
+        "weight 'x' is not an integer"),
+    "non_pair_edge": (abc_tree(edges=[["a", "b"], ["b", "c", "a"]]), 2,
+                      "tree edges must be [u, v] pairs"),
+    "parallel_and_count": (abc_tree(edges=[["a", "b"], ["a", "b"],
+                                           ["b", "c"]]), 3,
+                           "parallel edges in tree"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_REFUSALS))
+def test_tree_document_refusals(name, tmp_path, capsys):
+    doc, code, message = TREE_REFUSALS[name]
+    path = write_doc(tmp_path, "tree.json", doc)
+    for action in ("check", "reduce", "decide"):
+        assert run_cli(["plumb", action, path], capsys) == (
+            code, "", "error: %s\n" % message), action
+
+
 def test_cf_command(capsys):
     code, out, _ = run_cli(["cf", "16", "9"], capsys)
     assert code == 0
@@ -333,6 +390,24 @@ def test_non_scalar_ids_are_malformed(tmp_path, capsys):
     assert run_cli(["plumb", "check", tree], capsys)[0] == 2
 
 
+def test_ids_must_be_unicode_text(tmp_path, capsys):
+    # JSON spells a lone surrogate as "\ud800"; text output can't write it
+    message = "error: id '\\ud800' is not valid Unicode text\n"
+    graph = write_doc(tmp_path, "graph.json", weighted_pair_doc("\ud800"))
+    assert run_cli(["analyze", graph], capsys) == (2, "", message)
+    marked = write_doc(tmp_path, "marked.json",
+                       dict(weighted_pair_doc(2), marked="\ud800"))
+    assert run_cli(["analyze", marked], capsys) == (2, "", message)
+    tree = write_doc(tmp_path, "tree.json", {
+        "vertices": [{"id": "\ud800", "weight": 1},
+                     {"id": "b", "weight": -2}],
+        "edges": [["\ud800", "b"]]})
+    assert run_cli(["plumb", "reduce", tree], capsys) == (2, "", message)
+    fine = write_doc(tmp_path, "fine.json", weighted_pair_doc("\U0001f600"))
+    code, out, _ = run_cli(["analyze", fine], capsys)
+    assert code == 0 and "\U0001f600" in out
+
+
 def test_pd_rejects_bool_arc_ids(tmp_path, capsys):
     pd = [[True, 4, 2, 5]] + PD_CODES["trefoil"][1:]
     path = write_doc(tmp_path, "bool.json", {"pd": pd})
@@ -388,6 +463,29 @@ def test_weights_and_signs_must_be_integers(tmp_path, capsys):
         code, _, err = run_cli(["plumb", "check", path], capsys)
         assert code == 2, (doc, err)
         assert err.startswith("error: ")
+
+
+def test_json_commands_do_not_indent_with_json_dumps(
+        trefoil_file, ban9_file, path_tree_file, capsys, monkeypatch):
+    """json.dumps with an indent is the pure-Python encoder; --json
+    reports come from cli.encode_json, which tests/test_emit.py holds
+    to json.dumps."""
+    plain_dumps = json.dumps
+
+    def dumps(obj, *args, **kwargs):
+        assert kwargs.get("indent") is None, "indented json.dumps"
+        return plain_dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    commands = [["analyze", trefoil_file], ["analyze", ban9_file, "--mk1"],
+                ["obstruct", ban9_file], ["mk1", ban9_file, "--all"],
+                ["plumb", "check", path_tree_file],
+                ["plumb", "reduce", path_tree_file],
+                ["plumb", "decide", path_tree_file], ["cf", "16", "9"],
+                ["berge", "3", "5"], ["witness", path_tree_file]]
+    for argv in commands:
+        code, out, _ = run_cli(["--json"] + argv, capsys)
+        assert code == 0 and out.endswith("}\n") and json.loads(out), argv
 
 
 def test_main_calls_are_independent(capsys):

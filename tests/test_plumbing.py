@@ -5,18 +5,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spinfill.errors import (InvalidFraction, NotAccessibleByConstruction,
-                             NotATree, NotCoprime, NotExcessive)
+from spinfill.errors import (InvalidFraction, MalformedInput,
+                             NotAccessibleByConstruction, NotATree,
+                             NotCoprime, NotExcessive)
 from spinfill.exactalg import goeritz, signature
 from spinfill.graphs import MarkedGraph
-from spinfill.plumbing import (PlumbingTree, accessible_witness, berge_ipm,
-                               check_normal_form, decide_plumbed, det_tree,
-                               is_excessive, linear_tree, neg_cf,
+from spinfill.plumbing import (PlumbingTree, _check_tree, accessible_witness,
+                               berge_ipm, check_normal_form, decide_plumbed,
+                               det_tree, is_excessive, linear_tree, neg_cf,
                                parse_tree_doc, reduce_normal_form)
 from spinfill.spinc import characteristic_subgraphs
 
-from oracles import (canonical_form, cf_value, det_exact,
-                     intersection_matrix, random_excessive_tree, random_tree)
+from oracles import (canonical_form, cf_value, check_tree_per_edge,
+                     det_exact, intersection_matrix, random_excessive_tree,
+                     random_tree)
 
 
 @st.composite
@@ -105,6 +107,42 @@ def test_tree_validation():
         PlumbingTree((0, 1, 2), (-2, -2, -2), ((0, 1),))
     with pytest.raises(NotATree):
         PlumbingTree((0, 1), (-2, -2), ((0, 1), (0, 1)))
+
+
+def outcome(check, vertices, edges):
+    try:
+        return check(vertices, edges)
+    except (MalformedInput, NotATree) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def near_trees(draw):
+    """A tree on up to six vertices with up to two edits: an edge added,
+    dropped, doubled or given a random end (a loop or a stray)."""
+    n = draw(st.integers(0, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    end = st.integers(0, n)
+    for edit in draw(st.lists(st.integers(0, 3), max_size=2)):
+        if edit == 0:
+            edges.append((draw(end), draw(end)))
+        elif edges and edit == 1:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        elif edges and edit == 2:
+            edges.append(edges[draw(st.integers(0, len(edges) - 1))][::-1])
+        elif edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = (edges[k][0], draw(end))
+    edges = draw(st.permutations(edges)) if edges else []
+    return tuple(draw(st.permutations(range(n)))), tuple(edges)
+
+
+@given(near_trees())
+@settings(max_examples=400, deadline=None)
+def test_tree_check_matches_per_edge_oracle(doc):
+    vertices, edges = doc
+    assert (outcome(_check_tree, vertices, edges)
+            == outcome(check_tree_per_edge, vertices, edges))
 
 
 def test_excessive_examples():
