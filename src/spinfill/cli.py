@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -555,11 +556,21 @@ def build_parser():
     return ap
 
 
+def _write(stream, text):
+    """Write text at once; a character the stream's encoding lacks is
+    written as its backslash escape instead of failing midway."""
+    encoding = getattr(stream, "encoding", None)
+    if encoding:
+        text = text.encode(encoding, "backslashreplace").decode(encoding)
+    stream.write(text)
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, out)
     except MalformedInput as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -575,6 +586,8 @@ def main(argv=None):
         print("error: input too large: it nests deeper than the "
               "recursion limit", file=sys.stderr)
         return 3
+    _write(sys.stdout, out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

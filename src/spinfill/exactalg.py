@@ -301,10 +301,9 @@ class OrbitKernel:
                        for k in range(self.m)]
         self.denominator = w * self.q * self.q
 
-    def quadform(self, v) -> Fraction:
-        """v^T G^{-1} v = -v^T adj(A) v / det A."""
-        return Fraction(-sum(x * y for x, y in zip(v, matvec(self.adj, v))),
-                        self.det)
+    def adj_norm(self, v) -> int:
+        """v^T adj(A) v, an integer: v^T G^{-1} v is -adj_norm(v) / det A."""
+        return sum(map(mul, v, matvec(self.adj, v)))
 
     def min_cost(self, target):
         """W Q^2 min over integer y of (y - t)^T A (y - t), t = target / S.

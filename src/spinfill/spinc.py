@@ -3,9 +3,13 @@
 A spin-c class of the double branched cover is an orbit of
 characteristic covectors (integer vectors matching the Goeritz diagonal
 mod 2) under translation by twice the column lattice of the Goeritz
-matrix.  Orbits get canonical keys by Hermite reduction, the correction
-term is an exact lattice maximum, and characteristic subgraphs encode
-the spin structures.
+matrix.  Orbits get canonical keys by Hermite reduction, and
+characteristic subgraphs encode the spin structures.  The correction
+term is the exact orbit maximum of (q(v) + m) / 4: on PD input it is
+read off the Kauffman state covectors, which attain it (Greene), and on
+graph input a lattice search finds it, once per conjugate pair.  The
+box size, the state/class bijection, the conjugation pairing and the
+equal d of conjugate states are certified on every run.
 """
 from __future__ import annotations
 
@@ -92,8 +96,9 @@ def d_invariant(g: GoeritzForm, covector) -> Fraction:
     Writing v = v0 + 2Gy turns the maximum of q(v) = v^T G^{-1} v over
     integer y into a closest vector problem for the positive form -G:
     the orbit maximum is -4 min_cost / denominator.  Each call is one
-    lattice search, so enumerate_spinc makes one per conjugate pair of
-    classes.
+    lattice search; enumerate_spinc makes one per conjugate pair of
+    classes on graph input and none on PD input, where the states carry
+    the maxima.
     """
     kernel = g.kernel
     best = kernel.min_cost(matvec(kernel.adj, covector))
@@ -119,16 +124,20 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
 
     Conjugation [v] -> [-v] preserves d, since the orbit of -v is the
     negated orbit of v and q(-x) = q(x).  So one walk over the sorted keys
-    searches each key whose d is not yet known and hands the value to its
-    conjugate key, -key reduced modulo 2G.  A self-conjugate key (a spin
-    structure) is searched once, as itself.  The pairing certifies itself:
-    every conjugate must be a key, each key must receive its d exactly
-    once, and the number of self-conjugate keys must be a power of two,
-    exactly one when det is odd.
+    finds the d of each key whose d is not yet known and hands the value
+    to its conjugate key, -key reduced modulo 2G.  A self-conjugate key
+    is a spin structure.  The pairing certifies itself: every conjugate
+    must be a key, each key must receive its d exactly once, and the
+    number of self-conjugate keys must be a power of two, exactly one
+    when det is odd.
 
-    covectors, when given, lists one characteristic covector per state;
-    every class must then receive exactly one state, whose covector
-    attains its orbit maximum.
+    Without covectors (graph input) the d of a key is one lattice
+    search, one per conjugate pair.  covectors, when given (PD input),
+    lists one characteristic covector per Kauffman state.  Every state
+    covector attains the maximum of its orbit (Greene), so d is read off
+    it as (q(v) + m) / 4 with no search.  The states must biject onto
+    the keys, and the states of a class and of its conjugate must give
+    the same d.
     """
     kernel = g.kernel
     m = g.m
@@ -143,12 +152,25 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
     if len(keys) != abs(det):
         raise failure("found %d classes, expected %d" % (len(keys), abs(det)))
     box = set(keys)
+
+    state = {}
+    if covectors is not None:
+        # d = (q(v) + m) / 4 = (m det A - v^T adj(A) v) / (4 det A)
+        numerator = {}
+        for si, vec in enumerate(covectors):
+            key = canonical_key(g, vec)
+            if key not in box or key in state:
+                raise failure("states do not biject onto spin-c classes")
+            state[key] = si
+            numerator[key] = m * kernel.det - kernel.adj_norm(vec)
+        if len(state) != len(keys):
+            raise failure("states do not biject onto spin-c classes")
+
     d = {}
     spin = 0
     for key in keys:
         if key in d:
             continue
-        d[key] = d_invariant(g, key)
         twin = hnf_reduce([-x for x in key], g.hermite, 2)
         if twin == key:
             spin += 1
@@ -157,24 +179,17 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
                           % (twin, key))
         elif twin in d:
             raise failure("conjugation pairs class %r twice" % (twin,))
+        if covectors is None:
+            d[key] = d_invariant(g, key)
+        elif numerator[twin] != numerator[key]:
+            raise failure(
+                "states %d and %d of conjugate classes give different d"
+                % (state[key], state[twin]))
         else:
-            d[twin] = d[key]
+            d[key] = Fraction(numerator[key], 4 * kernel.det)
+        d[twin] = d[key]
     if spin < 1 or spin & (spin - 1) or (det % 2 != 0 and spin != 1):
         raise failure("found %d self-conjugate classes" % spin)
-
-    state = {}
-    if covectors is not None:
-        for si, vec in enumerate(covectors):
-            key = canonical_key(g, tuple(vec))
-            if key not in d or key in state:
-                raise failure("states do not biject onto spin-c classes")
-            if kernel.quadform(vec) != 4 * d[key] - m:
-                raise failure(
-                    "state %d covector does not attain the orbit maximum"
-                    % si)
-            state[key] = si
-        if len(state) != len(keys):
-            raise failure("states do not biject onto spin-c classes")
 
     odd = det % 2 != 0
     return [SpinCClass(key, d[key], coker_class(g, key) if odd else None,

@@ -552,9 +552,12 @@ def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):
 def test_one_search_per_conjugate_pair(tmp_path, capsys, count_calls):
     calls = count_calls(spinc.d_invariant)
     inputs = {
-        # det 6 with 2 spin structures
-        "diagram": write_doc(tmp_path, "ban6.json",
+        # det 6 with 2 spin structures; the states carry every d
+        "diagram": write_doc(tmp_path, "ban6pd.json",
                              diagram.diagram_from_plane_graph(banana_graph(6))),
+        # the same white graph as marked graph input is searched
+        "banana": write_doc(tmp_path, "ban6.json",
+                            graph_to_doc(banana_graph(6))),
         # Goeritz [[-6, 2], [2, -6]]: det 32, even mod 2, 4 spin structures
         "graph": write_doc(tmp_path, "two33x2.json", {
             "vertices": [{"id": "h"}, {"id": "a"}, {"id": "b"}],
@@ -571,11 +574,15 @@ def test_one_search_per_conjugate_pair(tmp_path, capsys, count_calls):
         det = report["invariants"]["det"]
         spin = len(report["char_subgraphs"])
         assert len(report["spinc"]) == det
-        # a spin structure is searched as itself, any other class with
-        # its conjugate; one search per class would make det calls
-        assert calls["d_invariant"] == (det + spin) // 2 < det, kind
-        seen[kind] = (det, spin)
-    assert seen == {"diagram": (6, 2), "graph": (32, 4)}
+        if kind == "diagram":
+            assert calls["d_invariant"] == 0
+        else:
+            # a spin structure is searched as itself, any other class
+            # with its conjugate; one search per class would make det
+            assert calls["d_invariant"] == (det + spin) // 2 < det, kind
+        seen[kind] = (det, spin, calls["d_invariant"])
+    assert seen == {"diagram": (6, 2, 0), "banana": (6, 2, 4),
+                    "graph": (32, 4, 18)}
 
 
 def test_conjugation_certificate_fails_with_exit_4(tmp_path, capsys,
@@ -690,18 +697,31 @@ def test_too_deep_input_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(args, **env):
+    """python -m spinfill args in a subprocess, on this checkout's code."""
     src = str(Path(spinfill.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "spinfill", "cf", "16", "9"],
+    return subprocess.run([sys.executable, "-m", "spinfill"] + args,
                           capture_output=True, text=True, env=env,
                           timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module(["cf", "16", "9"])
     assert proc.returncode == 0
     assert "[2, 5, 2]" in proc.stdout
     assert proc.stderr == ""
-    proc = subprocess.run([sys.executable, "-m", "spinfill", "cf", "9", "16"],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = run_module(["cf", "9", "16"])
     assert proc.returncode == 3
+
+
+def test_text_output_escapes_what_stdout_cannot_encode(tmp_path):
+    # the whole report is written, with e-acute as its escape
+    path = write_doc(tmp_path, "accent.json", weighted_pair_doc("\u00e9"))
+    proc = run_module(["analyze", path], PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "\\xe9" in proc.stdout
+    assert proc.stdout.endswith("\n")

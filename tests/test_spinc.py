@@ -104,6 +104,18 @@ def test_greene_max_on_ten_crossing_chain():
     assert len(classes) == 55
     for c in classes:
         assert quadform_q(g, covs[c.state_index]) == 4 * c.d - g.m
+    assert {c.canonical_key: c.d for c in classes} == d_by_search(g)
+
+
+def test_state_table_matches_search_at_every_arc():
+    for name, pd in PD_CODES.items():
+        for arc in parse_pd({"pd": pd}).arcs:
+            white, covs = state_covectors(
+                parse_pd({"pd": pd, "marked_arc": arc}))
+            g = form(white)
+            classes = enumerate_spinc(g, covectors=covs)
+            assert {c.canonical_key: c.d for c in classes} \
+                == d_by_search(g), (name, arc)
 
 
 def test_state_attachment_detects_wrong_covectors():
@@ -118,18 +130,32 @@ def test_certification_failure_names_stage():
     kd = parse_pd({"pd": PD_CODES["trefoil"]})
     white, covs = state_covectors(kd)
     g = form(white)
-    # Move one state covector inside its own orbit, off the maximum.
     a = [[-x for x in row] for row in g.matrix]
-    shifted = [x + 2 * y for x, y in zip(covs[0], a[0])]
-    assert quadform_q(g, shifted) < quadform_q(g, covs[0])
+
+    def shifted(si):
+        # the state covector moved inside its own orbit, off the maximum
+        vec = [x + 2 * y for x, y in zip(covs[si], a[0])]
+        assert quadform_q(g, vec) < quadform_q(g, covs[si])
+        return covs[:si] + [vec] + covs[si + 1:]
+
+    # state 0 has a conjugate class, whose state keeps the maximum
     with pytest.raises(CertificationFailure) as exc:
-        enumerate_spinc(g, covectors=[shifted] + covs[1:])
+        enumerate_spinc(g, covectors=shifted(0))
     assert str(exc.value) == (
-        "spinc.enumerate_spinc: state 0 covector does not attain the orbit "
-        "maximum (rank 2, det 3)")
+        "spinc.enumerate_spinc: states 0 and 2 of conjugate classes give "
+        "different d (rank 2, det 3)")
     with pytest.raises(CertificationFailure, match=r"^spinc\.enumerate_spinc: "
                        r"states do not biject .* \(rank 2, det 3\)$"):
         enumerate_spinc(g, covectors=covs[:-1])
+
+    # state 1 belongs to the spin class, its own conjugate: the default
+    # path cannot see the fault, the per-class search can
+    classes = enumerate_spinc(g, covectors=shifted(1))
+    assert spin_class(classes).state_index == 1
+    table = {c.canonical_key: c.d for c in classes}
+    search = d_by_search(g)
+    assert [k for k in search if table[k] != search[k]] \
+        == [spin_class(classes).canonical_key]
 
 
 def test_characteristic_examples():
@@ -325,7 +351,7 @@ def test_kernel_quadform_matches_solve(seed):
     kernel = g.kernel
     assert g.kernel is kernel
     v = [rng.randint(-9, 9) for _ in range(g.m)]
-    assert kernel.quadform(v) == quadform_q(g, v)
+    assert Fraction(-kernel.adj_norm(v), kernel.det) == quadform_q(g, v)
     assert orbit_max_q(g, v) >= quadform_q(g, v)
 
 
