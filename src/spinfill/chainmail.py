@@ -9,30 +9,33 @@ slid-over component leaves the tracked sublink at each step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import (DegenerateGraph, Disconnected, EmptyCharacteristicSet,
-                     InvalidEmbedding, MalformedInput, NonNegativeFraming,
-                     NotCharacteristic)
+from .errors import (CertificationFailure, DegenerateGraph, Disconnected,
+                     EmptyCharacteristicSet, InvalidEmbedding, MalformedInput,
+                     NonNegativeFraming, NotCharacteristic)
 from .exactalg import _characteristic_supports, signature
-from .graphs import (MarkedGraph, _pair, _reach, default_outer_dart,
+from .graphs import (Frozen, MarkedGraph, _pair, _reach, default_outer_dart,
                      euler_check, parse_graph_doc)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainmailLink:
-    graph: MarkedGraph          # loopless plane multigraph, no marked vertex
-    weights: tuple              # framing per vertex
-    signs: tuple                # +1 / -1 per edge
-    outer_dart: tuple | None    # dart on the unbounded face
-    from_tait: bool = False     # weights are minus full white degrees
+class ChainmailLink(Frozen):
+    _fields = ("graph", "weights", "signs", "outer_dart", "from_tait")
 
-    def __post_init__(self):
-        if not self.graph.is_connected():
+    def __init__(self, graph, weights, signs, outer_dart, from_tait=False):
+        if not graph.is_connected():
             raise Disconnected("chainmail graph must be connected")
-        if self.graph.rotations is not None:
-            euler_check(self.graph)
+        if graph.rotations is not None:
+            euler_check(graph)
+        # a loopless plane multigraph without a marked vertex; the framing
+        # per vertex; +1 / -1 per edge; a dart on the unbounded face, or
+        # None; whether the weights are minus the full white degrees
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "outer_dart", outer_dart)
+        object.__setattr__(self, "from_tait", from_tait)
 
     @property
     def vertices(self):
@@ -58,16 +61,14 @@ class ChainmailLink:
         return pos - neg
 
 
-@dataclass(frozen=True)
-class SlideStep:
+class SlideStep(NamedTuple):
     slid: object                # component that slides (and survives)
     over: object                # component slid over (leaves the sublink)
     kind: str                   # "contract" or "merge"
     framing_after: int
 
 
-@dataclass(frozen=True)
-class SlideLog:
+class SlideLog(NamedTuple):
     vertex_order: tuple
     subset: tuple
     steps: tuple
@@ -77,8 +78,7 @@ class SlideLog:
     final_framing: int
 
 
-@dataclass(frozen=True)
-class FillingStats:
+class FillingStats(NamedTuple):
     b2: int
     sigma: int
     even_form: bool
@@ -293,7 +293,10 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
         while len(work.rot) > 1:
             pair = next((p for p in work.adjacent_pairs()
                          if not work.encloses(*p)), None)
-            assert pair is not None, "a slidable pair always exists"
+            if pair is None:
+                raise CertificationFailure(
+                    "chainmail.mk1_run: no slidable pair left in sublink %s"
+                    % (list(subset),))
             keep, drop = pair
             slide(keep, drop, "contract")
             work.contract(keep, drop)
@@ -307,15 +310,21 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
     final_framing = mat[p][p]
     rows = [idx[v] for v in inside]
     quad = sum(initial[i][j] for i in rows for j in rows)
-    assert final_framing == quad, \
-        "slides must accumulate the sublink self-pairing"
+    if final_framing != quad:
+        raise CertificationFailure(
+            "chainmail.mk1_run: final framing %d is not the sublink "
+            "self-pairing %d (sublink %s)"
+            % (final_framing, quad, list(subset)))
     if link.from_tait:
         cut = -quad
         direct = sum(1 for ((u, v, _), s) in zip(link.graph.edges, link.signs)
                      if (u in inside) != (v in inside))
         direct += sum(-link.weights[idx[v]] - link.graph.degree(v)
                       for v in inside)
-        assert cut == direct, "final framing must equal minus the cut"
+        if cut != direct:
+            raise CertificationFailure(
+                "chainmail.mk1_run: minus the final framing is %d, the cut "
+                "%d (sublink %s)" % (cut, direct, list(subset)))
 
     return SlideLog(
         vertex_order=link.vertices,
@@ -346,9 +355,10 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
         raise NotCharacteristic("subset fails the linking parity test")
     n = len(link.vertices)
     if not subset:
-        assert all(row[i] % 2 == 0
-                   for i, row in enumerate(link.linking_matrix)), \
-            "empty characteristic sublink needs an even diagonal"
+        if any(row[i] % 2 for i, row in enumerate(link.linking_matrix)):
+            raise CertificationFailure(
+                "chainmail.kaplan_filling: the empty characteristic sublink "
+                "needs an even diagonal")
         return FillingStats(b2=n, sigma=link.sigma, even_form=True, f=0)
 
     if log is None:
@@ -363,7 +373,10 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
     f = -framing
     even = all((row[i] + row[p]) % 2 == 0
                for i, row in enumerate(mat) if i != p)
-    assert even, "blown-down matrix must be even on the diagonal"
+    if not even:
+        raise CertificationFailure(
+            "chainmail.kaplan_filling: blown-down matrix is odd on the "
+            "diagonal (sublink %s)" % (list(subset),))
     return FillingStats(b2=n + f - 2, sigma=link.sigma + f, even_form=even,
                         f=f)
 

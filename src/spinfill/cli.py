@@ -574,7 +574,7 @@ def main(argv=None):
     except MalformedInput as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (CertificationFailure, NotReducible, AssertionError) as exc:
+    except (CertificationFailure, NotReducible) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
     except SpinfillError as exc:

@@ -15,32 +15,40 @@ the white graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (Disconnected, MalformedInput, NonPlanar,
                      NotAlternating, NotReduced)
-from .graphs import MarkedGraph, _as_document, _dart_orbits, _is_int, _reach
+from .graphs import (Frozen, MarkedGraph, _as_document, _dart_orbits,
+                     _is_int, _reach)
 
 WHITE = "white"
 BLACK = "black"
 
 
-@dataclass(frozen=True, eq=False)
-class KnotDiagram:
-    crossings: tuple          # 4-tuples of arc ids
-    arcs: tuple               # sorted arc ids
-    regions: tuple            # per region, cyclic tuple of (crossing, corner) tokens
-    corner_region: tuple      # corner_region[c][s] = region at corner s of crossing c
-    marked_arc: object
-    marked_regions: tuple     # (region, region) flanking the marked arc
+class KnotDiagram(Frozen):
+    _fields = ("crossings", "arcs", "regions", "corner_region", "marked_arc",
+               "marked_regions")
+
+    def __init__(self, crossings, arcs, regions, corner_region, marked_arc,
+                 marked_regions):
+        # 4-tuples of arc ids; the sorted arc ids; per region, a cyclic
+        # tuple of (crossing, corner) tokens; corner_region[c][s] is the
+        # region at corner s of crossing c; the marked arc and the two
+        # regions flanking it
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "corner_region", corner_region)
+        object.__setattr__(self, "marked_arc", marked_arc)
+        object.__setattr__(self, "marked_regions", marked_regions)
 
     @property
     def n(self):
         return len(self.crossings)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     colors: tuple  # per region, WHITE or BLACK
 
     def color(self, region):

@@ -7,25 +7,36 @@ these results being exact.  Matrices are lists/tuples of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .errors import (DegenerateGraph, DimensionMismatch, NonSquare,
-                     NonSymmetric, Singular)
-from .graphs import MarkedGraph
+from .errors import (CertificationFailure, DegenerateGraph,
+                     DimensionMismatch, NonSquare, NonSymmetric, Singular)
+from .graphs import Frozen, MarkedGraph
 
 
-@dataclass(frozen=True)
-class GoeritzForm:
+class GoeritzForm(Frozen):
     """Laplacian of the white graph with the marked row/column deleted.
 
     matrix[i][i] = -deg(v_i) in the full graph, matrix[i][j] = number of
     edges between v_i and v_j; vertex_order lists the unmarked vertices.
+    Two forms are equal when their matrices and vertex orders are.
     """
-    matrix: tuple
-    vertex_order: tuple
+    _fields = ("matrix", "vertex_order")
+
+    def __init__(self, matrix, vertex_order):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "vertex_order", vertex_order)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.matrix == other.matrix
+                and self.vertex_order == other.vertex_order)
+
+    def __hash__(self):
+        return hash((self.matrix, self.vertex_order))
 
     @property
     def m(self):
@@ -173,7 +184,10 @@ def _characteristic_supports(matrix, labels):
     a = [[x & 1 for x in row] for row in matrix]
     b = [matrix[i][i] & 1 for i in range(len(matrix))]
     sol = gf2_affine_solutions(a, b)
-    assert sol is not None, "characteristic systems are always consistent"
+    if sol is None:
+        raise CertificationFailure(
+            "exactalg._characteristic_supports: M y = diag(M) has no GF(2) "
+            "solution (rank %d)" % len(matrix))
     particular, basis = sol
     out = []
     for mask in range(1 << len(basis)):

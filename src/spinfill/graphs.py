@@ -9,7 +9,6 @@ embedding in the oriented sphere.  Loops are not supported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import Disconnected, InvalidEmbedding, MalformedInput
@@ -17,25 +16,50 @@ from .errors import Disconnected, InvalidEmbedding, MalformedInput
 Dart = tuple  # (edge index, end)
 
 
-@dataclass(frozen=True, eq=False)
-class MarkedGraph:
-    vertices: tuple
-    edges: tuple  # (u, v, label)
-    marked: object = None
-    rotations: tuple | None = None  # per vertex, tuple of darts, ccw
+class Frozen:
+    """Base of the immutable plain classes.
 
-    def __post_init__(self):
-        seen = set(self.vertices)
-        if len(seen) != len(self.vertices):
+    __init__ sets each attribute once, through object.__setattr__, and
+    cached_property writes the instance dict; assigning or deleting an
+    attribute afterwards raises AttributeError.  Equality is identity
+    unless a subclass says otherwise.  _fields names the constructor
+    arguments, for the repr.
+    """
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class MarkedGraph(Frozen):
+    _fields = ("vertices", "edges", "marked", "rotations")
+
+    def __init__(self, vertices, edges, marked=None, rotations=None):
+        seen = set(vertices)
+        if len(seen) != len(vertices):
             raise MalformedInput("duplicate vertex ids")
-        if self.marked is not None and self.marked not in seen:
-            raise MalformedInput("marked vertex %r not in graph" % (self.marked,))
-        for u, v, _ in self.edges:
+        if marked is not None and marked not in seen:
+            raise MalformedInput("marked vertex %r not in graph" % (marked,))
+        for u, v, _ in edges:
             if u not in seen or v not in seen:
                 raise MalformedInput("edge endpoint not in vertex set")
             if u == v:
                 raise MalformedInput("loop edges are not supported")
-        if self.rotations is not None:
+        # edges are (u, v, label); rotations, per vertex, a tuple of
+        # darts, ccw
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "rotations", rotations)
+        if rotations is not None:
             _validate_rotations(self)
 
     @cached_property
@@ -300,6 +324,25 @@ def _edge_list(doc):
     return edges
 
 
+def _vertex_ids(doc):
+    """The 'vertices' entries of a document and their ids.
+
+    Each entry must be an object with an "id"; the entries are checked
+    one by one only to word the first fault.
+    """
+    entries = doc["vertices"]
+    if not isinstance(entries, list):
+        raise MalformedInput("'vertices' must be a list, got %r" % (entries,))
+    try:
+        return entries, tuple(v["id"] for v in entries)
+    except (TypeError, KeyError):
+        for i, v in enumerate(entries):
+            if not isinstance(v, dict) or "id" not in v:
+                raise MalformedInput('vertex entry %d must be an object '
+                                     'with an "id"' % i) from None
+        raise
+
+
 def _check_text(ids):
     """String ids are written out as UTF-8 text, which has no lone
     surrogates, though JSON can spell them."""
@@ -340,13 +383,11 @@ def parse_graph_doc(text):
     doc = _as_document(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise MalformedInput("graph document needs a 'vertices' list")
-    try:
-        vertices = tuple(v["id"] for v in doc["vertices"])
-        has_weights = any("weight" in v for v in doc["vertices"])
+    entries, vertices = _vertex_ids(doc)
+    weights = None
+    if any("weight" in v for v in entries):
         weights = tuple(_check_int(v.get("weight", 0), "weight")
-                        for v in doc["vertices"]) if has_weights else None
-    except (TypeError, KeyError) as exc:
-        raise MalformedInput("bad vertex list: %s" % exc) from exc
+                        for v in entries)
     _check_vertex_ids(vertices)
     edges = []
     signs = []

@@ -10,32 +10,40 @@ a zero-weight vertex of degree two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
-from .errors import (DegenerateGraph, InvalidFraction, MalformedInput,
-                     NotAccessibleByConstruction, NotATree, NotCoprime,
-                     NotExcessive, NotReducible)
-from .graphs import (MarkedGraph, _as_document, _blocks, _check_id,
-                     _check_int, _check_vertex_ids, _edge_list, _reach)
+from .errors import (CertificationFailure, DegenerateGraph, InvalidFraction,
+                     MalformedInput, NotAccessibleByConstruction, NotATree,
+                     NotCoprime, NotExcessive, NotReducible)
+from .graphs import (Frozen, MarkedGraph, _as_document, _blocks, _check_id,
+                     _check_int, _check_vertex_ids, _edge_list, _reach,
+                     _vertex_ids)
 
 
-@dataclass(frozen=True)
-class PlumbingTree:
-    vertices: tuple
-    weights: tuple
-    edges: tuple  # (u, v) pairs
-    # vertex -> weight, and vertex -> neighbors in edge-list order
-    _weight: dict = field(init=False, repr=False, compare=False)
-    _adj: dict = field(init=False, repr=False, compare=False)
+class PlumbingTree(Frozen):
+    """Two trees are equal when their vertices, weights and edges are."""
+    _fields = ("vertices", "weights", "edges")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.vertices):
+    def __init__(self, vertices, weights, edges):
+        if len(weights) != len(vertices):
             raise MalformedInput("one weight per vertex required")
-        object.__setattr__(self, "_weight",
-                           dict(zip(self.vertices, self.weights)))
-        object.__setattr__(self, "_adj",
-                           _check_tree(self.vertices, self.edges))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "edges", edges)  # (u, v) pairs
+        # vertex -> weight, and vertex -> neighbors in edge-list order
+        object.__setattr__(self, "_weight", dict(zip(vertices, weights)))
+        object.__setattr__(self, "_adj", _check_tree(vertices, edges))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertices == other.vertices
+                and self.weights == other.weights
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.weights, self.edges))
 
     def weight(self, v):
         return self._weight[v]
@@ -99,15 +107,14 @@ def parse_tree_doc(text) -> PlumbingTree:
     doc = _as_document(text)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise MalformedInput("tree document needs a 'vertices' list")
-    vertex_docs = doc["vertices"]
-    try:
-        vertices = tuple(v["id"] for v in vertex_docs)
-        weights = tuple(v.get("weight") for v in vertex_docs)
-        if not set(map(type, weights)) <= {int}:
+    vertex_docs, vertices = _vertex_ids(doc)
+    weights = tuple(v.get("weight") for v in vertex_docs)
+    if not set(map(type, weights)) <= {int}:
+        try:
             weights = tuple(_check_int(v["weight"], "weight")
                             for v in vertex_docs)
-    except (TypeError, KeyError) as exc:
-        raise MalformedInput("bad tree document: %s" % exc) from exc
+        except KeyError as exc:
+            raise MalformedInput("bad tree document: %s" % exc) from exc
     edges = _edge_list(doc)
     if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
             or all(isinstance(e, (list, tuple)) and len(e) == 2
@@ -135,8 +142,7 @@ def is_excessive(tree: PlumbingTree) -> bool:
                for v in tree.vertices)
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(NamedTuple):
     n1_ok: bool
     n1_violations: tuple    # vertices where a reduction move applies
     n2_ok: bool
@@ -321,8 +327,7 @@ def det_tree(tree: PlumbingTree) -> int:
     return tree._weight[root] * prod[root] - total[root]
 
 
-@dataclass(frozen=True)
-class PlumbedVerdict:
+class PlumbedVerdict(NamedTuple):
     status: str          # "yes" / "no" / "hypotheses-not-met"
     reason: str
     det: int
@@ -362,7 +367,9 @@ def neg_cf(p: int, q: int):
         a = -((-p) // q)  # ceil(p / q)
         out.append(a)
         p, q = q, a * q - p
-    assert all(a >= 2 for a in out)
+    if min(out) < 2:
+        raise CertificationFailure(
+            "plumbing.neg_cf: entry below 2 in %s" % (out,))
     return out
 
 
@@ -419,6 +426,8 @@ def accessible_witness(g: MarkedGraph, weights) -> MarkedGraph:
             next_label += 1
     out = MarkedGraph(tuple(g.vertices) + (hub,), tuple(edges), marked=hub)
     for v in g.vertices:
-        assert -out.degree(v) == wmap[v], \
-            "hub multiplicities must realize the weights on the diagonal"
+        if -out.degree(v) != wmap[v]:
+            raise CertificationFailure(
+                "plumbing.accessible_witness: Goeritz diagonal %d at vertex "
+                "%r is not its weight %d" % (-out.degree(v), v, wmap[v]))
     return out

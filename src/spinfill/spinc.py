@@ -14,9 +14,9 @@ equal d of conjugate states are certified on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .diagram import state_covectors
 from .errors import CertificationFailure, Disconnected, NotATree, Singular
@@ -26,8 +26,7 @@ from .graphs import MarkedGraph
 from .plumbing import PlumbingTree
 
 
-@dataclass(frozen=True)
-class SpinCClass:
+class SpinCClass(NamedTuple):
     canonical_key: tuple         # Hermite-reduced characteristic covector
     d: Fraction                  # correction term
     c1_class: tuple | None       # coker class when det is odd
@@ -37,14 +36,12 @@ class SpinCClass:
         return self.c1_class is not None and not any(self.c1_class)
 
 
-@dataclass(frozen=True)
-class CharSubgraph:
+class CharSubgraph(NamedTuple):
     vertices: tuple
     cut: int
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(NamedTuple):
     applicable: bool
     reason: str
     value: object = None
@@ -57,8 +54,7 @@ class BoundVerdict:
         return "OBSTRUCTED" if self.obstructed else "inconclusive"
 
 
-@dataclass(frozen=True)
-class CapEntry:
+class CapEntry(NamedTuple):
     vertices: tuple
     cut: int
     obstructed: bool
@@ -67,8 +63,7 @@ class CapEntry:
     ue_upper: Fraction | None = None    # b2 <= -8 mu
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     m: int
     det: int                           # |det G|, the number of spin-c classes
     matrix_det: int                    # det G itself
@@ -231,8 +226,10 @@ def _verify_characteristic(w: MarkedGraph, support):
             continue
         toward = sum(w.edges_between(v, u) for u in sset if u != v)
         e = toward + (w.degree(v) if v in sset else 0)
-        assert (e - w.degree(v)) % 2 == 0, \
-            "GF(2) solution fails the direct parity re-check"
+        if (e - w.degree(v)) % 2:
+            raise CertificationFailure(
+                "spinc._verify_characteristic: GF(2) solution %s fails the "
+                "direct parity re-check at vertex %r" % (list(support), v))
 
 
 def cut_size(w: MarkedGraph, vertices) -> int:
@@ -249,8 +246,10 @@ def _spin_defect(g: GoeritzForm, sub: CharSubgraph) -> Fraction:
     inside = set(sub.vertices)
     idx = [i for i, v in enumerate(g.vertex_order) if v in inside]
     mu = Fraction(-g.m - sum(g.matrix[i][j] for i in idx for j in idx), 8)
-    assert 8 * mu == sub.cut - g.m, \
-        "8 mu must equal cut minus vertex count for definite trees"
+    if 8 * mu != sub.cut - g.m:
+        raise CertificationFailure(
+            "spinc._spin_defect: 8 mu = %s is not cut - m = %d (subgraph %s)"
+            % (8 * mu, sub.cut - g.m, list(sub.vertices)))
     return mu
 
 
@@ -290,8 +289,11 @@ def obstruction_report(source) -> ObstructionReport:
         spin_d = sc.d
         spin_bound = math.floor(4 * spin_d)
 
-    assert special == any(not c.vertices for c in subs), \
-        "empty characteristic subgraph must coincide with specialness"
+    if special != any(not c.vertices for c in subs):
+        raise CertificationFailure(
+            "spinc.obstruction_report: the empty characteristic subgraph "
+            "must occur exactly when the graph is special (rank %d, det %d)"
+            % (m, det))
     nonempty = [c for c in subs if c.vertices]
 
     # The reduced graph, as a plumbing of its Goeritz form when a tree.

@@ -390,6 +390,25 @@ def test_non_scalar_ids_are_malformed(tmp_path, capsys):
     assert run_cli(["plumb", "check", tree], capsys)[0] == 2
 
 
+# vertex list -> stderr; the fault is the entry's, not Python's
+VERTEX_LIST_REFUSALS = [
+    (["a", "b"], 'error: vertex entry 0 must be an object with an "id"\n'),
+    ([1, True], 'error: vertex entry 0 must be an object with an "id"\n'),
+    ([{"id": 0}, {"weight": -2}],
+     'error: vertex entry 1 must be an object with an "id"\n'),
+    ({"id": 0}, "error: 'vertices' must be a list, got {'id': 0}\n"),
+]
+
+
+@pytest.mark.parametrize("vertices, message", VERTEX_LIST_REFUSALS)
+def test_vertex_list_refusals(vertices, message, tmp_path, capsys):
+    path = write_doc(tmp_path, "doc.json",
+                     {"vertices": vertices, "edges": [], "marked": 0})
+    for command in (["analyze"], ["--json", "mk1"], ["witness"],
+                    ["plumb", "check"]):
+        assert run_cli(command + [path], capsys) == (2, "", message), command
+
+
 def test_ids_must_be_unicode_text(tmp_path, capsys):
     # JSON spells a lone surrogate as "\ud800"; text output can't write it
     message = "error: id '\\ud800' is not valid Unicode text\n"
