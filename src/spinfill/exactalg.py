@@ -292,14 +292,30 @@ class OrbitKernel:
     share the denominators P = lcm of the leading minors and S = 2 det A,
     so with Q = P S every search center is C / Q for an integer C, and
     every partial cost is an integer over the fixed constant W Q^2.
-    One sweep gives the factors, adj(A) and det A; building the kernel
-    certifies G negative definite, else raises Singular.
+
+    The factors are taken in the elimination order `order`: the vertices
+    by degree (the diagonal of A), ties by index, so the vertex of
+    largest degree is eliminated last.  Its level, searched first, then
+    tends to get the largest Schur complement, which prunes the widest
+    part of the search.  One sweep of A in that order gives the factors,
+    det A and adj(A), and building the kernel certifies G negative
+    definite (Sylvester, on the pivots in that order), else raises
+    Singular.  pivots are the leading minors of A in elimination order;
+    adj and det are in vertex order.
     """
 
     def __init__(self, g: GoeritzForm):
-        self.m = g.m
-        pivots, low, self.adj = _sweep([[-x for x in row]
-                                        for row in g.matrix])
+        m = self.m = g.m
+        a = g.matrix
+        order = sorted(range(m), key=lambda i: (-a[i][i], i))
+        pivots, low, adj = _sweep([[-a[i][j] for j in order] for i in order])
+        # the swept adjugate is adj(A) with rows and columns in `order`
+        place = [0] * m
+        for k, i in enumerate(order):
+            place[i] = k
+        self.adj = tuple(tuple(adj[place[i]][place[j]] for j in range(m))
+                         for i in range(m))
+        self.order = tuple(order)
         self.pivots = pivots
         self.det = pivots[-1]
         p = math.lcm(*pivots)
@@ -312,7 +328,7 @@ class OrbitKernel:
                     for k, col in enumerate(low)]
         # W D[k]
         self.weight = [pivots[k] * (w // (pivots[k - 1] if k else 1))
-                       for k in range(self.m)]
+                       for k in range(m)]
         self.denominator = w * self.q * self.q
 
     def adj_norm(self, v) -> int:
@@ -322,43 +338,52 @@ class OrbitKernel:
     def min_cost(self, target):
         """W Q^2 min over integer y of (y - t)^T A (y - t), t = target / S.
 
-        Depth-first enumeration over the LDL cone with incumbent pruning;
-        per level the candidates zigzag outward from the real center, so
-        once both frontier candidates prune, the level is exhausted.
+        target is in vertex order.  Depth-first Schnorr-Euchner search
+        over the LDL cone with incumbent pruning, from level m - 1 down.
+        Per level the candidates come in order of distance from the
+        center C / Q: the nearest integer (2C + Q) // 2Q, then the two
+        sides in turn, nearer side first.  The cost of a candidate grows
+        with that distance and the incumbent only falls, so the first
+        pruned candidate ends the level.  At level 0 the nearest integer
+        alone is the optimum.
         """
         n, q, s = self.m, self.q, self.s
         low, weight = self.low, self.weight
+        target = [target[i] for i in self.order]
         centers = [self.p * x for x in target]
         shifts = [0] * n          # S z_j - target_j on the levels above
         best = None
 
         def search(level, partial):
             nonlocal best
-            if level < 0:
-                if best is None or partial < best:
-                    best = partial
-                return
             c = centers[level]
             row = low[level]
             for j in range(level + 1, n):
                 c -= row[j] * shifts[j]
             wl = weight[level]
+            z = (2 * c + q) // (2 * q)
+            r = q * z - c
+            cost = partial + wl * r * r
+            if best is not None and cost >= best:
+                return
+            if not level:
+                best = cost
+                return
             tl = target[level]
-            base = c // q
-            offset = 0
+            shifts[level] = s * z - tl
+            search(level - 1, cost)
+            # |r| <= Q / 2; z - 1 is the nearer side when r > 0
+            step = -1 if r > 0 else 1
+            k = step
             while True:
-                pruned = 0
-                for z in (base - offset, base + offset + 1):
-                    r = q * z - c
+                for y in (z + k, z - k):
+                    r = q * y - c
                     cost = partial + wl * r * r
-                    if best is not None and cost >= best:
-                        pruned += 1
-                        continue
-                    shifts[level] = s * z - tl
+                    if cost >= best:
+                        return
+                    shifts[level] = s * y - tl
                     search(level - 1, cost)
-                if pruned == 2:
-                    break
-                offset += 1
+                k += step
 
         search(n - 1, 0)
         return best

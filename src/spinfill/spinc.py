@@ -7,9 +7,10 @@ matrix.  Orbits get canonical keys by Hermite reduction, and
 characteristic subgraphs encode the spin structures.  The correction
 term is the exact orbit maximum of (q(v) + m) / 4: on PD input it is
 read off the Kauffman state covectors, which attain it (Greene), and on
-graph input a lattice search finds it, once per conjugate pair.  The
-box size, the state/class bijection, the conjugation pairing and the
-equal d of conjugate states are certified on every run.
+graph input a nearest-first lattice search (OrbitKernel.min_cost) finds
+it, once per conjugate pair.  The box size, the state/class bijection,
+the conjugation pairing and the equal d of conjugate states are
+certified on every run.
 """
 from __future__ import annotations
 
@@ -91,9 +92,11 @@ def d_invariant(g: GoeritzForm, covector) -> Fraction:
     Writing v = v0 + 2Gy turns the maximum of q(v) = v^T G^{-1} v over
     integer y into a closest vector problem for the positive form -G:
     the orbit maximum is -4 min_cost / denominator.  Each call is one
-    lattice search; enumerate_spinc makes one per conjugate pair of
-    classes on graph input and none on PD input, where the states carry
-    the maxima.
+    Schnorr-Euchner search over the kernel's LDL factors, taken in its
+    elimination order; the value is a reduced Fraction, so it does not
+    depend on that order.  enumerate_spinc makes one call per conjugate
+    pair of classes on graph input and none on PD input, where the
+    states carry the maxima.
     """
     kernel = g.kernel
     best = kernel.min_cost(matvec(kernel.adj, covector))
@@ -126,11 +129,11 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
     number of self-conjugate keys must be a power of two, exactly one
     when det is odd.
 
-    Without covectors (graph input) the d of a key is one lattice
-    search, one per conjugate pair.  covectors, when given (PD input),
-    lists one characteristic covector per Kauffman state.  Every state
-    covector attains the maximum of its orbit (Greene), so d is read off
-    it as (q(v) + m) / 4 with no search.  The states must biject onto
+    Without covectors (graph input) the d of a key is one nearest-first
+    lattice search (d_invariant), one per conjugate pair.  covectors,
+    when given (PD input), lists one characteristic covector per Kauffman
+    state.  Every state covector attains the maximum of its orbit
+    (Greene), so d is read off it as (q(v) + m) / 4 with no search.  The states must biject onto
     the keys, and the states of a class and of its conjugate must give
     the same d.
     """

@@ -3,7 +3,8 @@
 None of these run on a library path: they are independent oracles the
 tests compare the library against (spanning-tree counts, determinants
 and adjugates, isomorphism, rational solves, orbit maxima and the d
-table by one lattice search per class, the Kauffman states as region
+table by one lattice search per class in the vertex-order kernel, the
+Kauffman states as region
 assignments with a covector per state, the Kaplan filling by explicit
 blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
 by face tracing, tree validation edge by edge, the f >= 9 m Furuta
@@ -12,6 +13,7 @@ rule) and seeded generators of test inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -27,7 +29,7 @@ from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
 from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
                              _reach, bridges, euler_check, trace_faces)
 from spinfill.plumbing import PlumbingTree
-from spinfill.spinc import canonical_key, d_invariant
+from spinfill.spinc import canonical_key
 
 
 def spanning_tree_count(graph: MarkedGraph) -> int:
@@ -189,21 +191,133 @@ def box_keys(g: GoeritzForm):
     return sorted({canonical_key(g, v) for v in box})
 
 
+def _sweep(a):
+    """One fraction-free Gauss-Jordan pass (Bareiss) over [a | I], a = -G.
+
+    Returns (pivots, low, adj): pivots[k] is the leading minor of order
+    k + 1 (the last is det a), low[k] is column k below the pivot at step
+    k (zeros above), and the right block ends as adj(a).  Raises Singular
+    at the first pivot <= 0: by Sylvester's criterion a is positive
+    definite exactly when every leading minor is positive, so no row
+    swap is ever needed.
+    """
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    low = []
+    pivots = []
+    prev = 1
+    for k in range(n):
+        p = rows[k][k]
+        if p <= 0:
+            raise Singular("leading minor %d of -G is %d" % (k + 1, p))
+        pivots.append(p)
+        low.append([0] * (k + 1) + [rows[i][k] for i in range(k + 1, n)])
+        pivot_row = rows[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev
+                           for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    return pivots, low, tuple(tuple(row[n:]) for row in rows)
+
+
+class ZigzagKernel:
+    """Closest-vector data of one Goeritz form, factored in vertex order.
+
+    The library's OrbitKernel before it took an elimination order and a
+    nearest-first search, kept as the certifier of that search.  For
+    A = -G the orbit maximum of v is -4 min_y (y - t)^T A (y - t) with
+    t = adj(A) v / (2 det A).  The LDL^T factors of A and the target
+    share the denominators P = lcm of the leading minors and S = 2 det A,
+    so with Q = P S every search center is C / Q for an integer C, and
+    every partial cost is an integer over the fixed constant W Q^2.
+    """
+
+    def __init__(self, g: GoeritzForm):
+        self.m = g.m
+        pivots, low, self.adj = _sweep([[-x for x in row]
+                                        for row in g.matrix])
+        self.pivots = pivots
+        self.det = pivots[-1]
+        p = math.lcm(*pivots)
+        w = math.lcm(*pivots[:-1])
+        self.p = p
+        self.s = 2 * self.det
+        self.q = p * self.s
+        # P L[j][k] = P low[k][j] / pivots[k], read by level k
+        self.low = [[x * (p // pivots[k]) for x in col]
+                    for k, col in enumerate(low)]
+        # W D[k]
+        self.weight = [pivots[k] * (w // (pivots[k - 1] if k else 1))
+                       for k in range(self.m)]
+        self.denominator = w * self.q * self.q
+
+    def min_cost(self, target):
+        """W Q^2 min over integer y of (y - t)^T A (y - t), t = target / S.
+
+        Depth-first enumeration over the LDL cone with incumbent pruning;
+        per level the candidates zigzag outward from the real center, so
+        once both frontier candidates prune, the level is exhausted.
+        """
+        n, q, s = self.m, self.q, self.s
+        low, weight = self.low, self.weight
+        centers = [self.p * x for x in target]
+        shifts = [0] * n          # S z_j - target_j on the levels above
+        best = None
+
+        def search(level, partial):
+            nonlocal best
+            if level < 0:
+                if best is None or partial < best:
+                    best = partial
+                return
+            c = centers[level]
+            row = low[level]
+            for j in range(level + 1, n):
+                c -= row[j] * shifts[j]
+            wl = weight[level]
+            tl = target[level]
+            base = c // q
+            offset = 0
+            while True:
+                pruned = 0
+                for z in (base - offset, base + offset + 1):
+                    r = q * z - c
+                    cost = partial + wl * r * r
+                    if best is not None and cost >= best:
+                        pruned += 1
+                        continue
+                    shifts[level] = s * z - tl
+                    search(level - 1, cost)
+                if pruned == 2:
+                    break
+                offset += 1
+
+        search(n - 1, 0)
+        return best
+
+    def orbit_max_q(self, covector) -> Fraction:
+        return Fraction(-4 * self.min_cost(matvec(self.adj, covector)),
+                        self.denominator)
+
+
 def orbit_max_q(g: GoeritzForm, covector) -> Fraction:
     """Exact max of v^T G^{-1} v over the orbit of a covector.
 
     Writing v = v0 + 2Gy turns the maximum over integer y into a closest
-    vector problem for the positive form -G.
+    vector problem for the positive form -G, solved by ZigzagKernel.
     """
-    kernel = g.kernel
-    best = kernel.min_cost(matvec(kernel.adj, covector))
-    return Fraction(-4 * best, kernel.denominator)
+    return ZigzagKernel(g).orbit_max_q(covector)
 
 
 def d_by_search(g: GoeritzForm):
-    """d of every spin-c class by its own lattice search, keyed by
-    box_keys: the per-class table, without the conjugation pairing."""
-    return {key: d_invariant(g, key) for key in box_keys(g)}
+    """d = (q + m) / 4 of every spin-c class by its own ZigzagKernel
+    search, keyed by box_keys: the per-class table, without the
+    conjugation pairing and independent of the library's search."""
+    kernel = ZigzagKernel(g)
+    return {key: (kernel.orbit_max_q(key) + g.m) / 4 for key in box_keys(g)}
 
 
 def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):

@@ -45,16 +45,28 @@ def build_records():
     }
 
 
-def test_cli_import_generates_no_dataclass_code():
-    src = str(SRC.parent)
+def modules_after(statement):
+    """Names in sys.modules after running statement in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys; sys.path.insert(0, %r); import spinfill.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-         % src],
+         "import sys; sys.path.insert(0, %r); %s; print(*sys.modules)"
+         % (str(SRC.parent), statement)],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.split())
+
+
+def test_cli_import_generates_no_dataclass_code():
+    loaded = modules_after("import spinfill.cli")
+    assert not {"dataclasses", "inspect"} & loaded
+    # the front end still loads the whole library up front
+    assert {"spinfill." + p.stem for p in SRC.glob("[!_]*.py")} <= loaded
+
+
+def test_library_import_leaves_the_cli_out():
+    loaded = modules_after("import spinfill.graphs")
+    assert "spinfill.graphs" in loaded
+    assert not {"argparse", "spinfill.cli"} & loaded
 
 
 @pytest.mark.parametrize("name", sorted(build_records()))

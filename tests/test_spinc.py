@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinfill.diagram import (diagram_from_plane_graph, parse_pd,
                               state_covectors)
 from spinfill.errors import CertificationFailure, Singular
-from spinfill.exactalg import GoeritzForm, goeritz, signature
+from spinfill.exactalg import GoeritzForm, goeritz, matvec, signature
 from spinfill.graphs import parse_graph_doc
 from spinfill.plumbing import PlumbingTree, linear_tree
 from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
@@ -17,9 +17,9 @@ from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
-from oracles import (box_keys, d_by_search, det_exact, furuta_check,
-                     gen_plane_multigraph, mu_bar, orbit_max_q, quadform_q,
-                     same_class)
+from oracles import (ZigzagKernel, box_keys, d_by_search, det_exact,
+                     furuta_check, gen_plane_multigraph, mu_bar, orbit_max_q,
+                     quadform_q, same_class)
 from test_golden import corpus
 
 
@@ -383,6 +383,42 @@ def test_paired_table_matches_search(seed, medial):
     assert len(spin) == len(characteristic_subgraphs(w, g))
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_search_matches_vertex_order_oracle(seed):
+    # graph input up to rank 8 and |det| in the hundreds: the library's
+    # nearest-first search in elimination order against the oracle's
+    # zigzag in vertex order, class by class
+    rng = random.Random(seed)
+    g = goeritz(gen_plane_multigraph(rng, rng.randint(2, 9),
+                                     rng.randint(0, 9)))
+    assert {c.canonical_key: c.d for c in enumerate_spinc(g)} == \
+        d_by_search(g)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_min_cost_matches_oracle_on_skewed_forms(seed):
+    # Gram matrices B^T B of random bases are far from diagonal, unlike
+    # Goeritz forms, so the optimum often lies off the nearest-plane path
+    # and a search that cuts a level short is caught
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    g = GoeritzForm(tuple(tuple(-sum(r[i] * r[j] for r in b)
+                                for j in range(n)) for i in range(n)),
+                    tuple(range(n)))
+    try:
+        kernel = g.kernel
+    except Singular:
+        return
+    oracle = ZigzagKernel(g)
+    for _ in range(5):
+        v = [rng.randint(-30, 30) for _ in range(n)]
+        assert Fraction(-4 * kernel.min_cost(matvec(kernel.adj, v)),
+                        kernel.denominator) == oracle.orbit_max_q(v)
+
+
 @st.composite
 def symmetric_forms(draw):
     """Symmetric integer matrices, shifted down the diagonal so that
@@ -408,9 +444,15 @@ def test_kernel_pivots_certify_definiteness(g):
     except Singular:
         assert not definite
     else:
+        # the leading minors of -G in the kernel's elimination order:
+        # by degree, the largest last, ties by index
+        order = kernel.order
+        assert sorted(order) == list(range(n))
+        assert list(order) == sorted(range(n), key=lambda i: (a[i][i], i))
+        swept = [[a[i][j] for j in order] for i in order]
         pivots = kernel.pivots
         assert definite and all(p > 0 for p in pivots)
-        assert pivots == [det_exact([row[:k] for row in a[:k]])
+        assert pivots == [det_exact([row[:k] for row in swept[:k]])
                           for k in range(1, n + 1)]
         assert pivots[-1] == kernel.det == det_exact(a)
         assert [[sum(x * y for x, y in zip(row, col))
