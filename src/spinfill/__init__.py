@@ -1,9 +1,9 @@
 """Branched-double-cover invariants of alternating links.
 
-Computes checkerboard graphs and Goeritz forms from PD codes, spin-c
-classes and correction terms of the double branched cover, spin-filling
-obstructions, a graph-level handle-slide simulator, and plumbing-tree
-normal forms.
+Computes the white checkerboard graph and Goeritz form of a PD code,
+spin-c classes and correction terms of the double branched cover,
+spin-filling obstructions, a graph-level handle-slide simulator, and
+plumbing-tree normal forms.
 
 The package imports none of its modules, so a library import such as
 ``import spinfill.graphs`` loads only what that module needs, and not the

@@ -41,7 +41,9 @@ def _load(path):
 
 def _doc_kind(text):
     doc = _as_document(text)
-    if isinstance(doc, list) or (isinstance(doc, dict) and "pd" in doc):
+    if isinstance(doc, list):
+        doc = {"pd": doc}
+    if isinstance(doc, dict) and "pd" in doc:
         return "diagram", doc
     if isinstance(doc, dict) and "vertices" in doc:
         return "graph", doc
@@ -134,8 +136,6 @@ def _mk1_section(link, subsets):
 def _analyze(doc, kind, mark=None, with_mk1=False):
     report = {}
     if kind == "diagram":
-        if isinstance(doc, list):
-            doc = {"pd": doc}
         if mark is not None:
             try:
                 doc = dict(doc, marked_arc=int(mark))
@@ -384,9 +384,7 @@ def cmd_obstruct(args, out):
 def cmd_mk1(args, out):
     kind, doc = _doc_kind(_load(args.file))
     if kind == "diagram":
-        kd = _diagram.parse_pd(doc)
-        col = _diagram.checkerboard(kd)
-        white, _ = _diagram.tait_graphs(kd, col)
+        white = _diagram.white_graph(_diagram.parse_pd(doc))
         link = _chainmail.build_chainmail(white)
     else:
         link = _chainmail.build_chainmail(doc)

@@ -4,9 +4,11 @@ A crossing is a 4-tuple of arc ids listed counterclockwise starting at
 the incoming under-strand, so slots 0/2 are the under-strand ends and
 slots 1/3 the over-strand ends.  Corner s of a crossing is the quadrant
 between slot s and slot s+1.  The checkerboard convention used
-throughout colors corners 0 and 2 white and corners 1 and 3 black; for
-an alternating diagram exactly one of the two proper face colorings
-satisfies this at every crossing.
+throughout colors corners 0 and 2 white and corners 1 and 3 black; on
+an alternating diagram every region sweeps corners of one parity, so
+the white graph is read straight off the traced regions.  The black
+graph is the white graph of the mirror, which lists each crossing from
+the next slot.
 
 The regions of the diagram are recovered purely combinatorially by
 tracing the faces of the rotation system implied by tuple order.  The
@@ -15,15 +17,10 @@ the white graph.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import (Disconnected, MalformedInput, NonPlanar,
                      NotAlternating, NotReduced)
 from .graphs import (Frozen, MarkedGraph, _as_document, _dart_orbits,
                      _is_int, _reach)
-
-WHITE = "white"
-BLACK = "black"
 
 
 class KnotDiagram(Frozen):
@@ -46,16 +43,6 @@ class KnotDiagram(Frozen):
     @property
     def n(self):
         return len(self.crossings)
-
-
-class Coloring(NamedTuple):
-    colors: tuple  # per region, WHITE or BLACK
-
-    def color(self, region):
-        return self.colors[region]
-
-    def regions_of(self, color):
-        return tuple(i for i, c in enumerate(self.colors) if c == color)
 
 
 def parse_pd(text) -> KnotDiagram:
@@ -147,56 +134,26 @@ def parse_pd(text) -> KnotDiagram:
     )
 
 
-def checkerboard(diagram: KnotDiagram) -> Coloring:
-    """The unique proper 2-coloring with corners 0/2 white everywhere:
-    on an alternating diagram each region sweeps corners of one parity."""
-    colors = []
-    for r, corners in enumerate(diagram.regions):
-        found = {BLACK if s % 2 else WHITE for (_, s) in corners}
-        if len(found) != 1:
-            raise NotAlternating(
-                "region %d sweeps corners of both colors" % r)
-        colors.append(found.pop())
-    return Coloring(tuple(colors))
+def white_graph(diagram: KnotDiagram) -> MarkedGraph:
+    """The white checkerboard graph, as an embedded multigraph.
 
-
-def tait_graphs(diagram: KnotDiagram, coloring: Coloring):
-    """The white and black checkerboard graphs, as embedded multigraphs.
-
-    Vertices are the regions of one color, one edge per crossing joining
-    the two same-colored corners there; the rotation at a region is its
-    traced boundary.  The marked vertices are the two regions flanking
-    the marked arc.
+    The white regions are those whose corners are even; parse_pd's
+    alternation check keeps the parity constant along each region.  One
+    edge per crossing joins its corners 0 and 2, the rotation at a
+    region is its traced boundary, and the marked vertex is the white
+    region flanking the marked arc.
     """
-    out = []
-    for color, slots in ((WHITE, (0, 2)), (BLACK, (1, 3))):
-        verts = coloring.regions_of(color)
-        edges = []
-        for c in range(diagram.n):
-            a = diagram.corner_region[c][slots[0]]
-            b = diagram.corner_region[c][slots[1]]
-            if a == b:
-                raise NotReduced("crossing %d gives a loop edge" % c)
-            edges.append((a, b, c))
-        marked = next(r for r in diagram.marked_regions
-                      if coloring.color(r) == color)
-        rotations = []
-        for r in verts:
-            rot = []
-            for (c, s) in diagram.regions[r]:
-                # The traced dart (c, s) sweeps corner s at this region.
-                end = 0 if s == slots[0] else 1
-                if s not in slots:
-                    raise NotReduced("region color mismatch at crossing %d" % c)
-                rot.append((c, end))
-            rotations.append(tuple(rot))
-        out.append(MarkedGraph(
-            vertices=verts,
-            edges=tuple(edges),
-            marked=marked,
-            rotations=tuple(rotations),
-        ))
-    return out[0], out[1]
+    regions, reg = diagram.regions, diagram.corner_region
+    verts = tuple(r for r, corners in enumerate(regions)
+                  if corners[0][1] % 2 == 0)
+    return MarkedGraph(
+        vertices=verts,
+        edges=tuple((reg[c][0], reg[c][2], c) for c in range(diagram.n)),
+        marked=next(r for r in diagram.marked_regions if r in verts),
+        # the traced dart (c, s) sweeps corner s, edge end s // 2
+        rotations=tuple(tuple((c, s // 2) for c, s in regions[r])
+                        for r in verts),
+    )
 
 
 def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
@@ -243,7 +200,7 @@ def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
 
 def state_covectors(diagram: KnotDiagram):
     """The white graph and the covectors of kauffman_states, in order."""
-    white, _ = tait_graphs(diagram, checkerboard(diagram))
+    white = white_graph(diagram)
     return white, kauffman_states(diagram, white)
 
 

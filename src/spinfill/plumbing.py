@@ -203,13 +203,12 @@ def check_normal_form(tree: PlumbingTree) -> NormalFormReport:
     )
 
 
-def reduce_normal_form(tree: PlumbingTree, rng=None):
+def reduce_normal_form(tree: PlumbingTree):
     """Apply reduction moves until none applies.
 
-    Deterministic first-move order unless an rng is supplied, in which
-    case applicable moves are picked at random (used for confluence
-    testing).  Every move removes at least one vertex, so termination is
-    structural; NotReducible guards the loop against bugs.
+    Moves are taken in vertex position order.  Every move removes at
+    least one vertex, so termination is structural; NotReducible guards
+    the loop against bugs.
 
     Edges carry ids in the order of the edge list (an edge rewired by an
     absorption keeps its id, a new one gets the next id), so the output
@@ -240,17 +239,11 @@ def reduce_normal_form(tree: PlumbingTree, rng=None):
 
     heap = [(pos[v], v) for v in tree.vertices if kind_at(v)]
     for _ in range(2 * len(tree.vertices) + 1):
-        if rng is None:
-            while heap and not kind_at(heap[0][1]):
-                heapq.heappop(heap)
-            if not heap:
-                break
-            v = heap[0][1]
-        else:
-            moves = sorted({entry for entry in heap if kind_at(entry[1])})
-            if not moves:
-                break
-            v = moves[rng.randrange(len(moves))][1]
+        while heap and not kind_at(heap[0][1]):
+            heapq.heappop(heap)
+        if not heap:
+            break
+        v = heap[0][1]
         kind = kind_at(v)
         if kind == "delete-unit":
             touched = ()

@@ -18,12 +18,11 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from spinfill.diagram import (checkerboard, diagram_from_plane_graph,
-                              parse_pd, tait_graphs)
+from spinfill.diagram import diagram_from_plane_graph, parse_pd, white_graph
 from spinfill.graphs import MarkedGraph
 from spinfill.spinc import canonical_key
 
-from oracles import gen_plane_multigraph, quadform_q
+from oracles import black_graph, gen_plane_multigraph, quadform_q
 
 # Alternating table diagrams (PD convention: counterclockwise from the
 # incoming under-strand).  Verified against their known determinants.
@@ -182,9 +181,8 @@ def count_calls(monkeypatch):
 
 
 def white_data(kd):
-    col = checkerboard(kd)
-    white, black = tait_graphs(kd, col)
-    return col, white, black
+    """The white and black graphs of a diagram."""
+    return white_graph(kd), black_graph(kd)
 
 
 def brute_force_class_maxima(gform, bound=None):

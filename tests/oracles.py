@@ -8,7 +8,8 @@ Kauffman states as region
 assignments with a covector per state, the Kaplan filling by explicit
 blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
 by face tracing, tree validation edge by edge, the f >= 9 m Furuta
-rule) and seeded generators of test inputs.
+rule, the checkerboard coloring by search, the black graph as the white
+graph of the mirror) and seeded generators of test inputs.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from itertools import product
 
 from spinfill.chainmail import (ChainmailLink, FillingStats,
                                 is_characteristic, mk1_run)
-from spinfill.diagram import BLACK, WHITE, Coloring, KnotDiagram
+from spinfill.diagram import KnotDiagram, parse_pd, white_graph
 from spinfill.errors import (DimensionMismatch, Disconnected,
                              MalformedInput, NonNegativeFraming, NonPlanar,
                              NotAlternating, NotATree, NotCharacteristic,
@@ -568,6 +569,18 @@ def random_excessive_tree(rng, n, extra=3):
     return PlumbingTree(base.vertices, weights, base.edges)
 
 
+def shuffled_tree(rng, tree: PlumbingTree) -> PlumbingTree:
+    """The same tree with its vertex order (weights permuted to match)
+    and its edge list shuffled.  The reduction engine takes moves in
+    vertex position order, so the shuffle changes the move order."""
+    order = list(range(len(tree.vertices)))
+    rng.shuffle(order)
+    edges = list(tree.edges)
+    rng.shuffle(edges)
+    return PlumbingTree(tuple(tree.vertices[i] for i in order),
+                        tuple(tree.weights[i] for i in order), tuple(edges))
+
+
 def intersection_matrix(tree: PlumbingTree):
     n = len(tree.vertices)
     idx = {v: i for i, v in enumerate(tree.vertices)}
@@ -607,11 +620,12 @@ def mu_bar(tree, c_vertices) -> Fraction:
     return mu
 
 
-def checkerboard_bfs(diagram: KnotDiagram) -> Coloring:
-    """The unique proper 2-coloring with corners 0/2 white everywhere."""
+def checkerboard_bfs(diagram: KnotDiagram) -> tuple:
+    """The white regions of the unique proper 2-coloring with corners
+    0/2 white everywhere, in region order."""
     nreg = len(diagram.regions)
-    colors = [None] * nreg
-    colors[diagram.corner_region[0][0]] = WHITE
+    white = [None] * nreg
+    white[diagram.corner_region[0][0]] = True
     # Adjacent regions (across any arc) get opposite colors.
     stack = [diagram.corner_region[0][0]]
     adjacency = {i: set() for i in range(nreg)}
@@ -623,34 +637,38 @@ def checkerboard_bfs(diagram: KnotDiagram) -> Coloring:
             adjacency[b].add(a)
     while stack:
         r = stack.pop()
-        nxt = WHITE if colors[r] == BLACK else BLACK
         for w in adjacency[r]:
-            if colors[w] is None:
-                colors[w] = nxt
+            if white[w] is None:
+                white[w] = not white[r]
                 stack.append(w)
-            elif colors[w] == colors[r]:
+            elif white[w] == white[r]:
                 raise NonPlanar("regions are not checkerboard colorable")
-    coloring = Coloring(tuple(colors))
-    if not convention_ok(diagram, coloring):
+    regions = tuple(r for r in range(nreg) if white[r])
+    if not convention_ok(diagram, regions):
         # A validated alternating diagram always satisfies the convention
         # in exactly one of the two proper colorings.
         raise NotAlternating("no coloring matches the crossing convention")
-    return coloring
+    return regions
 
 
-def convention_ok(diagram: KnotDiagram, coloring: Coloring) -> bool:
-    """True when every crossing has white at corners 0 and 2."""
-    for c in range(diagram.n):
-        reg = diagram.corner_region[c]
-        if coloring.color(reg[0]) != WHITE or coloring.color(reg[2]) != WHITE:
-            return False
-        if coloring.color(reg[1]) != BLACK or coloring.color(reg[3]) != BLACK:
-            return False
-    return True
+def convention_ok(diagram: KnotDiagram, white) -> bool:
+    """True when every crossing has the white regions at corners 0 and 2
+    and no white region at corners 1 and 3."""
+    return all(reg[0] in white and reg[2] in white
+               and reg[1] not in white and reg[3] not in white
+               for reg in diagram.corner_region)
 
 
-def swap_colors(coloring: Coloring) -> Coloring:
-    return Coloring(tuple(WHITE if c == BLACK else BLACK for c in coloring.colors))
+def mirror(diagram: KnotDiagram) -> KnotDiagram:
+    """The mirror diagram: every crossing listed from the next slot,
+    which swaps over and under, with the same marked arc."""
+    return parse_pd({"pd": [t[1:] + t[:1] for t in diagram.crossings],
+                     "marked_arc": diagram.marked_arc})
+
+
+def black_graph(diagram: KnotDiagram) -> MarkedGraph:
+    """The black checkerboard graph: the white graph of the mirror."""
+    return white_graph(mirror(diagram))
 
 
 def kauffman_state_assignments(diagram: KnotDiagram):

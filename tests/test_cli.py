@@ -518,7 +518,7 @@ def test_main_calls_are_independent(capsys):
 def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
     calls = count_calls(exactalg.goeritz, spinc.canonical_key,
                         exactalg.signature, exactalg.hnf_basis,
-                        diagram.checkerboard, diagram.kauffman_states,
+                        diagram.white_graph, diagram.kauffman_states,
                         MarkedGraph.without_vertex)
     inputs = {
         "diagram": write_doc(tmp_path, "fig8.json",
@@ -537,12 +537,16 @@ def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
             # the class keys are the Hermite box; only states are reduced
             assert calls["canonical_key"] == (
                 len(json.loads(out)["spinc"]) if states else 0), kind
-            assert calls["checkerboard"] == calls["kauffman_states"] \
+            assert calls["white_graph"] == calls["kauffman_states"] \
                 == states, kind
             # the tree is read off the form; only the link deletes a vertex
             assert calls["without_vertex"] == len(extra), (kind, extra)
             if not extra:
                 assert calls["signature"] == 0, kind
+    # mk1 on a diagram slides on its one white graph
+    calls.update(dict.fromkeys(calls, 0))
+    code, _, _ = run_cli(["--json", "mk1", inputs["diagram"]], capsys)
+    assert code == 0 and calls["white_graph"] == 1
 
 
 def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):

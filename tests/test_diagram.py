@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.diagram import (checkerboard, diagram_from_plane_graph,
-                              kauffman_states, parse_pd, state_covectors,
-                              tait_graphs)
+from spinfill.diagram import (diagram_from_plane_graph, kauffman_states,
+                              parse_pd, state_covectors, white_graph)
 from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
                              NotAlternating, NotReduced)
 from spinfill.exactalg import goeritz
@@ -15,8 +14,8 @@ from spinfill.spinc import enumerate_spinc
 from conftest import PD_CODES, banana_graph, white_data
 from oracles import (checkerboard_bfs, convention_ok, det_exact,
                      gen_plane_multigraph, is_special,
-                     kauffman_state_assignments, multigraph_isomorphic,
-                     state_covector, swap_colors)
+                     kauffman_state_assignments, mirror,
+                     multigraph_isomorphic, state_covector)
 
 TREFOIL = PD_CODES["trefoil"]
 
@@ -29,12 +28,28 @@ def test_parse_counts():
     assert kd.marked_arc == 1
 
 
-def test_parse_rejects_flipped_crossing():
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_parse_rejects_flipped_crossing(seed):
     # cyclically rotating one tuple keeps the projection but swaps the
     # over-strand at that crossing, breaking alternation
     bad = [[4, 2, 5, 1]] + TREFOIL[1:]
     with pytest.raises(NotAlternating):
         parse_pd({"pd": bad})
+    # so does rotating any nonempty proper subset of a connected
+    # diagram's crossings; rotating all of them gives the mirror, and
+    # every region of it sweeps corners of one parity
+    rng = random.Random(seed)
+    g = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 6),
+                             bridgeless=True)
+    pd = diagram_from_plane_graph(g)["pd"]
+    flipped = set(rng.sample(range(len(pd)), rng.randint(1, len(pd) - 1)))
+    with pytest.raises(NotAlternating):
+        parse_pd({"pd": [t[1:] + t[:1] if c in flipped else t
+                         for c, t in enumerate(pd)]})
+    kd = parse_pd({"pd": [t[1:] + t[:1] for t in pd]})
+    assert all(len({s % 2 for _, s in corners}) == 1
+               for corners in kd.regions)
 
 
 def test_parse_rejects_empty():
@@ -79,21 +94,20 @@ def test_marked_arc_override():
 
 def test_checkerboard_unique_convention():
     kd = parse_pd({"pd": TREFOIL})
-    col = checkerboard(kd)
-    assert convention_ok(kd, col)
-    assert not convention_ok(kd, swap_colors(col))
+    white = set(white_graph(kd).vertices)
+    assert convention_ok(kd, white)
+    assert not convention_ok(kd, set(range(len(kd.regions))) - white)
     # adjacent regions across every arc differ in color
     for c in range(kd.n):
         for s in range(4):
             a = kd.corner_region[c][s]
             b = kd.corner_region[c][(s + 1) % 4]
-            assert col.color(a) != col.color(b)
+            assert (a in white) != (b in white)
 
 
 def test_trefoil_tait_shapes():
     kd = parse_pd({"pd": TREFOIL})
-    col = checkerboard(kd)
-    white, black = tait_graphs(kd, col)
+    white, black = white_data(kd)
     assert sorted(white.degrees.values()) == [2, 2, 2]
     assert len(white.vertices) == 3 and len(white.edges) == 3
     assert len(black.vertices) == 2 and len(black.edges) == 3
@@ -102,8 +116,7 @@ def test_trefoil_tait_shapes():
 
 def test_mirror_swaps_shapes():
     kd = parse_pd({"pd": PD_CODES["trefoil_mirror"]})
-    col = checkerboard(kd)
-    white, black = tait_graphs(kd, col)
+    white, black = white_data(kd)
     assert len(white.vertices) == 2 and sorted(white.degrees.values()) == [3, 3]
     assert len(black.vertices) == 3
     assert not is_special(white, black)
@@ -111,27 +124,26 @@ def test_mirror_swaps_shapes():
 
 def test_hopf_reduced_white():
     kd = parse_pd({"pd": PD_CODES["hopf"]})
-    col = checkerboard(kd)
-    white, black = tait_graphs(kd, col)
-    g = goeritz(white)
+    g = goeritz(white_graph(kd))
     assert g.matrix == ((-2,),)
 
 
 def test_counts_all(all_diagrams):
     for name, kd in all_diagrams:
-        col, white, black = white_data(kd)
+        mirrored = mirror(kd)
+        white, black = white_graph(kd), white_graph(mirrored)
         n = kd.n
         assert len(kd.regions) == n + 2, name
         assert len(white.edges) == n and len(black.edges) == n, name
         assert len(white.vertices) + len(black.vertices) == n + 2, name
         # marked vertices flank the marked arc
         assert white.marked in kd.marked_regions
-        assert black.marked in kd.marked_regions
+        assert black.marked in mirrored.marked_regions
 
 
 def test_state_count_equals_det(all_diagrams):
     for name, kd in all_diagrams:
-        _, white, _ = white_data(kd)
+        white = white_graph(kd)
         g = goeritz(white)
         covectors = kauffman_states(kd, white)
         assert len(covectors) == abs(det_exact(g.matrix)), name
@@ -148,7 +160,7 @@ def test_state_count_equals_det(all_diagrams):
 
 def test_covector_parity_and_balance(all_diagrams):
     for name, kd in all_diagrams:
-        _, white, _ = white_data(kd)
+        white = white_graph(kd)
         g = goeritz(white)
         marked_degree = white.degree(white.marked)
         for vec in kauffman_states(kd, white):
@@ -161,7 +173,7 @@ def test_covector_parity_and_balance(all_diagrams):
 
 
 def assert_walk_matches_oracle(kd):
-    _, white, _ = white_data(kd)
+    white = white_graph(kd)
     assert kauffman_states(kd, white) == \
         [state_covector(kd, a, white) for a in kauffman_state_assignments(kd)]
 
@@ -188,7 +200,7 @@ def test_special_examples(all_diagrams):
                 "figure_eight": False, "special44": True, "path_hub": False}
     got = {}
     for name, kd in all_diagrams:
-        col, white, black = white_data(kd)
+        white, black = white_data(kd)
         got[name] = is_special(white, black)
     for name, val in expected.items():
         assert got[name] == val, name
@@ -231,7 +243,7 @@ def test_medial_round_trip():
         g = gen_plane_multigraph(rng, rng.randint(2, 6), rng.randint(1, 5),
                                  marked=True, bridgeless=True)
         kd = parse_pd(diagram_from_plane_graph(g))
-        col, white, _ = white_data(kd)
+        white = white_graph(kd)
         assert multigraph_isomorphic(white, g, respect_marked=True)
 
 
@@ -248,6 +260,6 @@ def test_checkerboard_matches_bfs_oracle(seed):
     g = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 6),
                              bridgeless=True)
     kd = parse_pd(diagram_from_plane_graph(g))
-    col = checkerboard(kd)
-    assert col == checkerboard_bfs(kd)
-    assert convention_ok(kd, col)
+    white = white_graph(kd).vertices
+    assert checkerboard_bfs(kd) == white
+    assert convention_ok(kd, white)

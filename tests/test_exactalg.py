@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spinfill.diagram import white_graph
 from spinfill.errors import Disconnected, NonSquare, NonSymmetric, Singular
 from spinfill.exactalg import (gf2_affine_solutions, goeritz, hnf_basis,
                                hnf_reduce, matvec, signature)
 from spinfill.graphs import MarkedGraph
 
 from conftest import (banana_graph, special44_graph, path_hub_graph,
-                      two33_graph, white_data)
+                      two33_graph)
 from oracles import (adjugate, det_exact, gen_plane_multigraph, quadform_q,
                      solve_rational, spanning_tree_count)
 
@@ -109,14 +110,14 @@ def test_spanning_tree_examples():
 
 def test_tree_count_matches_det(all_diagrams):
     for name, kd in all_diagrams:
-        _, white, _ = white_data(kd)
+        white = white_graph(kd)
         g = goeritz(white)
         assert spanning_tree_count(white) == abs(det_exact(g.matrix)), name
 
 
 def test_goeritz_negative_definite(all_diagrams):
     for name, kd in all_diagrams:
-        _, white, _ = white_data(kd)
+        white = white_graph(kd)
         g = goeritz(white)
         assert signature(g.matrix) == (0, g.m, 0), name
 

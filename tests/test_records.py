@@ -39,7 +39,6 @@ def build_records():
         "SlideStep": log.steps[0],
         "FillingStats": chainmail.kaplan_filling(link, ("d",)),
         "KnotDiagram": kd,
-        "Coloring": diagram.checkerboard(kd),
         "NormalFormReport": plumbing.check_normal_form(tree),
         "PlumbedVerdict": plumbing.decide_plumbed(tree),
     }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfill.diagram import (diagram_from_plane_graph, parse_pd,
-                              state_covectors)
+                              state_covectors, white_graph)
 from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, matvec, signature
 from spinfill.graphs import parse_graph_doc
@@ -18,8 +18,8 @@ from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
 from oracles import (ZigzagKernel, box_keys, d_by_search, det_exact,
-                     furuta_check, gen_plane_multigraph, mu_bar, orbit_max_q,
-                     quadform_q, same_class)
+                     furuta_check, gen_plane_multigraph, mirror, mu_bar,
+                     orbit_max_q, quadform_q, same_class)
 from test_golden import corpus
 
 
@@ -54,7 +54,7 @@ def test_enumerate_special44():
 
 def test_class_count_matches_det(all_diagrams):
     for name, kd in all_diagrams:
-        _, white, _ = white_data(kd)
+        white = white_graph(kd)
         g = form(white)
         assert len(enumerate_spinc(g)) == abs(det_exact(g.matrix)), name
 
@@ -69,7 +69,7 @@ def test_same_class_examples():
 def test_d_against_box_oracle(all_diagrams):
     checked = 0
     for name, kd in all_diagrams:
-        _, white, _ = white_data(kd)
+        white = white_graph(kd)
         g = form(white)
         if g.m > 2 or abs(det_exact(g.matrix)) > 16:
             continue
@@ -162,7 +162,7 @@ def test_characteristic_examples():
     assert [c.vertices for c in characteristic_subgraphs(banana_graph(3))] \
         == [(1,)]
     tri_kd = parse_pd({"pd": PD_CODES["trefoil"]})
-    _, white, _ = white_data(tri_kd)
+    white = white_graph(tri_kd)
     assert [c.vertices for c in characteristic_subgraphs(white)] == [()]
     subs = characteristic_subgraphs(two33_graph())
     assert [c.vertices for c in subs] == [("a",), ("b",)]
@@ -193,7 +193,7 @@ def test_cut_size_examples():
 
 def test_nonspecial_classes_below_quarter_m(all_diagrams):
     for name, kd in all_diagrams:
-        col, white, black = white_data(kd)
+        white = white_graph(kd)
         special = all(d % 2 == 0 for d in white.degrees.values())
         if special or kd.n > 8:
             continue
@@ -203,19 +203,23 @@ def test_nonspecial_classes_below_quarter_m(all_diagrams):
 
 
 def tait_dual_d_multisets(kd):
-    """d-multisets of the white report and of the negated black one.
+    """d-multisets of the white graph and the diagram, and the negated
+    ones of the black graph and the mirror diagram.
 
     Sigma(K) bounds the white Goeritz plumbing and -Sigma(K) the black
-    one, so the two agree."""
-    _, white, black = white_data(kd)
-    return (sorted(c.d for c in obstruction_report(white).classes),
-            sorted(-c.d for c in obstruction_report(black).classes))
+    one, so all four agree; the two diagram reports run the Kauffman
+    states."""
+    def ds(source, sign):
+        return sorted(sign * c.d for c in obstruction_report(source).classes)
+
+    white, black = white_data(kd)
+    return [ds(white, 1), ds(black, -1), ds(kd, 1), ds(mirror(kd), -1)]
 
 
 def test_tait_duality_table_knots():
     for name, pd in PD_CODES.items():
-        white, black = tait_dual_d_multisets(parse_pd({"pd": pd}))
-        assert white == black, name
+        multisets = tait_dual_d_multisets(parse_pd({"pd": pd}))
+        assert all(m == multisets[0] for m in multisets), name
 
 
 @given(st.integers(0, 10 ** 6))
@@ -224,9 +228,8 @@ def test_tait_duality_medials(seed):
     rng = random.Random(seed)
     g = gen_plane_multigraph(rng, rng.randint(2, 6), rng.randint(1, 5),
                              bridgeless=True)
-    kd = parse_pd(diagram_from_plane_graph(g))
-    white, black = tait_dual_d_multisets(kd)
-    assert white == black
+    multisets = tait_dual_d_multisets(parse_pd(diagram_from_plane_graph(g)))
+    assert all(m == multisets[0] for m in multisets)
 
 
 def test_mu_bar_examples():
