@@ -82,19 +82,6 @@ def _obstruction_dict(rep: _spinc.ObstructionReport):
     }
 
 
-def _spinc_table(classes):
-    table = []
-    for c in classes:
-        row = {"key": list(c.canonical_key), "d": _frac(c.d)}
-        if c.c1_class is not None:
-            row["c1"] = list(c.c1_class)
-            row["spin"] = c.is_spin()
-        if c.state_index is not None:
-            row["state"] = c.state_index
-        table.append(row)
-    return table
-
-
 def _plumbing_section(tree):
     if tree is None:
         return {"applicable": False, "reason": "reduced graph is not a tree"}
@@ -175,7 +162,7 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
         "matrix": [list(row) for row in g.matrix],
         "matrix_det": rep.matrix_det,
     }
-    report["spinc"] = _spinc_table(rep.classes)
+    report["spinc"] = rep.classes
     report["char_subgraphs"] = [
         {"vertices": list(c.vertices), "cut": c.cut} for c in rep.subgraphs
     ]
@@ -227,13 +214,14 @@ def _render(report, out):
     for row in go["matrix"]:
         w("  [%s]\n" % " ".join("%3d" % x for x in row))
     w("spin-c classes (%d):\n" % len(report["spinc"]))
-    for row in report["spinc"]:
+    for c in report["spinc"]:
         extra = ""
-        if "c1" in row:
-            extra += " c1=%s%s" % (row["c1"], " spin" if row.get("spin") else "")
-        if "state" in row:
-            extra += " state=%d" % row["state"]
-        w("  key=%s d=%s%s\n" % (row["key"], row["d"], extra))
+        if c.c1_class is not None:
+            extra += " c1=%s%s" % (list(c.c1_class),
+                                   " spin" if c.is_spin() else "")
+        if c.state_index is not None:
+            extra += " state=%d" % c.state_index
+        w("  key=%s d=%s%s\n" % (list(c.canonical_key), c.d, extra))
     w("characteristic subgraphs:\n")
     for c in report["char_subgraphs"]:
         w("  %s cut=%d\n" % (c["vertices"] if c["vertices"] else "{}", c["cut"]))
@@ -282,73 +270,111 @@ def _render_mk1_runs(runs, out):
           % (fl["b2"], fl["sigma"], fl["even_form"], fl["f"]))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
 def encode_json(doc):
     """The text of json.dumps(doc, sort_keys=True, indent=2).
 
     doc holds dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else (a float, a Fraction, a non-str key) raises
-    TypeError, since reports carry exact numbers only.  An indent sends
-    json.dumps to its pure-Python encoder; this one dispatches on the
-    exact type of each value and joins an all-int list in one step.
+    None, and lists of spin-c records (spinc.SpinCClass), such as the
+    spin-c table; anything else (a float, a Fraction, a non-str key)
+    raises TypeError, since reports carry exact numbers only.  An indent
+    sends json.dumps to its pure-Python encoder; this one dispatches on
+    the exact type of each value, and writes an all-int list in one join
+    and a list of records row by row from their fields.
     """
     chunks = []
-    put = chunks.append
-    encode_str = json.encoder.encode_basestring_ascii
-    int_repr = int.__repr__
-    key_prefixes = {}
-
-    def value(x, nl):
-        t = type(x)
-        if t is str:
-            put(encode_str(x))
-        elif t is int:
-            put(int_repr(x))
-        elif t is dict:
-            if not x:
-                put("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for key in sorted(x):
-                prefix = key_prefixes.get(key)
-                if prefix is None:
-                    if type(key) is not str:
-                        raise TypeError("report keys must be str, not %s"
-                                        % type(key).__name__)
-                    prefix = key_prefixes[key] = encode_str(key) + ": "
-                put(sep)
-                put(prefix)
-                value(x[key], inner)
-                sep = "," + inner
-            put(nl + "}")
-        elif t is list or t is tuple:
-            if not x:
-                put("[]")
-                return
-            inner = nl + "  "
-            # exact types: a bool among the ints prints as true
-            if set(map(type, x)) == {int}:
-                put("[" + inner + ("," + inner).join(map(int_repr, x))
-                    + nl + "]")
-                return
-            sep = "[" + inner
-            for item in x:
-                put(sep)
-                value(item, inner)
-                sep = "," + inner
-            put(nl + "]")
-        elif x is True:
-            put("true")
-        elif x is False:
-            put("false")
-        elif x is None:
-            put("null")
-        else:
-            raise TypeError("%s values are not written to reports"
-                            % t.__name__)
-
-    value(doc, "\n")
+    _write_value(doc, "\n", chunks.append, {})
     return "".join(chunks)
+
+
+def _spinc_list(records, nl):
+    """A nonempty list of spin-c records at newline-and-indent nl.
+
+    Each record is written as its row, the dict {"key": [...], "d":
+    "p/q"} with "c1" and "spin" when det is odd and "state" on PD input,
+    as json.dumps writes it with sorted keys.  key and c1 are never
+    empty: a form has rank >= 1.
+    """
+    row = nl + "  "
+    field = row + "  "
+    item = field + "  "
+    comma = "," + item
+    opening = "[" + item
+    closing = field + "]"
+    rows = []
+    for c in records:
+        key = opening + comma.join(map(_int_repr, c.canonical_key)) + closing
+        if c.c1_class is None:
+            text = '{%s"d": "%s",%s"key": %s' % (field, c.d, field, key)
+        else:
+            text = ('{%s"c1": %s%s%s,%s"d": "%s",%s"key": %s,%s"spin": %s'
+                    % (field, opening, comma.join(map(_int_repr, c.c1_class)),
+                       closing, field, c.d, field, key, field,
+                       "false" if any(c.c1_class) else "true"))
+        if c.state_index is not None:
+            text += ',%s"state": %d' % (field, c.state_index)
+        rows.append(text + row + "}")
+    return "[" + row + ("," + row).join(rows) + nl + "]"
+
+
+def _write_value(x, nl, put, key_prefixes):
+    """Put the text of x at newline-and-indent nl; key_prefixes caches
+    the written form of each dict key."""
+    t = type(x)
+    if t is str:
+        put(_encode_str(x))
+    elif t is int:
+        put(_int_repr(x))
+    elif t is dict:
+        if not x:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            prefix = key_prefixes.get(key)
+            if prefix is None:
+                if type(key) is not str:
+                    raise TypeError("report keys must be str, not %s"
+                                    % type(key).__name__)
+                prefix = key_prefixes[key] = _encode_str(key) + ": "
+            put(sep)
+            put(prefix)
+            _write_value(x[key], inner, put, key_prefixes)
+            sep = "," + inner
+        put(nl + "}")
+    elif t is list or t is tuple:
+        if not x:
+            put("[]")
+            return
+        inner = nl + "  "
+        # exact types: a bool among the ints prints as true
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            put("[" + inner + ("," + inner).join(map(_int_repr, x))
+                + nl + "]")
+            return
+        if kinds == {_spinc.SpinCClass}:
+            put(_spinc_list(x, nl))
+            return
+        sep = "[" + inner
+        for item in x:
+            put(sep)
+            _write_value(item, inner, put, key_prefixes)
+            sep = "," + inner
+        put(nl + "]")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif x is None:
+        put("null")
+    else:
+        raise TypeError("%s values are not written to reports"
+                        % t.__name__)
 
 
 def _emit(report, args, out):

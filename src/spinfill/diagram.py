@@ -195,6 +195,9 @@ def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
                 used[r] = False
 
     walk(0)
+    # walk refers to itself through its closure cell; unbinding the name
+    # frees it now instead of at the next cyclic collection
+    del walk
     return covectors
 
 

@@ -301,7 +301,8 @@ class OrbitKernel:
     det A and adj(A), and building the kernel certifies G negative
     definite (Sylvester, on the pivots in that order), else raises
     Singular.  pivots are the leading minors of A in elimination order;
-    adj and det are in vertex order.
+    adj and det are in vertex order, and the adjugate rows are kept a
+    second time in elimination order, to build the targets of min_costs.
     """
 
     def __init__(self, g: GoeritzForm):
@@ -315,6 +316,8 @@ class OrbitKernel:
             place[i] = k
         self.adj = tuple(tuple(adj[place[i]][place[j]] for j in range(m))
                          for i in range(m))
+        # row k is adj(A) e_order[k], read against a covector in vertex order
+        self.target_rows = tuple(self.adj[i] for i in order)
         self.order = tuple(order)
         self.pivots = pivots
         self.det = pivots[-1]
@@ -335,55 +338,64 @@ class OrbitKernel:
         """v^T adj(A) v, an integer: v^T G^{-1} v is -adj_norm(v) / det A."""
         return sum(map(mul, v, matvec(self.adj, v)))
 
-    def min_cost(self, target):
-        """W Q^2 min over integer y of (y - t)^T A (y - t), t = target / S.
+    def min_costs(self, covectors):
+        """W Q^2 min over integer y of (y - t)^T A (y - t) for each
+        covector v, in order, where t = adj(A) v / S.
 
-        target is in vertex order.  Depth-first Schnorr-Euchner search
-        over the LDL cone with incumbent pruning, from level m - 1 down.
-        Per level the candidates come in order of distance from the
-        center C / Q: the nearest integer (2C + Q) // 2Q, then the two
-        sides in turn, nearer side first.  The cost of a candidate grows
-        with that distance and the incumbent only falls, so the first
-        pruned candidate ends the level.  At level 0 the nearest integer
-        alone is the optimum.
+        covectors are in vertex order; the target adj(A) v is built in
+        elimination order from target_rows.  Each target gets its own
+        depth-first Schnorr-Euchner search over the LDL cone (_nearest)
+        with incumbent pruning, from level m - 1 down.
         """
-        n, q, s = self.m, self.q, self.s
-        low, weight = self.low, self.weight
-        target = [target[i] for i in self.order]
-        centers = [self.p * x for x in target]
-        shifts = [0] * n          # S z_j - target_j on the levels above
-        best = None
+        n, p, q, s = self.m, self.p, self.q, self.s
+        low, weight, rows = self.low, self.weight, self.target_rows
+        top = n - 1
+        costs = []
+        for v in covectors:
+            target = [sum(map(mul, row, v)) for row in rows]
+            costs.append(_nearest(top, 0, None, [p * x for x in target],
+                                  target, [0] * n, low, weight, q, s))
+        return costs
 
-        def search(level, partial):
-            nonlocal best
-            c = centers[level]
-            row = low[level]
-            for j in range(level + 1, n):
-                c -= row[j] * shifts[j]
-            wl = weight[level]
-            z = (2 * c + q) // (2 * q)
-            r = q * z - c
-            cost = partial + wl * r * r
-            if best is not None and cost >= best:
-                return
-            if not level:
-                best = cost
-                return
-            tl = target[level]
-            shifts[level] = s * z - tl
-            search(level - 1, cost)
-            # |r| <= Q / 2; z - 1 is the nearer side when r > 0
-            step = -1 if r > 0 else 1
-            k = step
-            while True:
-                for y in (z + k, z - k):
-                    r = q * y - c
-                    cost = partial + wl * r * r
-                    if cost >= best:
-                        return
-                    shifts[level] = s * y - tl
-                    search(level - 1, cost)
-                k += step
 
-        search(n - 1, 0)
+def _nearest(level, partial, best, centers, target, shifts, low, weight,
+             q, s):
+    """The incumbent after searching level and the levels below it.
+
+    shifts[j] = S z_j - target_j for the levels j above, which fix the
+    center C / Q of this level.  The candidates come in order of
+    distance from the center: the nearest integer (2C + Q) // 2Q, then
+    the two sides in turn, nearer side first.  The cost of a candidate
+    grows with that distance and the incumbent only falls, so the first
+    pruned candidate ends the level.  At level 0 the nearest integer
+    alone is the optimum.
+    """
+    c = centers[level]
+    row = low[level]
+    for j in range(level + 1, len(centers)):
+        c -= row[j] * shifts[j]
+    wl = weight[level]
+    z = (2 * c + q) // (2 * q)
+    r = q * z - c
+    cost = partial + wl * r * r
+    if best is not None and cost >= best:
         return best
+    if not level:
+        return cost
+    tl = target[level]
+    shifts[level] = s * z - tl
+    best = _nearest(level - 1, cost, best, centers, target, shifts, low,
+                    weight, q, s)
+    # |r| <= Q / 2; z - 1 is the nearer side when r > 0
+    step = -1 if r > 0 else 1
+    k = step
+    while True:
+        for y in (z + k, z - k):
+            r = q * y - c
+            cost = partial + wl * r * r
+            if cost >= best:
+                return best
+            shifts[level] = s * y - tl
+            best = _nearest(level - 1, cost, best, centers, target, shifts,
+                            low, weight, q, s)
+        k += step

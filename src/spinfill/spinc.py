@@ -7,22 +7,23 @@ matrix.  Orbits get canonical keys by Hermite reduction, and
 characteristic subgraphs encode the spin structures.  The correction
 term is the exact orbit maximum of (q(v) + m) / 4: on PD input it is
 read off the Kauffman state covectors, which attain it (Greene), and on
-graph input a nearest-first lattice search (OrbitKernel.min_cost) finds
-it, once per conjugate pair.  The box size, the state/class bijection,
-the conjugation pairing and the equal d of conjugate states are
-certified on every run.
+graph input one batched nearest-first lattice search per form
+(OrbitKernel.min_costs) finds it, one target per conjugate pair.  The
+box size, the state/class bijection, the conjugation pairing and the
+equal d of conjugate states are certified on every run.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import product
+from operator import neg
 from typing import NamedTuple
 
 from .diagram import state_covectors
 from .errors import CertificationFailure, Disconnected, NotATree, Singular
 from .exactalg import (GoeritzForm, _characteristic_supports, goeritz,
-                       hnf_reduce, matvec)
+                       hnf_reduce)
 from .graphs import MarkedGraph
 from .plumbing import PlumbingTree
 
@@ -91,15 +92,13 @@ def d_invariant(g: GoeritzForm, covector) -> Fraction:
 
     Writing v = v0 + 2Gy turns the maximum of q(v) = v^T G^{-1} v over
     integer y into a closest vector problem for the positive form -G:
-    the orbit maximum is -4 min_cost / denominator.  Each call is one
-    Schnorr-Euchner search over the kernel's LDL factors, taken in its
-    elimination order; the value is a reduced Fraction, so it does not
-    depend on that order.  enumerate_spinc makes one call per conjugate
-    pair of classes on graph input and none on PD input, where the
-    states carry the maxima.
+    the orbit maximum is -4 min_cost / denominator.  This is a one-key
+    call of the batched search OrbitKernel.min_costs, which enumerate_spinc
+    makes once per form; the value is a reduced Fraction, so it does not
+    depend on the kernel's elimination order.
     """
     kernel = g.kernel
-    best = kernel.min_cost(matvec(kernel.adj, covector))
+    (best,) = kernel.min_costs((covector,))
     return Fraction(g.m * kernel.denominator - 4 * best,
                     4 * kernel.denominator)
 
@@ -122,20 +121,23 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
 
     Conjugation [v] -> [-v] preserves d, since the orbit of -v is the
     negated orbit of v and q(-x) = q(x).  So one walk over the sorted keys
-    finds the d of each key whose d is not yet known and hands the value
-    to its conjugate key, -key reduced modulo 2G.  A self-conjugate key
-    is a spin structure.  The pairing certifies itself: every conjugate
-    must be a key, each key must receive its d exactly once, and the
-    number of self-conjugate keys must be a power of two, exactly one
-    when det is odd.
+    pairs each key not yet paired with its conjugate key, -key reduced
+    modulo 2G, and keeps the first key of each pair as its representative.
+    A self-conjugate key is a spin structure.  The pairing certifies
+    itself: every conjugate must be a key, each key must be paired exactly
+    once, and the number of self-conjugate keys must be a power of two,
+    exactly one when det is odd.
 
-    Without covectors (graph input) the d of a key is one nearest-first
-    lattice search (d_invariant), one per conjugate pair.  covectors,
-    when given (PD input), lists one characteristic covector per Kauffman
-    state.  Every state covector attains the maximum of its orbit
-    (Greene), so d is read off it as (q(v) + m) / 4 with no search.  The states must biject onto
-    the keys, and the states of a class and of its conjugate must give
-    the same d.
+    Without covectors (graph input) the representatives go to one batched
+    nearest-first lattice search (OrbitKernel.min_costs), one target per
+    conjugate pair.  covectors, when given (PD input), lists one
+    characteristic covector per Kauffman state.  Every state covector
+    attains the maximum of its orbit (Greene), so d is read off it as
+    (q(v) + m) / 4 with no search.  The states must biject onto the keys,
+    and the states of a class and of its conjugate must give the same d.
+    Either way d is an integer numerator over a denominator fixed by the
+    form, and each distinct numerator becomes one Fraction, shared by
+    the classes that have it.
     """
     kernel = g.kernel
     m = g.m
@@ -145,7 +147,8 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
         return CertificationFailure(
             "spinc.enumerate_spinc: %s (rank %d, det %d)" % (message, m, det))
 
-    keys = list(product(*(range(x % 2, 2 * g.hermite[i][i], 2)
+    h = g.hermite
+    keys = list(product(*(range(x % 2, 2 * h[i][i], 2)
                           for i, x in enumerate(g.diagonal))))
     if len(keys) != abs(det):
         raise failure("found %d classes, expected %d" % (len(keys), abs(det)))
@@ -164,33 +167,41 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
         if len(state) != len(keys):
             raise failure("states do not biject onto spin-c classes")
 
-    d = {}
+    pair = {}       # key -> index of its conjugate pair
+    reps = []       # the first key of each pair
     spin = 0
     for key in keys:
-        if key in d:
+        if key in pair:
             continue
-        twin = hnf_reduce([-x for x in key], g.hermite, 2)
+        twin = hnf_reduce(map(neg, key), h, 2)
         if twin == key:
             spin += 1
         elif twin not in box:
             raise failure("conjugate %r of class %r is not a class key"
                           % (twin, key))
-        elif twin in d:
+        elif twin in pair:
             raise failure("conjugation pairs class %r twice" % (twin,))
-        if covectors is None:
-            d[key] = d_invariant(g, key)
-        elif numerator[twin] != numerator[key]:
+        elif covectors is not None and numerator[twin] != numerator[key]:
             raise failure(
                 "states %d and %d of conjugate classes give different d"
                 % (state[key], state[twin]))
-        else:
-            d[key] = Fraction(numerator[key], 4 * kernel.det)
-        d[twin] = d[key]
+        pair[key] = pair[twin] = len(reps)
+        reps.append(key)
     if spin < 1 or spin & (spin - 1) or (det % 2 != 0 and spin != 1):
         raise failure("found %d self-conjugate classes" % spin)
 
+    if covectors is None:
+        md = m * kernel.denominator
+        numerators = [md - 4 * best for best in kernel.min_costs(reps)]
+        denominator = 4 * kernel.denominator
+    else:
+        numerators = [numerator[key] for key in reps]
+        denominator = 4 * kernel.det
+    fractions = {x: Fraction(x, denominator) for x in set(numerators)}
+    d = [fractions[x] for x in numerators]
+
     odd = det % 2 != 0
-    return [SpinCClass(key, d[key], coker_class(g, key) if odd else None,
+    return [SpinCClass(key, d[pair[key]], coker_class(g, key) if odd else None,
                        state.get(key))
             for key in keys]
 

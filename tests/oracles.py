@@ -5,8 +5,8 @@ tests compare the library against (spanning-tree counts, determinants
 and adjugates, isomorphism, rational solves, orbit maxima and the d
 table by one lattice search per class in the vertex-order kernel, the
 Kauffman states as region
-assignments with a covector per state, the Kaplan filling by explicit
-blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
+assignments with a covector per state, the spin-c table as row dicts,
+the Kaplan filling by explicit blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
 by face tracing, tree validation edge by edge, the f >= 9 m Furuta
 rule, the checkerboard coloring by search, the black graph as the white
 graph of the mirror) and seeded generators of test inputs.
@@ -319,6 +319,22 @@ def d_by_search(g: GoeritzForm):
     conjugation pairing and independent of the library's search."""
     kernel = ZigzagKernel(g)
     return {key: (kernel.orbit_max_q(key) + g.m) / 4 for key in box_keys(g)}
+
+
+def spinc_rows(classes):
+    """The spin-c table as row dicts, the way the CLI built it before it
+    wrote the records themselves; json.dumps of a report holding these
+    rows is the text that cli.encode_json writes for the records."""
+    table = []
+    for c in classes:
+        row = {"key": list(c.canonical_key), "d": str(c.d)}
+        if c.c1_class is not None:
+            row["c1"] = list(c.c1_class)
+            row["spin"] = c.is_spin()
+        if c.state_index is not None:
+            row["state"] = c.state_index
+        table.append(row)
+    return table
 
 
 def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):

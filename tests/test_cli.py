@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -484,6 +485,17 @@ def test_weights_and_signs_must_be_integers(tmp_path, capsys):
         assert err.startswith("error: ")
 
 
+def json_commands(trefoil_file, ban9_file, path_tree_file):
+    """One --json command line per command and input kind."""
+    commands = [["analyze", trefoil_file], ["analyze", ban9_file, "--mk1"],
+                ["obstruct", ban9_file], ["mk1", ban9_file, "--all"],
+                ["plumb", "check", path_tree_file],
+                ["plumb", "reduce", path_tree_file],
+                ["plumb", "decide", path_tree_file], ["cf", "16", "9"],
+                ["berge", "3", "5"], ["witness", path_tree_file]]
+    return [["--json"] + argv for argv in commands]
+
+
 def test_json_commands_do_not_indent_with_json_dumps(
         trefoil_file, ban9_file, path_tree_file, capsys, monkeypatch):
     """json.dumps with an indent is the pure-Python encoder; --json
@@ -496,15 +508,26 @@ def test_json_commands_do_not_indent_with_json_dumps(
         return plain_dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", dumps)
-    commands = [["analyze", trefoil_file], ["analyze", ban9_file, "--mk1"],
-                ["obstruct", ban9_file], ["mk1", ban9_file, "--all"],
-                ["plumb", "check", path_tree_file],
-                ["plumb", "reduce", path_tree_file],
-                ["plumb", "decide", path_tree_file], ["cf", "16", "9"],
-                ["berge", "3", "5"], ["witness", path_tree_file]]
-    for argv in commands:
-        code, out, _ = run_cli(["--json"] + argv, capsys)
+    for argv in json_commands(trefoil_file, ban9_file, path_tree_file):
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0 and out.endswith("}\n") and json.loads(out), argv
+
+
+def test_json_commands_leave_no_cyclic_garbage(
+        trefoil_file, ban9_file, path_tree_file, capsys):
+    """Every object an op makes is freed by reference counting when the
+    op ends, so no op leaves work to the cyclic collector."""
+    # argparse's help formatters hold cycles; the parser is built once
+    build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in json_commands(trefoil_file, ban9_file, path_tree_file):
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 def test_main_calls_are_independent(capsys):
@@ -572,8 +595,16 @@ def test_certificates_fail_with_exit_4(tmp_path, capsys, monkeypatch):
     assert "spinc.enumerate_spinc: found 3 classes, expected 6" in err
 
 
-def test_one_search_per_conjugate_pair(tmp_path, capsys, count_calls):
-    calls = count_calls(spinc.d_invariant)
+def test_one_search_per_conjugate_pair(tmp_path, capsys, monkeypatch):
+    # the targets handed to the batched search, one list per call
+    batches = []
+    batched = exactalg.OrbitKernel.min_costs
+
+    def counted(kernel, covectors):
+        batches.append(list(covectors))
+        return batched(kernel, batches[-1])
+
+    monkeypatch.setattr(exactalg.OrbitKernel, "min_costs", counted)
     inputs = {
         # det 6 with 2 spin structures; the states carry every d
         "diagram": write_doc(tmp_path, "ban6pd.json",
@@ -590,20 +621,24 @@ def test_one_search_per_conjugate_pair(tmp_path, capsys, count_calls):
     }
     seen = {}
     for kind, path in inputs.items():
-        calls["d_invariant"] = 0
+        batches.clear()
         code, out, _ = run_cli(["--json", "analyze", path], capsys)
         assert code == 0
         report = json.loads(out)
         det = report["invariants"]["det"]
         spin = len(report["char_subgraphs"])
         assert len(report["spinc"]) == det
+        targets = sum(map(len, batches))
         if kind == "diagram":
-            assert calls["d_invariant"] == 0
+            assert not batches
         else:
-            # a spin structure is searched as itself, any other class
-            # with its conjugate; one search per class would make det
-            assert calls["d_invariant"] == (det + spin) // 2 < det, kind
-        seen[kind] = (det, spin, calls["d_invariant"])
+            # one batched search per form; a spin structure is searched
+            # as itself, any other class with its conjugate, and one
+            # search per class would make det targets
+            assert len(batches) == 1, kind
+            assert targets == (det + spin) // 2 < det, kind
+            assert len(set(map(tuple, batches[0]))) == targets, kind
+        seen[kind] = (det, spin, targets)
     assert seen == {"diagram": (6, 2, 0), "banana": (6, 2, 4),
                     "graph": (32, 4, 18)}
 

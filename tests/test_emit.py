@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinfill.cli import encode_json
+from spinfill.cli import _analyze, encode_json
+from spinfill.graphs import graph_to_doc
+from spinfill.spinc import SpinCClass
+
+from conftest import PD_CODES, banana_graph, two33_graph
+from oracles import spinc_rows
 
 
 def oracle(doc):
@@ -47,7 +52,48 @@ def test_emitter_edge_cases(doc):
 @pytest.mark.parametrize("doc", [
     1.5, [1, 2.0], {"d": Fraction(1, 2)}, Fraction(3), {1: "a"},
     {"a": {None: 1}}, [{"x": {2: 3}}],
+    # a spin-c record is written only in a list of records
+    {"c": SpinCClass((1,), Fraction(1, 2), None)},
+    [SpinCClass((1,), Fraction(1, 2), None), 1],
 ])
 def test_emitter_refuses_inexact_values_and_keys(doc):
     with pytest.raises(TypeError):
         encode_json(doc)
+
+
+@st.composite
+def spinc_tables(draw):
+    """Spin-c records of one form: rank 1 to 4, with c1 (and so spin)
+    when det is odd and a state index on PD input."""
+    m = draw(st.integers(1, 4))
+    odd, pd = draw(st.booleans()), draw(st.booleans())
+    coords = st.lists(ints, min_size=m, max_size=m).map(tuple)
+    c1s = st.one_of(coords, st.just((0,) * m))
+    ds = st.one_of(st.fractions(max_denominator=60),
+                   st.integers(-9, 9).map(Fraction))
+    return [SpinCClass(draw(coords), draw(ds), draw(c1s) if odd else None,
+                       k if pd else None)
+            for k in range(draw(st.integers(0, 4)))]
+
+
+@given(spinc_tables(), documents)
+@settings(max_examples=150, deadline=None)
+def test_records_are_written_as_their_rows(table, other):
+    report = {"spinc": table, "other": other, "nested": [[table], table]}
+    rows = spinc_rows(table)
+    assert encode_json(report) == oracle(
+        {"spinc": rows, "other": other, "nested": [[rows], rows]})
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("diagram", {"pd": PD_CODES["trefoil"]}),
+    ("diagram", {"pd": PD_CODES["figure_eight"]}),
+    ("graph", graph_to_doc(banana_graph(6))),
+    ("graph", graph_to_doc(two33_graph())),
+])
+def test_report_tables_are_written_as_their_rows(kind, doc):
+    report = _analyze(doc, kind, with_mk1=True)
+    assert report["spinc"] and all(type(c) is SpinCClass
+                                   for c in report["spinc"])
+    assert encode_json(report) == oracle(
+        dict(report, spinc=spinc_rows(report["spinc"])))

@@ -399,27 +399,65 @@ def test_search_matches_vertex_order_oracle(seed):
         d_by_search(g)
 
 
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=150, deadline=None)
-def test_min_cost_matches_oracle_on_skewed_forms(seed):
-    # Gram matrices B^T B of random bases are far from diagonal, unlike
-    # Goeritz forms, so the optimum often lies off the nearest-plane path
-    # and a search that cuts a level short is caught
-    rng = random.Random(seed)
+def skewed_form(rng):
+    """-B^T B for a random integer basis B of rank 2 to 4, or None when
+    B is singular.  Such Gram matrices are far from diagonal, unlike
+    Goeritz forms, so the optimum often lies off the nearest-plane path
+    and a search that cuts a level short is caught."""
     n = rng.randint(2, 4)
     b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
     g = GoeritzForm(tuple(tuple(-sum(r[i] * r[j] for r in b)
                                 for j in range(n)) for i in range(n)),
                     tuple(range(n)))
     try:
-        kernel = g.kernel
+        g.kernel
     except Singular:
+        return None
+    return g
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_min_cost_matches_oracle_on_skewed_forms(seed):
+    rng = random.Random(seed)
+    g = skewed_form(rng)
+    if g is None:
         return
+    kernel = g.kernel
     oracle = ZigzagKernel(g)
     for _ in range(5):
-        v = [rng.randint(-30, 30) for _ in range(n)]
-        assert Fraction(-4 * kernel.min_cost(matvec(kernel.adj, v)),
-                        kernel.denominator) == oracle.orbit_max_q(v)
+        v = [rng.randint(-30, 30) for _ in range(g.m)]
+        (cost,) = kernel.min_costs([v])
+        assert Fraction(-4 * cost, kernel.denominator) == \
+            oracle.orbit_max_q(v)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_batched_search_matches_oracle_per_target(seed, skewed):
+    # One min_costs call over shuffled, repeated targets against the
+    # oracle's search of each target on its own: state left behind by
+    # one target (a shift, an incumbent) would change a later cost.
+    rng = random.Random(seed)
+    if skewed:
+        g = skewed_form(rng)
+        if g is None:
+            return
+    else:
+        g = goeritz(gen_plane_multigraph(rng, rng.randint(2, 9),
+                                         rng.randint(0, 9)))
+    kernel = g.kernel
+    oracle = ZigzagKernel(g)
+    targets = [[rng.randint(-30, 30) for _ in range(g.m)]
+               for _ in range(rng.randint(1, 6))]
+    targets += rng.sample(targets, rng.randint(0, len(targets)))
+    targets += [list(v) for v in box_keys(g)[:8]]
+    rng.shuffle(targets)
+    costs = kernel.min_costs(targets)
+    assert len(costs) == len(targets)
+    for v, cost in zip(targets, costs):
+        assert Fraction(cost, kernel.denominator) == Fraction(
+            oracle.min_cost(matvec(oracle.adj, v)), oracle.denominator), v
 
 
 @st.composite
