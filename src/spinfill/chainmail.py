@@ -15,8 +15,8 @@ from typing import NamedTuple
 from .errors import (CertificationFailure, DegenerateGraph, Disconnected,
                      EmptyCharacteristicSet, InvalidEmbedding, MalformedInput,
                      NonNegativeFraming, NotCharacteristic)
-from .exactalg import _characteristic_supports, signature
-from .graphs import (Frozen, MarkedGraph, _pair, _reach, default_outer_dart,
+from .exactalg import _characteristic_supports, _edge_matrix, signature
+from .graphs import (Frozen, MarkedGraph, _reach, default_outer_dart,
                      euler_check, parse_graph_doc)
 
 
@@ -44,15 +44,8 @@ class ChainmailLink(Frozen):
     @cached_property
     def linking_matrix(self):
         """Linking matrix as a tuple of rows, built once per link."""
-        n = len(self.vertices)
-        idx = self.graph.index
-        mat = [[0] * n for _ in range(n)]
-        for i, w in enumerate(self.weights):
-            mat[i][i] = w
-        for (u, v, _), sign in zip(self.graph.edges, self.signs):
-            mat[idx[u]][idx[v]] += sign
-            mat[idx[v]][idx[u]] += sign
-        return tuple(tuple(row) for row in mat)
+        return _edge_matrix(self.vertices, self.weights, self.graph.edges,
+                            self.signs)
 
     @cached_property
     def sigma(self):
@@ -168,7 +161,8 @@ class _PlaneWork:
         return {e for e, _ in self.rot[u] if v in self.edges[e]}
 
     def adjacent_pairs(self):
-        return sorted({_pair(a, b) for a, b in self.edges.values()},
+        return sorted({(a, b) if str(a) <= str(b) else (b, a)
+                       for a, b in self.edges.values()},
                       key=lambda p: (str(p[0]), str(p[1])))
 
     def _turn(self, dart):

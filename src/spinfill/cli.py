@@ -12,21 +12,14 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import chainmail as _chainmail
 from . import diagram as _diagram
 from . import plumbing as _plumbing
 from . import spinc as _spinc
 from .errors import (CertificationFailure, EmptyCharacteristicSet,
-                     MalformedInput, NotReducible, SpinfillError)
+                     MalformedInput, SpinfillError)
 from .graphs import MarkedGraph, _as_document, graph_to_doc, parse_graph_doc
-
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
 
 
 def _load(path):
@@ -63,9 +56,9 @@ def _obstruction_dict(rep: _spinc.ObstructionReport):
         entry = {"vertices": list(e.vertices), "cut": e.cut,
                  "verdict": "OBSTRUCTED" if e.obstructed else "inconclusive"}
         if e.mu is not None:
-            entry["mu"] = _frac(e.mu)
-            entry["ue_lower"] = _frac(e.ue_lower)
-            entry["ue_upper"] = _frac(e.ue_upper)
+            entry["mu"] = str(e.mu)
+            entry["ue_lower"] = str(e.ue_lower)
+            entry["ue_upper"] = str(e.ue_upper)
         entries.append(entry)
     return {
         "m": rep.m,
@@ -73,7 +66,7 @@ def _obstruction_dict(rep: _spinc.ObstructionReport):
         "special": rep.special,
         "b2_bound": rep.b2_bound,
         "b2_bound_note": "equality only for special links",
-        "spin_d": _frac(rep.spin_d) if rep.spin_d is not None else None,
+        "spin_d": str(rep.spin_d) if rep.spin_d is not None else None,
         "spin_b2_bound": rep.spin_b2_bound,
         "cutbound": verdict(rep.cutbound),
         "capbound": verdict(rep.capbound),
@@ -515,10 +508,13 @@ def cmd_witness(args, out):
     bare = MarkedGraph(graph.vertices, graph.edges)
     augmented = _plumbing.accessible_witness(bare, weights)
     doc = graph_to_doc(augmented)
+    hub = augmented.marked
+    hub_edges = dict.fromkeys(graph.vertices, 0)
+    for u, v, _ in augmented.edges:
+        if hub in (u, v):
+            hub_edges[u if v == hub else v] += 1
     report = {"kind": "witness", "augmented": doc,
-              "hub_edges": {
-                  str(v): augmented.edges_between(augmented.marked, v)
-                  for v in graph.vertices}}
+              "hub_edges": {str(v): k for v, k in hub_edges.items()}}
     if args.json:
         _emit(report, args, out)
     else:
@@ -598,7 +594,7 @@ def main(argv=None):
     except MalformedInput as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (CertificationFailure, NotReducible) as exc:
+    except CertificationFailure as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 4
     except SpinfillError as exc:

@@ -206,89 +206,3 @@ def state_covectors(diagram: KnotDiagram):
     white = white_graph(diagram)
     return white, kauffman_states(diagram, white)
 
-
-def diagram_from_plane_graph(g: MarkedGraph):
-    """PD code of the alternating diagram whose white graph is g.
-
-    This is the medial construction: one crossing per edge, one arc per
-    rotation gap, over/under fixed so that the package's checkerboard
-    convention recovers g (up to isomorphism) as the white graph.  The
-    input must be connected, loopless and bridgeless.
-    """
-    from .graphs import bridges, euler_check
-    if g.rotations is None:
-        raise MalformedInput("plane graph needs a rotation system")
-    if not g.is_connected():
-        raise Disconnected("medial construction needs a connected graph")
-    if not g.edges:
-        raise MalformedInput("graph has no edges")
-    if bridges(g):
-        raise NotReduced("bridges give nugatory crossings")
-    euler_check(g)
-
-    # Arc per gap: arc (v, i) runs between the crossings of rotation
-    # entries i-1 and i at v, hugging v.
-    arc_id = {}
-    for v in g.vertices:
-        rot = g.rotation_of(v)
-        for i in range(len(rot)):
-            arc_id[(v, i)] = len(arc_id) + 1
-
-    def arc_after(dart):
-        # Gap counterclockwise after this dart: under-strand end.
-        v = g.endpoint(dart)
-        rot = g.rotation_of(v)
-        i = rot.index(dart)
-        return arc_id[(v, (i + 1) % len(rot))]
-
-    def arc_before(dart):
-        # Gap just before this dart: over-strand end.
-        v = g.endpoint(dart)
-        rot = g.rotation_of(v)
-        i = rot.index(dart)
-        return arc_id[(v, i)]
-
-    tuples = []
-    for e, (u, v, _) in enumerate(g.edges):
-        du, dv = (e, 0), (e, 1)
-        # Counterclockwise order around the crossing, under ends first.
-        tuples.append((arc_after(du), arc_before(du),
-                       arc_after(dv), arc_before(dv)))
-
-    arc_ends = {}
-    for c, tup in enumerate(tuples):
-        for s, a in enumerate(tup):
-            arc_ends.setdefault(a, []).append((c, s))
-
-    # Orient each link component by walking straight through crossings;
-    # per arc, record which end is its head (the end it runs into).
-    head_end = {}
-    visited = set()
-    for a in sorted(arc_ends):
-        if a in visited:
-            continue
-        current = a
-        tail = arc_ends[a][0]
-        while True:
-            visited.add(current)
-            (c1, s1), (c2, s2) = arc_ends[current]
-            head = (c2, s2) if (c1, s1) == tail else (c1, s1)
-            head_end[current] = head
-            c, s = head
-            exit_slot = (s + 2) % 4
-            nxt = tuples[c][exit_slot]
-            if nxt in visited:
-                break
-            tail = (c, exit_slot)
-            current = nxt
-
-    pd = []
-    for c, tup in enumerate(tuples):
-        s0 = next(s for s in (0, 2) if head_end.get(tup[s]) == (c, s))
-        pd.append([tup[(s0 + k) % 4] for k in range(4)])
-
-    doc = {"pd": pd}
-    if g.marked is not None:
-        rot = g.rotation_of(g.marked)
-        doc["marked_arc"] = arc_id[(g.marked, 0)] if rot else None
-    return doc

@@ -84,7 +84,3 @@ class NotAccessibleByConstruction(SpinfillError):
 
 class CertificationFailure(SpinfillError):
     """An internal optimality or consistency certificate failed; a bug."""
-
-
-class NotReducible(SpinfillError):
-    """Reduction engine stalled; must not happen, signals a bug."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import mul
 
 from .errors import (CertificationFailure, DegenerateGraph,
@@ -63,16 +64,29 @@ def goeritz(w: MarkedGraph) -> GoeritzForm:
     order = tuple(v for v in w.vertices if v != w.marked)
     if not order:
         raise DegenerateGraph("no unmarked vertices")
-    rows = []
-    for vi in order:
-        row = []
-        for vj in order:
-            if vi == vj:
-                row.append(-w.degree(vi))
-            else:
-                row.append(w.edges_between(vi, vj))
-        rows.append(tuple(row))
-    return GoeritzForm(tuple(rows), order)
+    degrees = w.degrees
+    return GoeritzForm(_edge_matrix(order, [-degrees[v] for v in order],
+                                    w.edges, repeat(1)), order)
+
+
+def _edge_matrix(order, diagonal, edges, signs):
+    """The symmetric matrix on order, as a tuple of rows, with the given
+    diagonal and, off it, the signed count of the edges joining each
+    pair, in one pass over the edges; an edge with an end outside order
+    is skipped.  goeritz gives every edge sign 1, a chainmail link its
+    clasp signs."""
+    n = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    mat = [[0] * n for _ in range(n)]
+    for i, x in enumerate(diagonal):
+        mat[i][i] = x
+    for (u, v, _), sign in zip(edges, signs):
+        i = index.get(u)
+        j = index.get(v)
+        if i is not None and j is not None:
+            mat[i][j] += sign
+            mat[j][i] += sign
+    return tuple(map(tuple, mat))
 
 
 def _require_square(m):

@@ -78,18 +78,6 @@ class MarkedGraph(Frozen):
         return self.degrees[v]
 
     @cached_property
-    def multiplicity(self):
-        """Unordered pair -> number of parallel edges."""
-        mult = {}
-        for u, v, _ in self.edges:
-            key = _pair(u, v)
-            mult[key] = mult.get(key, 0) + 1
-        return mult
-
-    def edges_between(self, u, v):
-        return self.multiplicity.get(_pair(u, v), 0)
-
-    @cached_property
     def neighbors(self):
         nbr = {v: set() for v in self.vertices}
         for u, v, _ in self.edges:
@@ -126,10 +114,6 @@ class MarkedGraph(Frozen):
 
     def rotation_of(self, v):
         return self.rotations[self.index[v]]
-
-
-def _pair(u, v):
-    return (u, v) if str(u) <= str(v) else (v, u)
 
 
 def _validate_rotations(g: MarkedGraph):
@@ -281,12 +265,6 @@ def _blocks(g: MarkedGraph):
                                 break
                         blocks.append(block)
     return blocks
-
-
-def bridges(g: MarkedGraph):
-    """Edge indices whose removal disconnects the graph: the edges of the
-    single-edge blocks.  Parallel copies are never bridges."""
-    return [ei for block in _blocks(g) if len(block) == 1 for ei in block]
 
 
 def _check_id(x):
@@ -454,17 +432,10 @@ def parse_graph_doc(text):
     return graph, weights, tuple(signs), outer
 
 
-def graph_to_doc(g: MarkedGraph, weights=None):
+def graph_to_doc(g: MarkedGraph):
     """Serialize a graph back into the document shape."""
-    doc = {"vertices": [], "edges": []}
-    wmap = dict(zip(g.vertices, weights)) if weights is not None else {}
-    for v in g.vertices:
-        entry = {"id": v}
-        if v in wmap:
-            entry["weight"] = wmap[v]
-        doc["vertices"].append(entry)
-    for (u, v, _) in g.edges:
-        doc["edges"].append([u, v])
+    doc = {"vertices": [{"id": v} for v in g.vertices],
+           "edges": [[u, v] for (u, v, _) in g.edges]}
     if g.marked is not None:
         doc["marked"] = g.marked
     if g.rotations is not None:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import (CertificationFailure, DegenerateGraph, InvalidFraction,
                      MalformedInput, NotAccessibleByConstruction, NotATree,
-                     NotCoprime, NotExcessive, NotReducible)
+                     NotCoprime, NotExcessive)
 from .graphs import (Frozen, MarkedGraph, _as_document, _blocks, _check_id,
                      _check_int, _check_vertex_ids, _edge_list, _reach,
                      _vertex_ids)
@@ -207,8 +207,8 @@ def reduce_normal_form(tree: PlumbingTree):
     """Apply reduction moves until none applies.
 
     Moves are taken in vertex position order.  Every move removes at
-    least one vertex, so termination is structural; NotReducible guards
-    the loop against bugs.
+    least one vertex, so termination is structural; a
+    CertificationFailure guards the loop against bugs.
 
     Edges carry ids in the order of the edge list (an edge rewired by an
     absorption keeps its id, a new one gets the next id), so the output
@@ -281,7 +281,9 @@ def reduce_normal_form(tree: PlumbingTree):
             if kind_at(u):
                 heapq.heappush(heap, (pos[u], u))
     else:
-        raise NotReducible("reduction engine failed to terminate")
+        raise CertificationFailure(
+            "plumbing.reduce_normal_form: reduction engine failed to "
+            "terminate (%d vertices)" % len(tree.vertices))
 
     order = [v for v in tree.vertices if v in weights]
     out = PlumbingTree(tuple(order), tuple(weights[v] for v in order),

@@ -87,22 +87,6 @@ class ObstructionReport(NamedTuple):
         return self.tree is not None
 
 
-def d_invariant(g: GoeritzForm, covector) -> Fraction:
-    """Correction term: max of (q(v) + m) / 4 over the class orbit.
-
-    Writing v = v0 + 2Gy turns the maximum of q(v) = v^T G^{-1} v over
-    integer y into a closest vector problem for the positive form -G:
-    the orbit maximum is -4 min_cost / denominator.  This is a one-key
-    call of the batched search OrbitKernel.min_costs, which enumerate_spinc
-    makes once per form; the value is a reduced Fraction, so it does not
-    depend on the kernel's elimination order.
-    """
-    kernel = g.kernel
-    (best,) = kernel.min_costs((covector,))
-    return Fraction(g.m * kernel.denominator - 4 * best,
-                    4 * kernel.denominator)
-
-
 def canonical_key(g: GoeritzForm, covector):
     """Canonical orbit representative, reduced against twice the form."""
     return hnf_reduce(covector, g.hermite, 2)
@@ -234,13 +218,21 @@ def characteristic_subgraphs(w: MarkedGraph, g=None):
 
 
 def _verify_characteristic(w: MarkedGraph, support):
+    """Count, in one pass over the edges, the edges from each vertex
+    into the support; every unmarked vertex must see an even number of
+    them when it belongs, its degree's parity when it does not."""
     sset = set(support)
+    toward = dict.fromkeys(w.vertices, 0)
+    for u, v, _ in w.edges:
+        if u in sset:
+            toward[v] += 1
+        if v in sset:
+            toward[u] += 1
+    degrees = w.degrees
     for v in w.vertices:
         if v == w.marked:
             continue
-        toward = sum(w.edges_between(v, u) for u in sset if u != v)
-        e = toward + (w.degree(v) if v in sset else 0)
-        if (e - w.degree(v)) % 2:
+        if (toward[v] - (0 if v in sset else degrees[v])) % 2:
             raise CertificationFailure(
                 "spinc._verify_characteristic: GF(2) solution %s fails the "
                 "direct parity re-check at vertex %r" % (list(support), v))

@@ -18,11 +18,12 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from spinfill.diagram import diagram_from_plane_graph, parse_pd, white_graph
+from spinfill.diagram import parse_pd, white_graph
 from spinfill.graphs import MarkedGraph
 from spinfill.spinc import canonical_key
 
-from oracles import black_graph, gen_plane_multigraph, quadform_q
+from oracles import (black_graph, diagram_from_plane_graph,
+                     gen_plane_multigraph, quadform_q)
 
 # Alternating table diagrams (PD convention: counterclockwise from the
 # incoming under-strand).  Verified against their known determinants.

@@ -9,10 +9,14 @@ assignments with a covector per state, the spin-c table as row dicts,
 the Kaplan filling by explicit blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
 by face tracing, tree validation edge by edge, the f >= 9 m Furuta
 rule, the checkerboard coloring by search, the black graph as the white
-graph of the mirror) and seeded generators of test inputs.
+graph of the mirror), helpers only the tests call (bridges, parallel
+edge counts, one class's d by the library's search) and seeded
+generators of test inputs, the medial PD code of a plane graph among
+them.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import math
 from fractions import Fraction
@@ -24,11 +28,12 @@ from spinfill.diagram import KnotDiagram, parse_pd, white_graph
 from spinfill.errors import (DimensionMismatch, Disconnected,
                              MalformedInput, NonNegativeFraming, NonPlanar,
                              NotAlternating, NotATree, NotCharacteristic,
-                             Singular)
+                             NotReduced, Singular)
 from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
                                signature)
-from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
-                             _reach, bridges, euler_check, trace_faces)
+from spinfill.graphs import (MarkedGraph, _blocks, _dart_orbits,
+                             _face_successor, _reach, euler_check,
+                             trace_faces)
 from spinfill.plumbing import PlumbingTree
 from spinfill.spinc import canonical_key
 
@@ -321,6 +326,18 @@ def d_by_search(g: GoeritzForm):
     return {key: (kernel.orbit_max_q(key) + g.m) / 4 for key in box_keys(g)}
 
 
+def d_invariant(g: GoeritzForm, covector) -> Fraction:
+    """d = (q + m) / 4 of the class of one covector, by a one-key call
+    of the library's batched search OrbitKernel.min_costs, which
+    enumerate_spinc makes once per form with every pair representative.
+    The value is a reduced Fraction, so it does not depend on the
+    kernel's elimination order."""
+    kernel = g.kernel
+    (best,) = kernel.min_costs((covector,))
+    return Fraction(g.m * kernel.denominator - 4 * best,
+                    4 * kernel.denominator)
+
+
 def spinc_rows(classes):
     """The spin-c table as row dicts, the way the CLI built it before it
     wrote the records themselves; json.dumps of a report holding these
@@ -337,6 +354,17 @@ def spinc_rows(classes):
     return table
 
 
+def edge_multiplicity(g: MarkedGraph) -> Counter:
+    """Unordered vertex pair (a frozenset) -> number of parallel edges."""
+    return Counter(frozenset((u, v)) for u, v, _ in g.edges)
+
+
+def bridges(g: MarkedGraph):
+    """Edge indices whose removal disconnects the graph: the edges of the
+    single-edge blocks.  Parallel copies are never bridges."""
+    return [ei for block in _blocks(g) if len(block) == 1 for ei in block]
+
+
 def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):
     """Backtracking isomorphism test on small multigraphs."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
@@ -350,6 +378,7 @@ def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True)
     }
     if respect_marked and (g1.marked is None) != (g2.marked is None):
         return False
+    mult1, mult2 = edge_multiplicity(g1), edge_multiplicity(g2)
 
     def extend(i, mapping, used):
         if i == len(vs1):
@@ -363,7 +392,8 @@ def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True)
                     continue
             ok = True
             for u, img in mapping.items():
-                if g1.edges_between(v, u) != g2.edges_between(w, img):
+                if (mult1[frozenset((v, u))]
+                        != mult2[frozenset((w, img))]):
                     ok = False
                     break
             if ok:
@@ -634,6 +664,93 @@ def mu_bar(tree, c_vertices) -> Fraction:
         assert 8 * mu == -len(tree.vertices) + cut, \
             "8 mu must equal cut minus vertex count for definite trees"
     return mu
+
+
+def diagram_from_plane_graph(g: MarkedGraph):
+    """PD code of the alternating diagram whose white graph is g.
+
+    This is the medial construction: one crossing per edge, one arc per
+    rotation gap, over/under fixed so that the package's checkerboard
+    convention recovers g (up to isomorphism) as the white graph.  The
+    input must be connected, loopless and bridgeless.  The tests draw
+    their alternating diagrams from generated plane graphs with it.
+    """
+    if g.rotations is None:
+        raise MalformedInput("plane graph needs a rotation system")
+    if not g.is_connected():
+        raise Disconnected("medial construction needs a connected graph")
+    if not g.edges:
+        raise MalformedInput("graph has no edges")
+    if bridges(g):
+        raise NotReduced("bridges give nugatory crossings")
+    euler_check(g)
+
+    # Arc per gap: arc (v, i) runs between the crossings of rotation
+    # entries i-1 and i at v, hugging v.
+    arc_id = {}
+    for v in g.vertices:
+        rot = g.rotation_of(v)
+        for i in range(len(rot)):
+            arc_id[(v, i)] = len(arc_id) + 1
+
+    def arc_after(dart):
+        # Gap counterclockwise after this dart: under-strand end.
+        v = g.endpoint(dart)
+        rot = g.rotation_of(v)
+        i = rot.index(dart)
+        return arc_id[(v, (i + 1) % len(rot))]
+
+    def arc_before(dart):
+        # Gap just before this dart: over-strand end.
+        v = g.endpoint(dart)
+        rot = g.rotation_of(v)
+        i = rot.index(dart)
+        return arc_id[(v, i)]
+
+    tuples = []
+    for e, (u, v, _) in enumerate(g.edges):
+        du, dv = (e, 0), (e, 1)
+        # Counterclockwise order around the crossing, under ends first.
+        tuples.append((arc_after(du), arc_before(du),
+                       arc_after(dv), arc_before(dv)))
+
+    arc_ends = {}
+    for c, tup in enumerate(tuples):
+        for s, a in enumerate(tup):
+            arc_ends.setdefault(a, []).append((c, s))
+
+    # Orient each link component by walking straight through crossings;
+    # per arc, record which end is its head (the end it runs into).
+    head_end = {}
+    visited = set()
+    for a in sorted(arc_ends):
+        if a in visited:
+            continue
+        current = a
+        tail = arc_ends[a][0]
+        while True:
+            visited.add(current)
+            (c1, s1), (c2, s2) = arc_ends[current]
+            head = (c2, s2) if (c1, s1) == tail else (c1, s1)
+            head_end[current] = head
+            c, s = head
+            exit_slot = (s + 2) % 4
+            nxt = tuples[c][exit_slot]
+            if nxt in visited:
+                break
+            tail = (c, exit_slot)
+            current = nxt
+
+    pd = []
+    for c, tup in enumerate(tuples):
+        s0 = next(s for s in (0, 2) if head_end.get(tup[s]) == (c, s))
+        pd.append([tup[(s0 + k) % 4] for k in range(4)])
+
+    doc = {"pd": pd}
+    if g.marked is not None:
+        rot = g.rotation_of(g.marked)
+        doc["marked_arc"] = arc_id[(g.marked, 0)] if rot else None
+    return doc
 
 
 def checkerboard_bfs(diagram: KnotDiagram) -> tuple:

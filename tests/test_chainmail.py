@@ -208,7 +208,9 @@ def random_chainmail_doc(rng):
     """Unmarked embedded document with random weights and clasp signs."""
     g = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 6),
                              marked=False)
-    doc = graph_to_doc(g, [rng.randint(-6, 2) for _ in g.vertices])
+    doc = graph_to_doc(g)
+    for entry in doc["vertices"]:
+        entry["weight"] = rng.randint(-6, 2)
     doc["edges"] = [{"u": u, "v": v, "sign": rng.choice((1, -1))}
                     for u, v in doc["edges"]]
     return doc

@@ -14,6 +14,7 @@ from spinfill.cli import build_parser, main
 from spinfill.graphs import MarkedGraph, graph_to_doc
 
 from conftest import PD_CODES, banana_graph, path_hub_graph, two33_graph
+from oracles import diagram_from_plane_graph
 
 
 def run_cli(args, capsys):
@@ -116,6 +117,83 @@ def test_analyze_mark_override(trefoil_file, capsys):
     code, out, _ = run_cli(["analyze", trefoil_file, "--mark", "4"], capsys)
     assert code == 0
     assert "marked arc 4" in out
+
+
+def unmarked_doc(graph):
+    doc = graph_to_doc(graph)
+    del doc["marked"]
+    return doc
+
+
+def test_analyze_mark_on_graph_input(tmp_path, capsys, monkeypatch):
+    # a string id picks that vertex, as "marked" in the document would
+    bare = write_doc(tmp_path, "two33.json", unmarked_doc(two33_graph()))
+    marked = write_doc(tmp_path, "two33m.json", graph_to_doc(two33_graph()))
+    for command in ("analyze", "obstruct"):
+        code, out, _ = run_cli(["--json", command, bare, "--mark", "h"],
+                               capsys)
+        assert code == 0
+        assert out == run_cli(["--json", command, marked], capsys)[1]
+    # --mark overrides the document's mark
+    code, out, _ = run_cli(["--json", "analyze", marked, "--mark", "a"],
+                           capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["input"]["marked"] == "a"
+    assert report["goeritz"]["vertex_order"] == ["h", "b"]
+
+    # an int id given as text reads as the int vertex
+    doc = unmarked_doc(banana_graph(3))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, _ = run_cli(["--json", "analyze", "-", "--mark", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["input"]["marked"] == 1
+    with_mark = write_doc(tmp_path, "ban3.json", dict(doc, marked=1))
+    assert out == run_cli(["--json", "analyze", with_mark], capsys)[1]
+
+    # an unknown id is malformed input, named in the message
+    for path, mark in ((bare, "zz"), (with_mark, "7"), (bare, "1")):
+        code, out, err = run_cli(["analyze", path, "--mark", mark], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: unknown vertex %r\n" % mark
+
+
+def test_mk1_set_with_int_ids(capsys, monkeypatch):
+    # characteristic sublinks of banana_path_doc(3): the sets holding 1
+    doc = json.dumps(banana_path_doc(3))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, _ = run_cli(["--json", "mk1", "-", "--all"], capsys)
+    assert code == 0
+    runs = {tuple(r["subset"]): r for r in json.loads(out)["runs"]}
+    assert sorted(runs) == [(1,), (1, 2), (1, 2, 3), (1, 3)]
+    for subset in ("1,2", "1,3", "1,2,3"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, _ = run_cli(["--json", "mk1", "-", "--set", subset],
+                               capsys)
+        assert code == 0
+        (run,) = json.loads(out)["runs"]
+        assert run == runs[tuple(map(int, subset.split(",")))]
+
+
+def test_bare_pd_list_reads_as_a_pd_document(tmp_path, capsys):
+    bare = write_doc(tmp_path, "bare.json", PD_CODES["figure_eight"])
+    doc = write_doc(tmp_path, "doc.json", {"pd": PD_CODES["figure_eight"]})
+    for argv in (["--json", "analyze"], ["analyze"], ["--json", "obstruct"],
+                 ["--json", "mk1"]):
+        expected = run_cli(argv + [doc], capsys)
+        assert expected[0] == 0, argv
+        assert run_cli(argv + [bare], capsys) == expected, argv
+
+
+def test_document_of_neither_kind_exits_2(tmp_path, capsys):
+    for k, doc in enumerate(({"edges": [[0, 1]], "marked": 0}, {}, 42,
+                             "pd")):
+        path = write_doc(tmp_path, "other%d.json" % k, doc)
+        for command in ("analyze", "obstruct", "mk1"):
+            code, out, err = run_cli([command, path], capsys)
+            assert code == 2 and out == "", (doc, command)
+            assert err == ("error: document is neither a PD code nor a "
+                           "graph\n"), (doc, command)
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -350,7 +428,17 @@ def test_berge_command(capsys):
 def test_witness_command(path_tree_file, capsys):
     code, out, _ = run_cli(["witness", path_tree_file], capsys)
     assert code == 0
-    assert "'a0': 3" in out or '"a0": 3' in out or "'a': 3" in out
+    assert out.startswith(
+        "hub multiplicities: {'a': 3, 'b': 0, 'c': 3, 'd': 1}\n")
+    code, out, _ = run_cli(["--json", "witness", path_tree_file], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["hub_edges"] == {"a": 3, "b": 0, "c": 3, "d": 1}
+    # the hub edges follow the path's three edges
+    hub = [e for e in report["augmented"]["edges"] if "hub" in e]
+    assert report["augmented"]["edges"][:3] == [["a", "b"], ["b", "c"],
+                                                ["c", "d"]]
+    assert len(hub) == 7 == len(report["augmented"]["edges"]) - 3
 
 
 def test_witness_rejects_shallow_weights(tmp_path, capsys):
@@ -608,7 +696,7 @@ def test_one_search_per_conjugate_pair(tmp_path, capsys, monkeypatch):
     inputs = {
         # det 6 with 2 spin structures; the states carry every d
         "diagram": write_doc(tmp_path, "ban6pd.json",
-                             diagram.diagram_from_plane_graph(banana_graph(6))),
+                             diagram_from_plane_graph(banana_graph(6))),
         # the same white graph as marked graph input is searched
         "banana": write_doc(tmp_path, "ban6.json",
                             graph_to_doc(banana_graph(6))),
@@ -748,7 +836,7 @@ def test_mk1_traces_no_faces(capsys, monkeypatch, count_calls):
 def test_too_deep_input_exits_3(tmp_path, capsys):
     # 1100 crossings: the Kauffman state walk recurses once per crossing
     path = write_doc(tmp_path, "ban1100.json",
-                     diagram.diagram_from_plane_graph(banana_graph(1100)))
+                     diagram_from_plane_graph(banana_graph(1100)))
     code, out, err = run_cli(["analyze", path], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: input too large")

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.diagram import (diagram_from_plane_graph, kauffman_states,
-                              parse_pd, state_covectors, white_graph)
+from spinfill.diagram import (kauffman_states, parse_pd, state_covectors,
+                              white_graph)
 from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
                              NotAlternating, NotReduced)
 from spinfill.exactalg import goeritz
@@ -13,7 +13,8 @@ from spinfill.spinc import enumerate_spinc
 
 from conftest import PD_CODES, banana_graph, white_data
 from oracles import (checkerboard_bfs, convention_ok, det_exact,
-                     gen_plane_multigraph, is_special,
+                     diagram_from_plane_graph, gen_plane_multigraph,
+                     is_special,
                      kauffman_state_assignments, mirror,
                      multigraph_isomorphic, state_covector)
 

@@ -13,8 +13,9 @@ from spinfill.graphs import MarkedGraph
 
 from conftest import (banana_graph, special44_graph, path_hub_graph,
                       two33_graph)
-from oracles import (adjugate, det_exact, gen_plane_multigraph, quadform_q,
-                     solve_rational, spanning_tree_count)
+from oracles import (adjugate, det_exact, edge_multiplicity,
+                     gen_plane_multigraph, quadform_q, solve_rational,
+                     spanning_tree_count)
 
 
 def test_det_examples():
@@ -97,6 +98,22 @@ def test_goeritz_examples():
     assert g.matrix == ((-3,),)
     g = goeritz(path_hub_graph())
     assert g.diagonal == (-4, -2, -5, -2)
+
+
+def test_goeritz_counts_parallel_edges():
+    """Off the diagonal, the count of edges joining each pair of
+    unmarked vertices, wherever the marked vertex sits in the order."""
+    rng = random.Random(5)
+    for _ in range(60):
+        g = gen_plane_multigraph(rng, rng.randint(2, 8), rng.randint(0, 10))
+        w = MarkedGraph(g.vertices, g.edges, marked=rng.choice(g.vertices))
+        mult = edge_multiplicity(w)
+        form = goeritz(w)
+        order = tuple(v for v in w.vertices if v != w.marked)
+        assert form.vertex_order == order
+        assert form.matrix == tuple(
+            tuple(-w.degree(u) if u == v else mult[frozenset((u, v))]
+                  for v in order) for u in order)
 
 
 def test_spanning_tree_examples():

@@ -4,9 +4,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.graphs import MarkedGraph, _blocks, bridges
+from spinfill.graphs import MarkedGraph, _blocks
 
-from oracles import gen_plane_multigraph
+from oracles import bridges, gen_plane_multigraph
 
 
 def random_plane_graph(seed):

@@ -17,8 +17,8 @@ from spinfill.plumbing import (PlumbingTree, _check_tree, accessible_witness,
 from spinfill.spinc import characteristic_subgraphs
 
 from oracles import (canonical_form, cf_value, check_tree_per_edge,
-                     det_exact, intersection_matrix, random_excessive_tree,
-                     random_tree, shuffled_tree)
+                     det_exact, edge_multiplicity, intersection_matrix,
+                     random_excessive_tree, random_tree, shuffled_tree)
 
 
 @st.composite
@@ -344,13 +344,16 @@ def test_berge_examples():
 def test_witness_examples():
     tri = MarkedGraph((0, 1, 2), ((0, 1, 0), (1, 2, 1), (0, 2, 2)))
     aug = accessible_witness(tri, (-3, -3, -3))
-    assert all(aug.edges_between("hub", v) == 1 for v in (0, 1, 2))
+    hub_edges = edge_multiplicity(aug)
+    assert all(hub_edges[frozenset(("hub", v))] == 1 for v in (0, 1, 2))
     assert goeritz(aug).diagonal == (-3, -3, -3)
 
     path = MarkedGraph(("a", "b", "c", "d"),
                        (("a", "b", 0), ("b", "c", 1), ("c", "d", 2)))
     aug = accessible_witness(path, (-4, -2, -5, -2))
-    assert [aug.edges_between("hub", v) for v in path.vertices] == [3, 0, 3, 1]
+    hub_edges = edge_multiplicity(aug)
+    assert [hub_edges[frozenset(("hub", v))]
+            for v in path.vertices] == [3, 0, 3, 1]
 
     with pytest.raises(NotAccessibleByConstruction):
         accessible_witness(path, (-1, -2, -5, -2))

@@ -1,25 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.diagram import (diagram_from_plane_graph, parse_pd,
-                              state_covectors, white_graph)
+from spinfill.diagram import parse_pd, state_covectors, white_graph
 from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, matvec, signature
 from spinfill.graphs import parse_graph_doc
 from spinfill.plumbing import PlumbingTree, linear_tree
-from spinfill.spinc import (characteristic_subgraphs, cut_size, d_invariant,
-                            enumerate_spinc, obstruction_report, spin_class)
+from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
+                            cut_size, enumerate_spinc, obstruction_report,
+                            spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
-from oracles import (ZigzagKernel, box_keys, d_by_search, det_exact,
-                     furuta_check, gen_plane_multigraph, mirror, mu_bar,
-                     orbit_max_q, quadform_q, same_class)
+from oracles import (ZigzagKernel, box_keys, d_by_search, d_invariant,
+                     det_exact, diagram_from_plane_graph, furuta_check,
+                     gen_plane_multigraph, mirror, mu_bar, orbit_max_q,
+                     quadform_q, same_class)
 from test_golden import corpus
 
 
@@ -95,7 +97,6 @@ def test_greene_max_on_states(all_diagrams):
 
 
 def test_greene_max_on_ten_crossing_chain():
-    from spinfill.diagram import diagram_from_plane_graph
     kd = parse_pd(diagram_from_plane_graph(path_hub_graph()))
     assert kd.n == 10
     white, covs = state_covectors(kd)
@@ -181,6 +182,38 @@ def test_characteristic_counts_random():
         assert (abs(det) % 2 == 1) == (count == 1)
         special = all(d % 2 == 0 for d in w.degrees.values())
         assert special == any(not c.vertices for c in subs)
+
+
+def test_parity_recheck_accepts_exactly_the_characteristic_sets():
+    """The graph-side re-check of each GF(2) solution, run on every
+    subset of the unmarked vertices: it passes the subgraphs that
+    characteristic_subgraphs lists and refuses every other set, naming
+    the first unmarked vertex, in graph order, whose parity fails."""
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        w = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 7))
+        order = [v for v in w.vertices if v != w.marked]
+        supports = {c.vertices for c in characteristic_subgraphs(w)}
+        for bits in product((0, 1), repeat=len(order)):
+            subset = tuple(v for v, b in zip(order, bits) if b)
+            inside = set(subset)
+            # edges from v into the subset, plus v's degree when v is in
+            # it, must match v's degree mod 2
+            bad = [v for v in order
+                   if (sum((b if a == v else a) in inside
+                           for a, b, _ in w.edges if v in (a, b))
+                       + w.degree(v) * (v in inside) - w.degree(v)) % 2]
+            if subset in supports:
+                assert not bad
+                _verify_characteristic(w, subset)
+            else:
+                assert bad
+                with pytest.raises(CertificationFailure,
+                                   match="at vertex %r$" % (bad[0],)):
+                    _verify_characteristic(w, subset)
+            checked += 1
+    assert checked > 500
 
 
 def test_cut_size_examples():
