@@ -218,7 +218,8 @@ def hnf_basis(m):
     """Column Hermite form of a nonsingular integer matrix.
 
     Returns an upper-triangular basis of the column lattice: column j
-    has its pivot H[j][j] > 0 and zeros below row j.
+    has its pivot H[j][j] > 0, zeros below row j and every entry above
+    the pivots reduced, 0 <= H[k][j] < H[k][k].
     """
     n = _require_square(m)
     cols = [[m[i][j] for i in range(n)] for j in range(n)]
@@ -241,6 +242,15 @@ def hnf_basis(m):
         cols[c0], cols[row] = cols[row], cols[c0]
         if cols[row][row] < 0:
             cols[row] = [-x for x in cols[row]]
+    # column j minus multiples of the columns to its left, rows j-1 down
+    # to 0: each step leaves the rows below it alone
+    for j in range(1, n):
+        col = cols[j]
+        for k in range(j - 1, -1, -1):
+            q = col[k] // cols[k][k]
+            if q:
+                col = [x - q * y for x, y in zip(col, cols[k])]
+        cols[j] = col
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -315,8 +325,9 @@ class OrbitKernel:
     det A and adj(A), and building the kernel certifies G negative
     definite (Sylvester, on the pivots in that order), else raises
     Singular.  pivots are the leading minors of A in elimination order;
-    adj and det are in vertex order, and the adjugate rows are kept a
-    second time in elimination order, to build the targets of min_costs.
+    adj and det are in vertex order.  target_columns[i] is adj(A) e_i in
+    elimination order, so the search target of a covector v is the sum
+    of v[i] target_columns[i].
     """
 
     def __init__(self, g: GoeritzForm):
@@ -330,8 +341,9 @@ class OrbitKernel:
             place[i] = k
         self.adj = tuple(tuple(adj[place[i]][place[j]] for j in range(m))
                          for i in range(m))
-        # row k is adj(A) e_order[k], read against a covector in vertex order
-        self.target_rows = tuple(self.adj[i] for i in order)
+        # adj(A) is symmetric: its row i, read in elimination order
+        self.target_columns = tuple(tuple(row[j] for j in order)
+                                    for row in self.adj)
         self.order = tuple(order)
         self.pivots = pivots
         self.det = pivots[-1]
@@ -352,21 +364,20 @@ class OrbitKernel:
         """v^T adj(A) v, an integer: v^T G^{-1} v is -adj_norm(v) / det A."""
         return sum(map(mul, v, matvec(self.adj, v)))
 
-    def min_costs(self, covectors):
+    def min_costs(self, targets):
         """W Q^2 min over integer y of (y - t)^T A (y - t) for each
-        covector v, in order, where t = adj(A) v / S.
+        target adj(A) v, in order, where t = adj(A) v / S.
 
-        covectors are in vertex order; the target adj(A) v is built in
-        elimination order from target_rows.  Each target gets its own
-        depth-first Schnorr-Euchner search over the LDL cone (_nearest)
-        with incumbent pruning, from level m - 1 down.
+        Each target is adj(A) v in elimination order, the sum of v[i]
+        target_columns[i] for a covector v in vertex order.  Each gets
+        its own depth-first Schnorr-Euchner search over the LDL cone
+        (_nearest) with incumbent pruning, from level m - 1 down.
         """
         n, p, q, s = self.m, self.p, self.q, self.s
-        low, weight, rows = self.low, self.weight, self.target_rows
+        low, weight = self.low, self.weight
         top = n - 1
         costs = []
-        for v in covectors:
-            target = [sum(map(mul, row, v)) for row in rows]
+        for target in targets:
             costs.append(_nearest(top, 0, None, [p * x for x in target],
                                   target, [0] * n, low, weight, q, s))
         return costs

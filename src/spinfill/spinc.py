@@ -3,21 +3,23 @@
 A spin-c class of the double branched cover is an orbit of
 characteristic covectors (integer vectors matching the Goeritz diagonal
 mod 2) under translation by twice the column lattice of the Goeritz
-matrix.  Orbits get canonical keys by Hermite reduction, and
-characteristic subgraphs encode the spin structures.  The correction
-term is the exact orbit maximum of (q(v) + m) / 4: on PD input it is
-read off the Kauffman state covectors, which attain it (Greene), and on
-graph input one batched nearest-first lattice search per form
-(OrbitKernel.min_costs) finds it, one target per conjugate pair.  The
-box size, the state/class bijection, the conjugation pairing and the
-equal d of conjugate states are certified on every run.
+matrix.  The canonical keys of the orbits are the characteristic
+points of a Hermite box, and one walk over that box (hermite_box) gives
+each key's conjugate, its c1 class and its search target without
+reducing any key; characteristic subgraphs encode the spin structures.
+The correction term is the exact orbit maximum of (q(v) + m) / 4: on PD
+input it is read off the Kauffman state covectors, which attain it
+(Greene), and on graph input one batched nearest-first lattice search
+per form (OrbitKernel.min_costs) finds it, one target per conjugate
+pair.  The box size, the state/class bijection, the conjugation
+pairing, c1 = 0 on the spin class of odd det and the equal d of
+conjugate states are certified on every run.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
-from operator import neg
+from itertools import product, repeat
 from typing import NamedTuple
 
 from .diagram import state_covectors
@@ -92,8 +94,77 @@ def canonical_key(g: GoeritzForm, covector):
     return hnf_reduce(covector, g.hermite, 2)
 
 
-def coker_class(g: GoeritzForm, covector):
-    return hnf_reduce(covector, g.hermite)
+class HermiteBox(NamedTuple):
+    keys: list          # the class keys, in sorted (product) order
+    strides: tuple      # key k has index sum(k[i] // 2 * strides[i])
+    twin: list          # index of each key's conjugate key
+    c1: list | None     # c1 class of each key, when det is odd
+    partials: list      # search target of k[1:], by index % strides[0]
+
+
+def hermite_box(g: GoeritzForm) -> HermiteBox:
+    """One walk over the Hermite box of g, H upper triangular.
+
+    The keys are the characteristic points of the box 0 <= k_i < 2 H[i][i],
+    in product order.  The conjugate key of k is -k reduced modulo 2H and
+    its c1 class is k reduced modulo H.  Row i of either reduction
+    depends only on coordinates i..m-1, so the outer loop extends the
+    coordinates from m-1 down to 1 and carries both partial reductions
+    into the rows below.  Coordinate 0 then adds only the carry into row
+    0: the conjugate coordinate is (carry - k_0) mod 2 H[0][0] and the c1
+    coordinate (carry + k_0) mod H[0][0], O(1) a class.  The outer loop
+    also sums the search target of k_1..k_m-1, to which a key adds
+    k_0 target_columns[0].
+    """
+    h = g.hermite
+    m = g.m
+    parity = [x % 2 for x in g.diagonal]
+    pivots = [h[i][i] for i in range(m)]
+    keys = list(product(*(range(p, 2 * n, 2)
+                          for p, n in zip(parity, pivots))))
+    strides = [1] * m
+    for i in range(m - 1, 0, -1):
+        strides[i - 1] = strides[i] * pivots[i]
+    columns = g.kernel.target_columns
+    # (index, conjugate index, rows 0..i of -k and of k reduced by the
+    # columns above i, c1 coordinates above i, target of those above i)
+    outer = [(0, 0, [0] * m, [0] * m, (), [0] * m)]
+    for i in range(m - 1, 0, -1):
+        n, step, column = pivots[i], strides[i], columns[i]
+        above = [h[k][i] for k in range(i)]
+        grown = []
+        for index, twin, neg, pos, c1, target in outer:
+            for k in range(parity[i], 2 * n, 2):
+                x = neg[i] - k
+                qx = x // (2 * n)
+                y = pos[i] + k
+                qy = y // n
+                grown.append((
+                    index + k // 2 * step,
+                    twin + (x - 2 * n * qx) // 2 * step,
+                    [a - 2 * qx * b for a, b in zip(neg, above)],
+                    [a - qy * b for a, b in zip(pos, above)],
+                    (y - qy * n,) + c1,
+                    [t + k * c for t, c in zip(target, column)]))
+        outer = grown
+
+    n, p, step = pivots[0], parity[0], strides[0]
+    odd = math.prod(pivots) % 2 != 0
+    twins = [0] * len(keys)
+    c1s = [None] * len(keys) if odd else None
+    partials = [None] * step
+    for index, twin, neg, pos, c1, target in outer:
+        # k_0 = p + 2t has conjugate coordinate p + 2 ((c - t) mod n):
+        # c, c - 1, ..., 0, then n - 1, ..., c + 1 (neg[0] is even)
+        c = (neg[0] // 2 - p) % n
+        twins[index::step] = [*range(twin + c * step, twin - 1, -step),
+                              *range(twin + (n - 1) * step, twin + c * step,
+                                     -step)]
+        if odd:
+            c1s[index::step] = [((pos[0] + k) % n,) + c1
+                                for k in range(p, 2 * n, 2)]
+        partials[index] = target
+    return HermiteBox(keys, tuple(strides), twins, c1s, partials)
 
 
 def enumerate_spinc(g: GoeritzForm, covectors=None):
@@ -102,23 +173,27 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
     The keys, one per class in sorted order, are the characteristic points
     of the Hermite box 0 <= r_i < 2 H[i][i], all reduced modulo 2G; their
     count is checked against the determinant of the form's OrbitKernel.
+    One walk over the box (hermite_box) gives each key's index, the index
+    of its conjugate key and, on odd det, its c1 class (the key modulo G).
 
     Conjugation [v] -> [-v] preserves d, since the orbit of -v is the
-    negated orbit of v and q(-x) = q(x).  So one walk over the sorted keys
-    pairs each key not yet paired with its conjugate key, -key reduced
-    modulo 2G, and keeps the first key of each pair as its representative.
-    A self-conjugate key is a spin structure.  The pairing certifies
-    itself: every conjugate must be a key, each key must be paired exactly
-    once, and the number of self-conjugate keys must be a power of two,
-    exactly one when det is odd.
+    negated orbit of v and q(-x) = q(x).  So the classes pair up by
+    index, and the first key of each pair is its representative.  A
+    self-conjugate key is a spin structure.  The pairing certifies
+    itself: every conjugate index must be a class, conjugation must be
+    an involution pairing each key exactly once, and the number of
+    self-conjugate keys must be a power of two, exactly one when det is
+    odd, and then it must be the one class with c1 = 0.
 
-    Without covectors (graph input) the representatives go to one batched
-    nearest-first lattice search (OrbitKernel.min_costs), one target per
-    conjugate pair.  covectors, when given (PD input), lists one
-    characteristic covector per Kauffman state.  Every state covector
-    attains the maximum of its orbit (Greene), so d is read off it as
-    (q(v) + m) / 4 with no search.  The states must biject onto the keys,
-    and the states of a class and of its conjugate must give the same d.
+    Without covectors (graph input) the representatives' targets, built
+    from the walk's partial targets, go to one batched nearest-first
+    lattice search (OrbitKernel.min_costs), one target per conjugate
+    pair.  covectors, when given (PD input), lists one characteristic
+    covector per Kauffman state.  Every state covector attains the
+    maximum of its orbit (Greene), so d is read off it as
+    (q(v) + m) / 4 with no search.  Each state is reduced to its key
+    (canonical_key), the states must biject onto the keys, and the
+    states of a class and of its conjugate must give the same d.
     Either way d is an integer numerator over a denominator fixed by the
     form, and each distinct numerator becomes one Fraction, shared by
     the classes that have it.
@@ -131,63 +206,78 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
         return CertificationFailure(
             "spinc.enumerate_spinc: %s (rank %d, det %d)" % (message, m, det))
 
-    h = g.hermite
-    keys = list(product(*(range(x % 2, 2 * h[i][i], 2)
-                          for i, x in enumerate(g.diagonal))))
-    if len(keys) != abs(det):
-        raise failure("found %d classes, expected %d" % (len(keys), abs(det)))
-    box = set(keys)
+    box = hermite_box(g)
+    keys, twin = box.keys, box.twin
+    n = len(keys)
+    if n != abs(det):
+        raise failure("found %d classes, expected %d" % (n, abs(det)))
 
-    state = {}
+    state = [None] * n
     if covectors is not None:
         # d = (q(v) + m) / 4 = (m det A - v^T adj(A) v) / (4 det A)
-        numerator = {}
+        numerator = [None] * n
         for si, vec in enumerate(covectors):
             key = canonical_key(g, vec)
-            if key not in box or key in state:
+            i = sum(k // 2 * s for k, s in zip(key, box.strides))
+            if not 0 <= i < n or keys[i] != key or state[i] is not None:
                 raise failure("states do not biject onto spin-c classes")
-            state[key] = si
-            numerator[key] = m * kernel.det - kernel.adj_norm(vec)
-        if len(state) != len(keys):
+            state[i] = si
+            numerator[i] = m * kernel.det - kernel.adj_norm(vec)
+        if len(covectors) != n:
             raise failure("states do not biject onto spin-c classes")
 
-    pair = {}       # key -> index of its conjugate pair
-    reps = []       # the first key of each pair
-    spin = 0
-    for key in keys:
-        if key in pair:
+    pair = [None] * n   # index of each key's conjugate pair
+    reps = []           # the first index of each pair
+    spin = []
+    for i, j in enumerate(twin):
+        if pair[i] is not None:
             continue
-        twin = hnf_reduce(map(neg, key), h, 2)
-        if twin == key:
-            spin += 1
-        elif twin not in box:
-            raise failure("conjugate %r of class %r is not a class key"
-                          % (twin, key))
-        elif twin in pair:
-            raise failure("conjugation pairs class %r twice" % (twin,))
-        elif covectors is not None and numerator[twin] != numerator[key]:
+        if not 0 <= j < n:
+            raise failure("conjugate index %d of class %r is not a class key"
+                          % (j, keys[i]))
+        if pair[j] is not None:
+            raise failure("conjugation pairs class %r twice" % (keys[j],))
+        if twin[j] != i:
+            raise failure("conjugation is not an involution at class %r"
+                          % (keys[i],))
+        if j == i:
+            spin.append(i)
+        elif covectors is not None and numerator[j] != numerator[i]:
             raise failure(
                 "states %d and %d of conjugate classes give different d"
-                % (state[key], state[twin]))
-        pair[key] = pair[twin] = len(reps)
-        reps.append(key)
-    if spin < 1 or spin & (spin - 1) or (det % 2 != 0 and spin != 1):
-        raise failure("found %d self-conjugate classes" % spin)
+                % (state[i], state[j]))
+        pair[i] = pair[j] = len(reps)
+        reps.append(i)
+    count = len(spin)
+    if count < 1 or count & (count - 1) or (det % 2 != 0 and count != 1):
+        raise failure("found %d self-conjugate classes" % count)
+    c1 = box.c1
+    if det % 2 != 0:
+        zero = (0,) * m
+        if c1.count(zero) != 1 or c1[spin[0]] != zero:
+            raise failure("self-conjugate class %r has c1 %r; c1 = 0 on %d "
+                          "of %d classes"
+                          % (keys[spin[0]], c1[spin[0]], c1.count(zero), n))
 
     if covectors is None:
+        column, partials, step = (kernel.target_columns[0], box.partials,
+                                  box.strides[0])
+        targets = []
+        for i in reps:
+            k = keys[i][0]
+            targets.append([t + k * c
+                            for t, c in zip(partials[i % step], column)])
         md = m * kernel.denominator
-        numerators = [md - 4 * best for best in kernel.min_costs(reps)]
+        numerators = [md - 4 * best for best in kernel.min_costs(targets)]
         denominator = 4 * kernel.denominator
     else:
-        numerators = [numerator[key] for key in reps]
+        numerators = [numerator[i] for i in reps]
         denominator = 4 * kernel.det
     fractions = {x: Fraction(x, denominator) for x in set(numerators)}
     d = [fractions[x] for x in numerators]
 
-    odd = det % 2 != 0
-    return [SpinCClass(key, d[pair[key]], coker_class(g, key) if odd else None,
-                       state.get(key))
-            for key in keys]
+    return list(map(SpinCClass, keys, map(d.__getitem__, pair),
+                    c1 if c1 is not None else repeat(None), state))
 
 
 def spin_class(classes):

@@ -326,14 +326,21 @@ def d_by_search(g: GoeritzForm):
     return {key: (kernel.orbit_max_q(key) + g.m) / 4 for key in box_keys(g)}
 
 
+def search_target(kernel, covector):
+    """The search target adj(A) v of a covector v in vertex order, in
+    the kernel's elimination order: sum of v[i] target_columns[i]."""
+    return [sum(x * col[k] for x, col in zip(covector, kernel.target_columns))
+            for k in range(kernel.m)]
+
+
 def d_invariant(g: GoeritzForm, covector) -> Fraction:
-    """d = (q + m) / 4 of the class of one covector, by a one-key call
-    of the library's batched search OrbitKernel.min_costs, which
+    """d = (q + m) / 4 of the class of one covector, by a one-target
+    call of the library's batched search OrbitKernel.min_costs, which
     enumerate_spinc makes once per form with every pair representative.
     The value is a reduced Fraction, so it does not depend on the
     kernel's elimination order."""
     kernel = g.kernel
-    (best,) = kernel.min_costs((covector,))
+    (best,) = kernel.min_costs((search_target(kernel, covector),))
     return Fraction(g.m * kernel.denominator - 4 * best,
                     4 * kernel.denominator)
 

@@ -629,6 +629,7 @@ def test_main_calls_are_independent(capsys):
 def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
     calls = count_calls(exactalg.goeritz, spinc.canonical_key,
                         exactalg.signature, exactalg.hnf_basis,
+                        exactalg.hnf_reduce,
                         diagram.white_graph, diagram.kauffman_states,
                         MarkedGraph.without_vertex)
     inputs = {
@@ -636,7 +637,10 @@ def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
                              {"pd": PD_CODES["figure_eight"]}),
         "graph": write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph())),
     }
-    for kind, path in inputs.items():
+    # odd det 5: the graph's c1 classes come from the walk too
+    fig8_white = write_doc(tmp_path, "fig8white.json", graph_to_doc(
+        diagram.white_graph(diagram.parse_pd(PD_CODES["figure_eight"]))))
+    for kind, path in [*inputs.items(), ("graph", fig8_white)]:
         for extra in ([], ["--mk1"]):
             calls.update(dict.fromkeys(calls, 0))
             code, out, _ = run_cli(["--json", "analyze", path] + extra,
@@ -645,9 +649,11 @@ def test_analyze_builds_each_artifact_once(tmp_path, capsys, count_calls):
             assert json.loads(out)["kind"] == kind
             states = 1 if kind == "diagram" else 0
             assert calls["goeritz"] == calls["hnf_basis"] == 1, kind
-            # the class keys are the Hermite box; only states are reduced
-            assert calls["canonical_key"] == (
-                len(json.loads(out)["spinc"]) if states else 0), kind
+            # the class keys, conjugates and c1 classes come from one walk
+            # over the Hermite box; only states are reduced, once each
+            reduced = len(json.loads(out)["spinc"]) if states else 0
+            assert calls["canonical_key"] == calls["hnf_reduce"] \
+                == reduced, kind
             assert calls["white_graph"] == calls["kauffman_states"] \
                 == states, kind
             # the tree is read off the form; only the link deletes a vertex
@@ -688,8 +694,8 @@ def test_one_search_per_conjugate_pair(tmp_path, capsys, monkeypatch):
     batches = []
     batched = exactalg.OrbitKernel.min_costs
 
-    def counted(kernel, covectors):
-        batches.append(list(covectors))
+    def counted(kernel, targets):
+        batches.append(list(targets))
         return batched(kernel, batches[-1])
 
     monkeypatch.setattr(exactalg.OrbitKernel, "min_costs", counted)
@@ -733,22 +739,36 @@ def test_one_search_per_conjugate_pair(tmp_path, capsys, monkeypatch):
 
 def test_conjugation_certificate_fails_with_exit_4(tmp_path, capsys,
                                                    monkeypatch):
-    real = exactalg.hnf_reduce
+    real = spinc.hermite_box
     graph = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
     trefoil = write_doc(tmp_path, "trefoil.json", {"pd": PD_CODES["trefoil"]})
+
+    def rotated(xs):
+        return xs[1:] + xs[:1]
+
     faults = [
-        # no reduction: a conjugate -key leaves the box
-        (graph, lambda v, h, scale=1: tuple(v), "is not a class key"),
+        # a conjugate index past the last key leaves the box
+        (graph, "twin", lambda t: [len(t)] + t[1:], "is not a class key"),
+        # every key's conjugate is the next key
+        (graph, "twin", lambda t: rotated(list(range(len(t)))),
+         "conjugation is not an involution at class (1, 1)"),
         # every key conjugate to the first one
-        (graph, lambda v, h, scale=1: tuple(x % 2 for x in v),
+        (graph, "twin", lambda t: [0] * len(t),
          "conjugation pairs class (1, 1) twice"),
         # every class self-conjugate, 3 spin structures at odd det
-        (trefoil, lambda v, h, scale=1: real([-x for x in v], h, scale),
+        (trefoil, "twin", lambda t: list(range(len(t))),
          "found 3 self-conjugate classes (rank 2, det 3)"),
+        # c1 = 0 moved off the one self-conjugate class
+        (trefoil, "c1", rotated,
+         "self-conjugate class (0, 0) has c1 (2, 0); c1 = 0 on 1 of 3"),
     ]
-    for path, fault, message in faults:
+    for path, field, fault, message in faults:
+        def faulty(g, field=field, fault=fault):
+            box = real(g)
+            return box._replace(**{field: fault(getattr(box, field))})
+
         with monkeypatch.context() as patch:
-            patch.setattr(spinc, "hnf_reduce", fault)
+            patch.setattr(spinc, "hermite_box", faulty)
             code, out, err = run_cli(["analyze", path], capsys)
         assert code == 4 and out == ""
         assert err.startswith("internal error: spinc.enumerate_spinc: ")

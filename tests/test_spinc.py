@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from spinfill.diagram import parse_pd, state_covectors, white_graph
 from spinfill.errors import CertificationFailure, Singular
-from spinfill.exactalg import GoeritzForm, goeritz, matvec, signature
-from spinfill.graphs import parse_graph_doc
+from spinfill.exactalg import (GoeritzForm, goeritz, hnf_reduce, matvec,
+                               signature)
+from spinfill.graphs import MarkedGraph, parse_graph_doc
 from spinfill.plumbing import PlumbingTree, linear_tree
 from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
-                            cut_size, enumerate_spinc, obstruction_report,
-                            spin_class)
+                            cut_size, enumerate_spinc, hermite_box,
+                            obstruction_report, spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
@@ -21,7 +22,7 @@ from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
 from oracles import (ZigzagKernel, box_keys, d_by_search, d_invariant,
                      det_exact, diagram_from_plane_graph, furuta_check,
                      gen_plane_multigraph, mirror, mu_bar, orbit_max_q,
-                     quadform_q, same_class)
+                     quadform_q, same_class, search_target)
 from test_golden import corpus
 
 
@@ -398,6 +399,74 @@ def test_keys_are_the_reduced_box(seed):
     assert [c.canonical_key for c in enumerate_spinc(g)] == box_keys(g)
 
 
+def wedge_form(seed):
+    """The Goeritz form of one to three random plane multigraphs glued at
+    their marked vertex, each edge of a part repeated one to three times.
+    The form is block diagonal with each block a multiple of a graph
+    form, so several Hermite pivots exceed 1, and a part with one
+    unmarked vertex gives rank 1.  Parts are dropped from the end until
+    |det| <= 2000."""
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        w = gen_plane_multigraph(rng, rng.randint(2, 4), rng.randint(0, 2))
+        parts.append((w, rng.randint(1, 3)))
+    while True:
+        edges, offset = [], 0
+        for w, times in parts:
+            def place(v):
+                return 0 if v == w.marked else v + offset
+            edges += [(place(u), place(v), (len(edges), t))
+                      for u, v, _ in w.edges for t in range(times)]
+            offset += len(w.vertices) - 1
+        g = goeritz(MarkedGraph(tuple(range(offset + 1)), tuple(edges),
+                                marked=0))
+        if abs(g.kernel.det) <= 2000 or len(parts) == 1:
+            return g
+        parts.pop()
+
+
+def check_box_walk(g):
+    """The walk against per-class reductions: each key's conjugate is
+    -key reduced modulo 2H, its c1 class the key reduced modulo H, the
+    keys are box_keys, and on odd det the spin class, the self-conjugate
+    class and the class with c1 = 0 are one class."""
+    h = g.hermite
+    box = hermite_box(g)
+    assert box.keys == box_keys(g)
+    for i, key in enumerate(box.keys):
+        assert box.keys[box.twin[i]] == hnf_reduce([-x for x in key], h, 2)
+    self_conjugate = [key for i, key in enumerate(box.keys)
+                      if box.twin[i] == i]
+    assert self_conjugate == [key for key in box.keys
+                              if same_class(g, key, [-x for x in key])]
+    classes = enumerate_spinc(g)
+    if g.kernel.det % 2:
+        assert box.c1 == [hnf_reduce(key, h) for key in box.keys]
+        zero = [key for key, c1 in zip(box.keys, box.c1) if not any(c1)]
+        assert [spin_class(classes).canonical_key] == self_conjugate == zero
+    else:
+        assert box.c1 is None
+    return g.m, tuple(i for i in range(g.m) if h[i][i] > 1)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_box_walk_matches_reduction(seed):
+    check_box_walk(wedge_form(seed))
+
+
+def test_box_walk_covers_the_pivot_patterns():
+    # rank 1, pivots > 1 at (0, 1, 2, 3) and at (0, 2, 4), as on the bench
+    # ladders, and H[0][0] = 1 below a larger pivot, where the outer loop
+    # carries every class
+    seen = [check_box_walk(wedge_form(seed)) for seed in [*range(40), 824]]
+    assert any(m == 1 for m, _ in seen)
+    patterns = {pattern for _, pattern in seen}
+    assert {(0, 1, 2, 3), (0, 2, 4)} <= patterns
+    assert any(pattern and pattern[0] > 0 for pattern in patterns)
+
+
 @given(st.integers(0, 10 ** 6), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_paired_table_matches_search(seed, medial):
@@ -460,7 +529,7 @@ def test_min_cost_matches_oracle_on_skewed_forms(seed):
     oracle = ZigzagKernel(g)
     for _ in range(5):
         v = [rng.randint(-30, 30) for _ in range(g.m)]
-        (cost,) = kernel.min_costs([v])
+        (cost,) = kernel.min_costs([search_target(kernel, v)])
         assert Fraction(-4 * cost, kernel.denominator) == \
             oracle.orbit_max_q(v)
 
@@ -486,7 +555,7 @@ def test_batched_search_matches_oracle_per_target(seed, skewed):
     targets += rng.sample(targets, rng.randint(0, len(targets)))
     targets += [list(v) for v in box_keys(g)[:8]]
     rng.shuffle(targets)
-    costs = kernel.min_costs(targets)
+    costs = kernel.min_costs([search_target(kernel, v) for v in targets])
     assert len(costs) == len(targets)
     for v, cost in zip(targets, costs):
         assert Fraction(cost, kernel.denominator) == Fraction(
