@@ -41,10 +41,6 @@ class Singular(SpinfillError):
     pass
 
 
-class DimensionMismatch(SpinfillError):
-    pass
-
-
 class InvalidEmbedding(SpinfillError):
     """Rotation system is inconsistent or not of genus zero."""
 

@@ -12,8 +12,8 @@ from functools import cached_property
 from itertools import repeat
 from operator import mul
 
-from .errors import (CertificationFailure, DegenerateGraph,
-                     DimensionMismatch, NonSquare, NonSymmetric, Singular)
+from .errors import (CertificationFailure, DegenerateGraph, NonSquare,
+                     NonSymmetric, Singular)
 from .graphs import Frozen, MarkedGraph
 
 
@@ -144,72 +144,47 @@ def signature(m) -> tuple:
     return (pos, neg, zero)
 
 
-def gf2_affine_solutions(a, b):
-    """Affine solution set of a x = b over GF(2).
-
-    Returns None when inconsistent, else (particular, kernel_basis); the
-    solution count is 2**len(kernel_basis).
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows and any(len(r) != cols for r in a):
-        raise DimensionMismatch("ragged matrix")
-    if len(b) != rows:
-        raise DimensionMismatch("rhs length mismatch")
-    aug = [[x & 1 for x in row] + [bi & 1] for row, bi in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                aug[i] = [x ^ y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    particular = [0] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][cols]
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = []
-    for fc in free:
-        vec = [0] * cols
-        vec[fc] = 1
-        for i, c in enumerate(pivots):
-            if aug[i][fc]:
-                vec[c] = 1
-        basis.append(tuple(vec))
-    return tuple(particular), tuple(basis)
-
-
 def _characteristic_supports(matrix, labels):
     """Supports of every y with M y = diag(M) over GF(2).
 
-    Each support is the tuple of labels where y is 1; the list is sorted
-    by size, then by the labels' strings.  The count is a power of two.
+    Row i of the system is an int: column j at bit j, M[i][i] at bit n.
+    One Gauss-Jordan pass keeps a reduced row per pivot bit, the lowest
+    bit of its row and set in no other kept row; the solutions then
+    double over the free columns, lowest first.  Each support is the
+    tuple of labels where y is 1; the list is sorted by size, then by
+    the labels' strings.  The count is a power of two.
     """
-    a = [[x & 1 for x in row] for row in matrix]
-    b = [matrix[i][i] & 1 for i in range(len(matrix))]
-    sol = gf2_affine_solutions(a, b)
-    if sol is None:
-        raise CertificationFailure(
-            "exactalg._characteristic_supports: M y = diag(M) has no GF(2) "
-            "solution (rank %d)" % len(matrix))
-    particular, basis = sol
-    out = []
-    for mask in range(1 << len(basis)):
-        y = list(particular)
-        for k in range(len(basis)):
-            if mask >> k & 1:
-                y = [p ^ q for p, q in zip(y, basis[k])]
-        out.append(tuple(v for v, bit in zip(labels, y) if bit))
+    n = len(matrix)
+    columns = (1 << n) - 1
+    reduced = {}
+    for i, row in enumerate(matrix):
+        r = (row[i] & 1) << n
+        for j, x in enumerate(row):
+            if x & 1:
+                r |= 1 << j
+        for bit, kept in reduced.items():
+            if r & bit:
+                r ^= kept
+        if not r & columns:
+            if r:
+                raise CertificationFailure(
+                    "exactalg._characteristic_supports: M y = diag(M) has no "
+                    "GF(2) solution (rank %d)" % n)
+            continue
+        bit = r & -r
+        for b, kept in reduced.items():
+            if kept & bit:
+                reduced[b] = kept ^ r
+        reduced[bit] = r
+    solutions = [sum(bit for bit, kept in reduced.items() if kept >> n)]
+    for j in range(n):
+        free = 1 << j
+        if free not in reduced:
+            step = free | sum(bit for bit, kept in reduced.items()
+                              if kept & free)
+            solutions += [y ^ step for y in solutions]
+    out = [tuple(v for j, v in enumerate(labels) if y >> j & 1)
+           for y in solutions]
     out.sort(key=lambda t: (len(t), tuple(map(str, t))))
     return out
 
@@ -272,10 +247,6 @@ def hnf_reduce(v, h, scale=1):
     return tuple(r)
 
 
-def matvec(m, v):
-    return tuple(sum(map(mul, row, v)) for row in m)
-
-
 def _sweep(a):
     """One fraction-free Gauss-Jordan pass (Bareiss) over [a | I], a = -G.
 
@@ -324,10 +295,10 @@ class OrbitKernel:
     part of the search.  One sweep of A in that order gives the factors,
     det A and adj(A), and building the kernel certifies G negative
     definite (Sylvester, on the pivots in that order), else raises
-    Singular.  pivots are the leading minors of A in elimination order;
-    adj and det are in vertex order.  target_columns[i] is adj(A) e_i in
-    elimination order, so the search target of a covector v is the sum
-    of v[i] target_columns[i].
+    Singular.  pivots are the leading minors of A in elimination order
+    and det is det A.  target_columns[i] is adj(A) e_i in elimination
+    order, so the search target of a covector v is the sum of v[i]
+    target_columns[i].
     """
 
     def __init__(self, g: GoeritzForm):
@@ -335,15 +306,12 @@ class OrbitKernel:
         a = g.matrix
         order = sorted(range(m), key=lambda i: (-a[i][i], i))
         pivots, low, adj = _sweep([[-a[i][j] for j in order] for i in order])
-        # the swept adjugate is adj(A) with rows and columns in `order`
+        # the swept adjugate is adj(A) with rows and columns in `order`;
+        # adj(A) is symmetric, so its row place[i] is column i
         place = [0] * m
         for k, i in enumerate(order):
             place[i] = k
-        self.adj = tuple(tuple(adj[place[i]][place[j]] for j in range(m))
-                         for i in range(m))
-        # adj(A) is symmetric: its row i, read in elimination order
-        self.target_columns = tuple(tuple(row[j] for j in order)
-                                    for row in self.adj)
+        self.target_columns = tuple(adj[place[i]] for i in range(m))
         self.order = tuple(order)
         self.pivots = pivots
         self.det = pivots[-1]
@@ -362,7 +330,9 @@ class OrbitKernel:
 
     def adj_norm(self, v) -> int:
         """v^T adj(A) v, an integer: v^T G^{-1} v is -adj_norm(v) / det A."""
-        return sum(map(mul, v, matvec(self.adj, v)))
+        w = [v[j] for j in self.order]
+        return sum(x * sum(map(mul, column, w))
+                   for x, column in zip(v, self.target_columns) if x)
 
     def min_costs(self, targets):
         """W Q^2 min over integer y of (y - t)^T A (y - t) for each

@@ -218,55 +218,6 @@ def default_outer_dart(g: MarkedGraph):
     return best[1] if best else None
 
 
-def _blocks(g: MarkedGraph):
-    """Biconnected components as edge-index sets (Tarjan's lowpoint DFS).
-
-    The DFS runs on edge ids, so parallel copies share a block.
-    """
-    adj = {v: [] for v in g.vertices}
-    for i, (u, v, _) in enumerate(g.edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    num = {}
-    low = {}
-    stack = []
-    blocks = []
-    for root in g.vertices:
-        if root in num:
-            continue
-        num[root] = low[root] = len(num)
-        work = [(root, -1, iter(adj[root]))]
-        while work:
-            v, pedge, it = work[-1]
-            advanced = False
-            for (w, ei) in it:
-                if ei == pedge:
-                    continue
-                if w not in num:
-                    stack.append(ei)
-                    num[w] = low[w] = len(num)
-                    work.append((w, ei, iter(adj[w])))
-                    advanced = True
-                    break
-                if num[w] < num[v]:
-                    stack.append(ei)
-                    low[v] = min(low[v], num[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] >= num[p]:
-                        block = set()
-                        while stack:
-                            ei = stack.pop()
-                            block.add(ei)
-                            if ei == pedge:
-                                break
-                        blocks.append(block)
-    return blocks
-
-
 def _check_id(x):
     """Document ids are ints (not bools) or strings."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import (CertificationFailure, DegenerateGraph, InvalidFraction,
                      MalformedInput, NotAccessibleByConstruction, NotATree,
                      NotCoprime, NotExcessive)
-from .graphs import (Frozen, MarkedGraph, _as_document, _blocks, _check_id,
+from .graphs import (Frozen, MarkedGraph, _as_document, _check_id,
                      _check_int, _check_vertex_ids, _edge_list, _reach,
                      _vertex_ids)
 
@@ -404,14 +404,35 @@ def accessible_witness(g: MarkedGraph, weights) -> MarkedGraph:
         if wmap[v] > min(-2, -g.degree(v)):
             raise NotAccessibleByConstruction(
                 "vertex %r violates the excessive bound" % (v,))
-    for block in _blocks(g):
-        verts = set()
-        for ei in block:
-            u, v, _ = g.edges[ei]
-            verts.update((u, v))
-        if len(block) != 1 and len(block) != len(verts):
-            raise NotAccessibleByConstruction(
-                "two cycles share more than one vertex")
+    # Each edge off a BFS tree closes a cycle with the tree paths from its
+    # ends up to where they meet.  These cycles span all others, so no
+    # edge lies on two cycles exactly when no tree edge lies on two.
+    incident = {v: [] for v in g.vertices}
+    for ei, (u, v, _) in enumerate(g.edges):
+        incident[u].append((v, ei))
+        incident[v].append((u, ei))
+    queue = list(g.vertices[:1])
+    depth = dict.fromkeys(queue, 0)
+    up = {}                     # vertex -> (parent, tree edge index)
+    for u in queue:
+        for v, ei in incident[u]:
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                up[v] = (u, ei)
+                queue.append(v)
+    tree = {ei for _, ei in up.values()}
+    on_cycle = set()
+    for ei, (u, v, _) in enumerate(g.edges):
+        if ei in tree:
+            continue
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, te = up[u]
+            if te in on_cycle:
+                raise NotAccessibleByConstruction(
+                    "two cycles share more than one vertex")
+            on_cycle.add(te)
 
     edges = [(u, v, lab) for (u, v, lab) in g.edges]
     next_label = len(edges)

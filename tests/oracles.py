@@ -9,8 +9,9 @@ assignments with a covector per state, the spin-c table as row dicts,
 the Kaplan filling by explicit blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
 by face tracing, tree validation edge by edge, the f >= 9 m Furuta
 rule, the checkerboard coloring by search, the black graph as the white
-graph of the mirror), helpers only the tests call (bridges, parallel
-edge counts, one class's d by the library's search) and seeded
+graph of the mirror, the simple cycles by path search), helpers only the
+tests call (matvec, bridges, parallel edge counts, one class's d by the
+library's search, the DimensionMismatch of the rational solves) and seeded
 generators of test inputs, the medial PD code of a plane graph among
 them.
 """
@@ -25,17 +26,23 @@ from itertools import product
 from spinfill.chainmail import (ChainmailLink, FillingStats,
                                 is_characteristic, mk1_run)
 from spinfill.diagram import KnotDiagram, parse_pd, white_graph
-from spinfill.errors import (DimensionMismatch, Disconnected,
-                             MalformedInput, NonNegativeFraming, NonPlanar,
-                             NotAlternating, NotATree, NotCharacteristic,
-                             NotReduced, Singular)
-from spinfill.exactalg import (GoeritzForm, _require_square, matvec,
-                               signature)
-from spinfill.graphs import (MarkedGraph, _blocks, _dart_orbits,
-                             _face_successor, _reach, euler_check,
-                             trace_faces)
+from spinfill.errors import (Disconnected, MalformedInput,
+                             NonNegativeFraming, NonPlanar, NotAlternating,
+                             NotATree, NotCharacteristic, NotReduced,
+                             Singular, SpinfillError)
+from spinfill.exactalg import GoeritzForm, _require_square, signature
+from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
+                             _reach, euler_check, trace_faces)
 from spinfill.plumbing import PlumbingTree
 from spinfill.spinc import canonical_key
+
+
+class DimensionMismatch(SpinfillError):
+    """A vector's length is not the matrix's size."""
+
+
+def matvec(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 def spanning_tree_count(graph: MarkedGraph) -> int:
@@ -367,9 +374,37 @@ def edge_multiplicity(g: MarkedGraph) -> Counter:
 
 
 def bridges(g: MarkedGraph):
-    """Edge indices whose removal disconnects the graph: the edges of the
-    single-edge blocks.  Parallel copies are never bridges."""
-    return [ei for block in _blocks(g) if len(block) == 1 for ei in block]
+    """Edge indices whose removal disconnects the graph, in order.
+    Parallel copies are never bridges."""
+    return [i for i in range(len(g.edges))
+            if not MarkedGraph(g.vertices,
+                               g.edges[:i] + g.edges[i + 1:]).is_connected()]
+
+
+def simple_cycles(g: MarkedGraph):
+    """Every simple cycle of g, as a frozenset of edge indices.
+
+    Each cycle is found from its first vertex in g.vertices, by a search
+    over the paths on later vertices that return to it; two parallel
+    edges make a 2-cycle.
+    """
+    incident = {v: [] for v in g.vertices}
+    for ei, (u, v, _) in enumerate(g.edges):
+        incident[u].append((v, ei))
+        incident[v].append((u, ei))
+    rank = g.index
+    cycles = set()
+
+    def extend(start, v, path, on_path):
+        for w, ei in incident[v]:
+            if w == start and ei not in path:
+                cycles.add(frozenset(path + [ei]))
+            elif w not in on_path and rank[w] > rank[start]:
+                extend(start, w, path + [ei], on_path | {w})
+
+    for start in g.vertices:
+        extend(start, start, [], {start})
+    return cycles
 
 
 def multigraph_isomorphic(g1: MarkedGraph, g2: MarkedGraph, respect_marked=True):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from spinfill.chainmail import build_chainmail, kaplan_filling, mk1_run
 from spinfill.diagram import state_covectors, white_graph
 from spinfill.errors import Disconnected
-from spinfill.exactalg import goeritz, matvec, signature
+from spinfill.exactalg import goeritz, signature
 from spinfill.plumbing import (PlumbingTree, berge_ipm, check_normal_form,
                                decide_plumbed, det_tree, linear_tree, neg_cf,
                                reduce_normal_form)
@@ -20,7 +20,7 @@ from spinfill.spinc import (characteristic_subgraphs, enumerate_spinc,
 from conftest import (banana_graph, brute_force_class_maxima, path_hub_graph,
                       special44_graph)
 from oracles import (canonical_form, d_by_search, det_exact,
-                     gen_plane_multigraph, intersection_matrix, mu_bar,
+                     gen_plane_multigraph, intersection_matrix, matvec, mu_bar,
                      quadform_q, random_excessive_tree, random_tree,
                      shuffled_tree, spanning_tree_count)
 

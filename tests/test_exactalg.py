@@ -1,20 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinfill.diagram import white_graph
-from spinfill.errors import Disconnected, NonSquare, NonSymmetric, Singular
-from spinfill.exactalg import (gf2_affine_solutions, goeritz, hnf_basis,
-                               hnf_reduce, matvec, signature)
+from spinfill.errors import (CertificationFailure, Disconnected, NonSquare,
+                             NonSymmetric, Singular)
+from spinfill.exactalg import (_characteristic_supports, goeritz, hnf_basis,
+                               hnf_reduce, signature)
 from spinfill.graphs import MarkedGraph
 
 from conftest import (banana_graph, special44_graph, path_hub_graph,
                       two33_graph)
 from oracles import (adjugate, det_exact, edge_multiplicity,
-                     gen_plane_multigraph, quadform_q, solve_rational,
+                     gen_plane_multigraph, matvec, quadform_q, solve_rational,
                      spanning_tree_count)
 
 
@@ -63,30 +65,54 @@ def test_quadform_examples():
     assert quadform_q([[-4, 1], [1, -4]], (2, 0)) == Fraction(-16, 15)
 
 
+def characteristic_supports_by_search(m, labels):
+    """Every y in {0,1}^n with M y = diag(M) mod 2, as the labels where y
+    is 1, in the library's order: by size, then by the labels' strings."""
+    out = [tuple(v for v, bit in zip(labels, y) if bit)
+           for y in product((0, 1), repeat=len(m))
+           if all((sum(x * b for x, b in zip(row, y)) - row[i]) % 2 == 0
+                  for i, row in enumerate(m))]
+    out.sort(key=lambda t: (len(t), tuple(map(str, t))))
+    return out
+
+
 def test_gf2_examples():
-    assert gf2_affine_solutions([[0, 1], [1, 0]], (0, 0)) == ((0, 0), ())
-    part, basis = gf2_affine_solutions([[1, 1], [1, 1]], (1, 1))
-    assert part == (1, 0) and basis == ((1, 1),)
-    assert gf2_affine_solutions([[1, 1], [1, 1]], (1, 0)) is None
+    assert _characteristic_supports([[-3]], "a") == [("a",)]
+    assert _characteristic_supports([[-2]], "a") == [(), ("a",)]
+    assert _characteristic_supports([[0, 0], [0, 0]], "ab") == \
+        [(), ("a",), ("b",), ("a", "b")]
+    assert _characteristic_supports([[0, 1], [1, 0]], "ab") == [()]
+    assert _characteristic_supports([[1, 1], [1, 1]], "ab") == \
+        [("a",), ("b",)]
+    # all-odd diagonals: with even entries off it, M is the identity
+    # mod 2 and y is all ones, its labels kept in matrix order
+    m = [[-3, 2, 0], [2, -5, 2], [0, 2, -1]]
+    assert _characteristic_supports(m, (2, 0, 1)) == [(2, 0, 1)]
+    assert _characteristic_supports([[1] * 3] * 3, "abc") == \
+        [("a",), ("b",), ("c",), ("a", "b", "c")]
+    # a non-symmetric M can leave the system without a solution
+    with pytest.raises(CertificationFailure):
+        _characteristic_supports([[1, 0], [1, 0]], "ab")
 
 
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=60, deadline=None)
-def test_gf2_solutions_satisfy_system(seed):
-    rng = random.Random(seed)
-    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-    a = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-    b = [rng.randint(0, 1) for _ in range(rows)]
-    sol = gf2_affine_solutions(a, b)
-    if sol is None:
-        return
-    part, basis = sol
-    vecs = [list(part)]
-    for k in basis:
-        vecs.append([p ^ q for p, q in zip(part, k)])
-    for v in vecs:
-        for row, bi in zip(a, b):
-            assert sum(r * x for r, x in zip(row, v)) % 2 == bi
+@st.composite
+def labelled_symmetric_matrices(draw):
+    n = draw(st.integers(1, 8))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-5, 5))
+    labels = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n,
+                           unique=True))
+    return m, tuple(labels)
+
+
+@given(labelled_symmetric_matrices())
+@settings(max_examples=150, deadline=None)
+def test_gf2_solutions_satisfy_system(case):
+    m, labels = case
+    assert _characteristic_supports(m, labels) == \
+        characteristic_supports_by_search(m, labels)
 
 
 def test_goeritz_examples():

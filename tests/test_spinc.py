@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from spinfill.diagram import parse_pd, state_covectors, white_graph
 from spinfill.errors import CertificationFailure, Singular
-from spinfill.exactalg import (GoeritzForm, goeritz, hnf_reduce, matvec,
-                               signature)
+from spinfill.exactalg import GoeritzForm, goeritz, hnf_reduce, signature
 from spinfill.graphs import MarkedGraph, parse_graph_doc
 from spinfill.plumbing import PlumbingTree, linear_tree
 from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
@@ -21,8 +20,8 @@ from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       white_data)
 from oracles import (ZigzagKernel, box_keys, d_by_search, d_invariant,
                      det_exact, diagram_from_plane_graph, furuta_check,
-                     gen_plane_multigraph, mirror, mu_bar, orbit_max_q,
-                     quadform_q, same_class, search_target)
+                     gen_plane_multigraph, matvec, mirror, mu_bar,
+                     orbit_max_q, quadform_q, same_class, search_target)
 from test_golden import corpus
 
 
@@ -598,8 +597,13 @@ def test_kernel_pivots_certify_definiteness(g):
         assert pivots == [det_exact([row[:k] for row in swept[:k]])
                           for k in range(1, n + 1)]
         assert pivots[-1] == kernel.det == det_exact(a)
+        # adj(A) in vertex order, from its columns in elimination order
+        adj = [[0] * n for _ in range(n)]
+        for i, column in enumerate(kernel.target_columns):
+            for k, x in zip(order, column):
+                adj[k][i] = x
         assert [[sum(x * y for x, y in zip(row, col))
-                 for col in zip(*kernel.adj)] for row in a] == \
+                 for col in zip(*adj)] for row in a] == \
             [[kernel.det * (i == j) for j in range(n)] for i in range(n)]
 
 
