@@ -15,7 +15,8 @@ from typing import NamedTuple
 from .errors import (CertificationFailure, DegenerateGraph, Disconnected,
                      EmptyCharacteristicSet, InvalidEmbedding, MalformedInput,
                      NonNegativeFraming, NotCharacteristic)
-from .exactalg import _characteristic_supports, _edge_matrix, signature
+from .exactalg import (_characteristic_supports, _edge_matrix, _parity_rows,
+                       signature)
 from .graphs import (Frozen, MarkedGraph, _reach, default_outer_dart,
                      euler_check, parse_graph_doc)
 
@@ -52,6 +53,19 @@ class ChainmailLink(Frozen):
         """Signature of the linking matrix, computed once per link."""
         pos, neg, _ = signature(self.linking_matrix)
         return pos - neg
+
+    @cached_property
+    def parity_rows(self):
+        """Rows of the linking matrix mod 2 as ints: column j at bit j,
+        the diagonal entry at bit n."""
+        return _parity_rows(self.linking_matrix)
+
+    @cached_property
+    def plans(self):
+        """Contraction plans of the connected pieces that mk1_run has
+        slid, keyed by frozenset(piece): the (keep, drop) pairs in order
+        and the surviving vertex."""
+        return {}
 
 
 class SlideStep(NamedTuple):
@@ -134,10 +148,17 @@ def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
 
 
 def is_characteristic(link: ChainmailLink, subset) -> bool:
-    """Sublink parity test: L w ~ diag(L) mod 2 for the indicator w."""
-    cols = {link.graph.index[v] for v in subset}
-    return all((sum(row[j] for j in cols) - row[i]) % 2 == 0
-               for i, row in enumerate(link.linking_matrix))
+    """Sublink parity test: L w ~ diag(L) mod 2 for the indicator w.
+
+    With w and the diagonal bit in one mask, row i holds exactly when
+    its parity row has an even number of bits in the mask."""
+    idx = link.graph.index
+    mask = 1 << len(idx)
+    for v in subset:
+        if v not in idx:
+            raise MalformedInput("unknown vertex %r" % (v,))
+        mask |= 1 << idx[v]
+    return not any((row & mask).bit_count() & 1 for row in link.parity_rows)
 
 
 def characteristic_subsets(link: ChainmailLink):
@@ -231,15 +252,47 @@ class _PlaneWork:
         del self.rot[drop]
 
 
+def _contraction_plan(link: ChainmailLink, piece, subset):
+    """The (keep, drop) pairs that contract a connected piece of a
+    sublink, in order, and the vertex that survives them.
+
+    The plan depends only on the piece, the rotations and the outer
+    dart, so it is built once per link and kept in link.plans; a piece
+    with no slidable pair left is not kept, and raises naming subset.
+    """
+    key = frozenset(piece)
+    plan = link.plans.get(key)
+    if plan is not None:
+        return plan
+    if link.graph.rotations is None:
+        raise InvalidEmbedding("handle-slide order needs a rotation system")
+    # Regions of the piece's own sub-embedding only.
+    work = _PlaneWork(link.graph, link.outer_dart, piece)
+    pairs = []
+    while len(work.rot) > 1:
+        pair = next((p for p in work.adjacent_pairs()
+                     if not work.encloses(*p)), None)
+        if pair is None:
+            raise CertificationFailure(
+                "chainmail.mk1_run: no slidable pair left in sublink %s"
+                % (list(subset),))
+        pairs.append(pair)
+        work.contract(*pair)
+    plan = link.plans[key] = (tuple(pairs), next(iter(work.rot)))
+    return plan
+
+
 def mk1_run(link: ChainmailLink, subset) -> SlideLog:
     """Contract a sublink to a single component by handle slides.
 
     Within each connected component of the induced subgraph the pair to
     slide is the lexicographically first adjacent pair whose enclosed
     region contains no other component vertex; afterwards the component
-    representatives are merged along a star.  Each slide updates the
-    linking matrix by the congruence with E = I + e_over e_slid^T and
-    drops the slid-over component from the tracked sublink.
+    representatives are merged along a star.  The pairs of a component
+    are planned once per link (_contraction_plan) and replayed here:
+    each slide updates this sublink's copy of the linking matrix by the
+    congruence with E = I + e_over e_slid^T and drops the slid-over
+    component from the tracked sublink.
     """
     subset = tuple(subset)
     if not subset:
@@ -280,21 +333,10 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
         if len(comp) == 1:
             reps.append(next(iter(comp)))
             continue
-        if link.graph.rotations is None:
-            raise InvalidEmbedding("handle-slide order needs a rotation system")
-        # Regions of the component's own sub-embedding only.
-        work = _PlaneWork(link.graph, link.outer_dart, comp)
-        while len(work.rot) > 1:
-            pair = next((p for p in work.adjacent_pairs()
-                         if not work.encloses(*p)), None)
-            if pair is None:
-                raise CertificationFailure(
-                    "chainmail.mk1_run: no slidable pair left in sublink %s"
-                    % (list(subset),))
-            keep, drop = pair
+        pairs, survivor = _contraction_plan(link, comp, subset)
+        for keep, drop in pairs:
             slide(keep, drop, "contract")
-            work.contract(keep, drop)
-        reps.append(next(iter(work.rot)))
+        reps.append(survivor)
 
     center = reps[0]
     for other in reps[1:]:
@@ -342,7 +384,8 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
     each meridian ends at 1 + 1, so the surviving diagonal is even
     exactly when L'[i][i] + L'[i][p] is even for every i != p, which
     certifies the spin form.  log, when given, is mk1_run(link, subset),
-    so the slides are not run twice.
+    so the slides are not run twice; a log of another sublink raises
+    CertificationFailure.
     """
     subset = tuple(subset)
     if not is_characteristic(link, subset):
@@ -357,6 +400,10 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
 
     if log is None:
         log = mk1_run(link, subset)
+    elif set(log.subset) != set(subset):
+        raise CertificationFailure(
+            "chainmail.kaplan_filling: the slide log is of sublink %s, not "
+            "of sublink %s" % (list(log.subset), list(subset)))
     mat = log.final_matrix
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]

@@ -1,13 +1,13 @@
-"""Exact integer and rational linear algebra kernels.
+"""Exact integer linear algebra kernels.
 
-Everything runs on plain Python ints and fractions.Fraction, so there
-is no overflow and no rounding; obstruction verdicts downstream rely on
-these results being exact.  Matrices are lists/tuples of rows.
+Everything runs on plain Python ints: the eliminations are
+fraction-free and the GF(2) rows are int bitmasks, so there is no
+overflow and no rounding; obstruction verdicts downstream rely on these
+results being exact.  Matrices are lists/tuples of rows.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -99,69 +99,82 @@ def _require_square(m):
 def signature(m) -> tuple:
     """Inertia (n+, n-, n0) of a symmetric matrix, by exact congruence.
 
-    Zero diagonals are repaired with the congruence row/col addition
-    trick, which is valid over the rationals.
+    A fraction-free symmetric elimination (Bareiss): each step removes
+    the first index of the trailing block, and the block's entries stay
+    integers, its rational Schur complement times the previous pivot.
+    The D-value of a step is its pivot over the previous pivot, so its
+    sign is the product of their signs.  A zero pivot is repaired by a
+    congruence: swap in a later nonzero diagonal entry; else add a row
+    and column with a nonzero entry off the diagonal, which makes the
+    pivot twice that entry; else the index is a zero of the form and is
+    dropped.
     """
     n = _require_square(m)
     for i in range(n):
         for j in range(n):
             if m[i][j] != m[j][i]:
                 raise NonSymmetric("matrix is not symmetric")
-    a = [[Fraction(x) for x in row] for row in m]
+    a = [list(row) for row in m]
     pos = neg = zero = 0
-    i = 0
-    while i < n:
-        if a[i][i] == 0:
-            j = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
+    prev = 1
+    while a:
+        top = a[0]
+        if not top[0]:
+            j = next((r for r in range(1, len(a)) if a[r][r]), None)
             if j is not None:
-                for r in range(n):
-                    a[i][r], a[j][r] = a[j][r], a[i][r]
-                for r in range(n):
-                    a[r][i], a[r][j] = a[r][j], a[r][i]
+                a[0], a[j] = a[j], top
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
             else:
-                j = next((c for c in range(i + 1, n) if a[i][c] != 0), None)
+                j = next((c for c in range(1, len(a)) if top[c]), None)
                 if j is None:
                     zero += 1
-                    i += 1
+                    a = [row[1:] for row in a[1:]]
                     continue
-                for r in range(n):
-                    a[i][r] += a[j][r]
-                for r in range(n):
-                    a[r][i] += a[r][j]
-        p = a[i][i]
-        if p > 0:
+                a[0] = [x + y for x, y in zip(top, a[j])]
+                for row in a:
+                    row[0] += row[j]
+            top = a[0]
+        p = top[0]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for r in range(i + 1, n):
-            f = a[r][i] / p
-            if f:
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-                for c in range(i, n):
-                    a[c][r] -= f * a[c][i]
-        i += 1
+        rest = top[1:]
+        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], rest)]
+             for row in a[1:]]
+        prev = p
     return (pos, neg, zero)
 
 
-def _characteristic_supports(matrix, labels):
-    """Supports of every y with M y = diag(M) over GF(2).
-
-    Row i of the system is an int: column j at bit j, M[i][i] at bit n.
-    One Gauss-Jordan pass keeps a reduced row per pivot bit, the lowest
-    bit of its row and set in no other kept row; the solutions then
-    double over the free columns, lowest first.  Each support is the
-    tuple of labels where y is 1; the list is sorted by size, then by
-    the labels' strings.  The count is a power of two.
-    """
+def _parity_rows(matrix):
+    """The rows of M y = diag(M) over GF(2), as ints: row i has column j
+    at bit j and M[i][i] mod 2 at bit n."""
     n = len(matrix)
-    columns = (1 << n) - 1
-    reduced = {}
+    rows = []
     for i, row in enumerate(matrix):
         r = (row[i] & 1) << n
         for j, x in enumerate(row):
             if x & 1:
                 r |= 1 << j
+        rows.append(r)
+    return tuple(rows)
+
+
+def _characteristic_supports(matrix, labels):
+    """Supports of every y with M y = diag(M) over GF(2).
+
+    Row i of the system is an int (_parity_rows): column j at bit j,
+    M[i][i] at bit n.  One Gauss-Jordan pass keeps a reduced row per
+    pivot bit, the lowest bit of its row and set in no other kept row;
+    the solutions then double over the free columns, lowest first.
+    Each support is the tuple of labels where y is 1; the list is sorted
+    by size, then by the labels' strings.  The count is a power of two.
+    """
+    n = len(matrix)
+    columns = (1 << n) - 1
+    reduced = {}
+    for r in _parity_rows(matrix):
         for bit, kept in reduced.items():
             if r & bit:
                 r ^= kept

@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 from spinfill.diagram import parse_pd, white_graph
-from spinfill.graphs import MarkedGraph
+from spinfill.graphs import MarkedGraph, graph_to_doc
 from spinfill.spinc import canonical_key
 
 from oracles import (black_graph, diagram_from_plane_graph,
@@ -113,6 +113,21 @@ def two33_graph():
     }
     return MarkedGraph(("h", "a", "b"), edges, marked="h",
                        rotations=tuple(rots[v] for v in ("h", "a", "b")))
+
+
+def banana_path_doc(m):
+    """Marked hub h joined to 1 by three edges and a path 1, ..., m of
+    doubled edges.  Mod 2 the Goeritz form is diag(1, 0, ..., 0), so the
+    characteristic sublinks are the 2^(m-1) sets that contain 1."""
+    bundles = [("h", 1, 3)] + [(i, i + 1, 2) for i in range(1, m)]
+    edges, rot = [], {v: [] for v in ["h"] + list(range(1, m + 1))}
+    for u, v, k in bundles:
+        ids = range(len(edges), len(edges) + k)
+        edges += [(u, v, e) for e in ids]
+        rot[u] += [(e, 0) for e in ids]
+        rot[v] = [(e, 1) for e in reversed(ids)] + rot[v]
+    return graph_to_doc(MarkedGraph(tuple(rot), tuple(edges), marked="h",
+                                    rotations=tuple(map(tuple, rot.values()))))
 
 
 def diagram_suite():

@@ -2,18 +2,19 @@
 
 None of these run on a library path: they are independent oracles the
 tests compare the library against (spanning-tree counts, determinants
-and adjugates, isomorphism, rational solves, orbit maxima and the d
+and adjugates, the inertia by a Fraction elimination, isomorphism, rational solves, orbit maxima and the d
 table by one lattice search per class in the vertex-order kernel, the
 Kauffman states as region
 assignments with a covector per state, the spin-c table as row dicts,
 the Kaplan filling by explicit blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
 by face tracing, tree validation edge by edge, the f >= 9 m Furuta
 rule, the checkerboard coloring by search, the black graph as the white
-graph of the mirror, the simple cycles by path search), helpers only the
+graph of the mirror, the simple cycles by path search, the lens-space
+d-invariants by the Ozsvath-Szabo recursion), helpers only the
 tests call (matvec, bridges, parallel edge counts, one class's d by the
 library's search, the DimensionMismatch of the rational solves) and seeded
-generators of test inputs, the medial PD code of a plane graph among
-them.
+generators of test inputs, the medial PD code of a plane graph and the
+chain graph of a fraction p/q among them.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from spinfill.errors import (Disconnected, MalformedInput,
 from spinfill.exactalg import GoeritzForm, _require_square, signature
 from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
                              _reach, euler_check, trace_faces)
-from spinfill.plumbing import PlumbingTree
+from spinfill.plumbing import PlumbingTree, neg_cf
 from spinfill.spinc import canonical_key
 
 
@@ -120,6 +121,60 @@ def det_exact(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def signature_by_fractions(m, repairs=None) -> tuple:
+    """Inertia (n+, n-, n0) of a symmetric matrix by congruence over the
+    rationals: the Fraction elimination the library used before its
+    fraction-free one.
+
+    A zero pivot swaps in a later nonzero diagonal entry, else adds a
+    row and column with a nonzero entry off the diagonal, else counts a
+    zero.  The library's trailing block is this one's times a nonzero
+    pivot, so both take the same repairs at the same steps; repairs,
+    when given (a Counter), counts them as "swap", "add" and "zero".
+    """
+    n = _require_square(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    pos = neg = zero = 0
+    i = 0
+    while i < n:
+        if a[i][i] == 0:
+            j = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
+            kind = "swap"
+            if j is None:
+                j = next((c for c in range(i + 1, n) if a[i][c] != 0), None)
+                kind = "zero" if j is None else "add"
+            if repairs is not None:
+                repairs[kind] += 1
+            if kind == "zero":
+                zero += 1
+                i += 1
+                continue
+            if kind == "swap":
+                for r in range(n):
+                    a[i][r], a[j][r] = a[j][r], a[i][r]
+                for r in range(n):
+                    a[r][i], a[r][j] = a[r][j], a[r][i]
+            else:
+                for r in range(n):
+                    a[i][r] += a[j][r]
+                for r in range(n):
+                    a[r][i] += a[r][j]
+        p = a[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(i + 1, n):
+            f = a[r][i] / p
+            if f:
+                for c in range(i, n):
+                    a[r][c] -= f * a[i][c]
+                for c in range(i, n):
+                    a[c][r] -= f * a[c][i]
+        i += 1
+    return (pos, neg, zero)
 
 
 def adjugate(m):
@@ -589,6 +644,31 @@ def cf_value(terms):
     for a in reversed(terms[:-1]):
         val = a - 1 / val
     return val
+
+
+def lens_d(p, q):
+    """d(-L(p, q), i) for i = 0, ..., p - 1, by the recursion of
+    Ozsvath-Szabo (Absolutely graded Floer homologies..., Adv. Math.
+    2003, Prop. 4.8): d(-L(p, q), i) = ((2i + 1 - p - q)^2 - pq) / (4pq)
+    - d(-L(q, r), i mod q) with r = p mod q, and d(L(1, q)) = 0."""
+    if p == 1:
+        return [Fraction(0)]
+    inner = lens_d(q, p % q)
+    return [Fraction((2 * i + 1 - p - q) ** 2 - p * q, 4 * p * q)
+            - inner[i % q] for i in range(p)]
+
+
+def chain_graph(p, q) -> MarkedGraph:
+    """The white graph whose Goeritz form is the linear plumbing of
+    p/q = [a1, ..., ak] (neg_cf): a path v1, ..., vk, and ai minus its
+    path degree edges from each vi to the marked hub "h"."""
+    weights = neg_cf(p, q)
+    k = len(weights)
+    pairs = [(i, i + 1) for i in range(1, k)]
+    for i, a in enumerate(weights, 1):
+        pairs += [("h", i)] * (a - (i > 1) - (i < k))
+    edges = tuple((u, v, e) for e, (u, v) in enumerate(pairs))
+    return MarkedGraph(("h",) + tuple(range(1, k + 1)), edges, marked="h")
 
 
 def canonical_form(tree: PlumbingTree):

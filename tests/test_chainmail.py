@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,15 +9,15 @@ from spinfill import chainmail
 from spinfill.chainmail import (ChainmailLink, build_chainmail,
                                 characteristic_subsets, is_characteristic,
                                 kaplan_filling, mk1_run)
-from spinfill.errors import (Disconnected, EmptyCharacteristicSet,
-                             MalformedInput, NonNegativeFraming,
-                             NotCharacteristic)
+from spinfill.errors import (CertificationFailure, Disconnected,
+                             EmptyCharacteristicSet, MalformedInput,
+                             NonNegativeFraming, NotCharacteristic)
 from spinfill.exactalg import goeritz
 from spinfill.graphs import MarkedGraph, graph_to_doc
 from spinfill.spinc import characteristic_subgraphs
 
-from conftest import (banana_graph, path_hub_graph, special44_graph,
-                      two33_graph)
+from conftest import (banana_graph, banana_path_doc, path_hub_graph,
+                      special44_graph, two33_graph)
 from oracles import (encloses_by_faces, furuta_check, gen_plane_multigraph,
                      kaplan_filling_by_moves)
 
@@ -183,6 +184,28 @@ def test_kaplan_rejects_noncharacteristic():
         kaplan_filling(link, ("a",))
 
 
+def test_kaplan_rejects_unknown_vertex():
+    link = build_chainmail(two33_graph())
+    for check in (is_characteristic, kaplan_filling):
+        with pytest.raises(MalformedInput, match="unknown vertex 'zz'"):
+            check(link, ("zz",))
+
+
+def test_kaplan_rejects_a_log_of_another_sublink():
+    link = build_chainmail(two33_graph())
+    subs = [sub for sub in characteristic_subsets(link) if sub]
+    assert len(subs) > 1
+    log = mk1_run(link, subs[0])
+    with pytest.raises(CertificationFailure) as info:
+        kaplan_filling(link, subs[1], log)
+    message = str(info.value)
+    assert message.startswith("chainmail.kaplan_filling: ")
+    assert str(list(subs[0])) in message and str(list(subs[1])) in message
+    # the same sublink, listed in another order, is the same log's
+    assert kaplan_filling(link, subs[0][::-1], log) == \
+        kaplan_filling(link, subs[0])
+
+
 def test_kaplan_accounting_random():
     rng = random.Random(31)
     done = 0
@@ -255,6 +278,50 @@ def test_kaplan_matches_moves_covers_every_framing():
         framings += kaplan_matches_moves(
             build_chainmail(random_chainmail_doc(rng)))
     assert -1 in framings and min(framings) < -1 and max(framings) >= 0
+
+
+def test_warm_link_replays_fresh_slide_logs():
+    # contraction plans are kept on the link: once every characteristic
+    # sublink has been slid, sliding them again in shuffled order builds
+    # no plan and gives each sublink the log of a fresh link
+    rng = random.Random(23)
+    done = planned = 0
+    while done < 100:
+        w = gen_plane_multigraph(rng, rng.randint(4, 10), rng.randint(2, 10))
+        try:
+            warm = build_chainmail(w)
+        except Disconnected:
+            continue
+        subs = [sub for sub in characteristic_subsets(warm) if sub]
+        for sub in subs:
+            mk1_run(warm, sub)
+        plans = dict(warm.plans)
+        rng.shuffle(subs)
+        for sub in subs:
+            assert mk1_run(warm, sub) == mk1_run(build_chainmail(w), sub), sub
+        assert warm.plans.keys() == plans.keys()
+        assert all(warm.plans[key] is plan for key, plan in plans.items())
+        planned += bool(plans)
+        done += 1
+    assert planned > 50
+
+
+def test_failed_plan_is_not_kept(monkeypatch):
+    # the piece (1, 2) lies in the sublinks {1, 2} and {1, 2, 4}
+    link = build_chainmail(banana_path_doc(4))
+    assert [1, 2] in map(list, characteristic_subsets(link))
+    with monkeypatch.context() as patch:
+        patch.setattr(chainmail._PlaneWork, "encloses",
+                      lambda work, u, v: True)
+        for sub in ((1, 2), (1, 2, 4), (1, 2)):
+            with pytest.raises(CertificationFailure,
+                               match=r"no slidable pair left in sublink %s$"
+                               % re.escape(str(list(sub)))):
+                mk1_run(link, sub)
+        assert link.plans == {}
+    assert mk1_run(link, (1, 2, 4)) == \
+        mk1_run(build_chainmail(banana_path_doc(4)), (1, 2, 4))
+    assert list(link.plans) == [frozenset((1, 2))]
 
 
 def _nested_lens_doc(outer_dart):

@@ -13,7 +13,8 @@ from spinfill import chainmail, diagram, exactalg, graphs, spinc
 from spinfill.cli import build_parser, main
 from spinfill.graphs import MarkedGraph, graph_to_doc
 
-from conftest import PD_CODES, banana_graph, path_hub_graph, two33_graph
+from conftest import (PD_CODES, banana_graph, banana_path_doc, path_hub_graph,
+                      two33_graph)
 from oracles import diagram_from_plane_graph
 
 
@@ -801,19 +802,31 @@ def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
     assert calls["mk1_run"] > 1
 
 
-def banana_path_doc(m):
-    """Marked hub h joined to 1 by three edges and a path 1, ..., m of
-    doubled edges.  Mod 2 the Goeritz form is diag(1, 0, ..., 0), so the
-    characteristic sublinks are the 2^(m-1) sets that contain 1."""
-    bundles = [("h", 1, 3)] + [(i, i + 1, 2) for i in range(1, m)]
-    edges, rot = [], {v: [] for v in ["h"] + list(range(1, m + 1))}
-    for u, v, k in bundles:
-        ids = range(len(edges), len(edges) + k)
-        edges += [(u, v, e) for e in ids]
-        rot[u] += [(e, 0) for e in ids]
-        rot[v] = [(e, 1) for e in reversed(ids)] + rot[v]
-    return graph_to_doc(MarkedGraph(tuple(rot), tuple(edges), marked="h",
-                                    rotations=tuple(map(tuple, rot.values()))))
+def path_pieces(subset):
+    """The connected pieces of a sublink of banana_path_doc's path: its
+    runs of consecutive vertices."""
+    pieces = []
+    for v in sorted(subset):
+        if pieces and pieces[-1][-1] == v - 1:
+            pieces[-1].append(v)
+        else:
+            pieces.append([v])
+    return [tuple(piece) for piece in pieces]
+
+
+def test_mk1_all_plans_each_piece_once(capsys, monkeypatch, count_calls):
+    calls = count_calls(chainmail._PlaneWork)
+    for m in (2, 3, 4, 5):
+        calls["_PlaneWork"] = 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps(banana_path_doc(m))))
+        code, out, _ = run_cli(["--json", "mk1", "-", "--all"], capsys)
+        assert code == 0
+        pieces = [piece for run in json.loads(out)["runs"]
+                  for piece in path_pieces(run["subset"]) if len(piece) > 1]
+        assert calls["_PlaneWork"] == len(set(pieces)) >= 1
+        # from m = 4 on, a piece such as (1, 2) recurs in several sublinks
+        assert len(pieces) > len(set(pieces)) or m < 4
 
 
 def test_mk1_checks_connectivity_once(capsys, monkeypatch, count_calls):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,8 @@ from spinfill.graphs import MarkedGraph
 from conftest import (banana_graph, special44_graph, path_hub_graph,
                       two33_graph)
 from oracles import (adjugate, det_exact, edge_multiplicity,
-                     gen_plane_multigraph, matvec, quadform_q, solve_rational,
+                     gen_plane_multigraph, matvec, quadform_q,
+                     signature_by_fractions, solve_rational,
                      spanning_tree_count)
 
 
@@ -48,6 +50,84 @@ def test_signature_examples():
     assert signature([[0, 0], [0, 0]]) == (0, 0, 2)
     with pytest.raises(NonSymmetric):
         signature([[0, 1], [2, 0]])
+
+
+@st.composite
+def degenerate_symmetric_matrices(draw):
+    """Symmetric integer matrices with n <= 8, with some diagonal entries
+    and some whole rows and columns forced to zero."""
+    n = draw(st.integers(1, 8))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-4, 4))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        m[i][i] = 0
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for j in range(n):
+            m[i][j] = m[j][i] = 0
+    return m
+
+
+@given(degenerate_symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_signature_matches_fraction_elimination(m):
+    assert signature(m) == signature_by_fractions(m)
+
+
+def random_unimodular(rng, n):
+    """A product of random column additions, swaps and sign changes."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        move = rng.randrange(3)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in u:
+            if move == 0 and i != j:
+                row[j] += c * row[i]
+            elif move == 1:
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] = -row[i]
+    return u
+
+
+@given(degenerate_symmetric_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_signature_is_a_congruence_invariant(m, rng):
+    n = len(m)
+    u = random_unimodular(rng, n)
+    mu = [[sum(m[i][k] * u[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    t = [[sum(u[k][i] * mu[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    assert abs(det_exact(u)) == 1
+    assert signature(t) == signature(m)
+
+
+def test_signature_takes_every_repair():
+    # swap in a later diagonal entry, add a row and column, drop a zero;
+    # the random cases also take them after pivots other than 1
+    cases = [[[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]]
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.choice((0, 0, 1, -1, 2, -3))
+            if rng.random() < 0.5:
+                m[i][i] = 0
+        cases.append(m)
+    repairs = Counter()
+    for m in cases[:3]:
+        before = sum(repairs.values())
+        assert signature(m) == signature_by_fractions(m, repairs)
+        assert sum(repairs.values()) > before
+    assert set(repairs) == {"swap", "add", "zero"}
+    for m in cases[3:]:
+        assert signature(m) == signature_by_fractions(m, repairs), m
+    assert min(repairs.values()) >= 10, repairs
 
 
 def test_solve_examples():

@@ -1,16 +1,17 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinfill.diagram import parse_pd, state_covectors, white_graph
 from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, hnf_reduce, signature
 from spinfill.graphs import MarkedGraph, parse_graph_doc
-from spinfill.plumbing import PlumbingTree, linear_tree
+from spinfill.plumbing import PlumbingTree, linear_tree, neg_cf
 from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
                             cut_size, enumerate_spinc, hermite_box,
                             obstruction_report, spin_class)
@@ -18,10 +19,11 @@ from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       path_hub_graph, special44_graph, two33_graph,
                       white_data)
-from oracles import (ZigzagKernel, box_keys, d_by_search, d_invariant,
-                     det_exact, diagram_from_plane_graph, furuta_check,
-                     gen_plane_multigraph, matvec, mirror, mu_bar,
-                     orbit_max_q, quadform_q, same_class, search_target)
+from oracles import (ZigzagKernel, box_keys, chain_graph, d_by_search,
+                     d_invariant, det_exact, diagram_from_plane_graph,
+                     furuta_check, gen_plane_multigraph, lens_d, matvec,
+                     mirror, mu_bar, orbit_max_q, quadform_q, same_class,
+                     search_target)
 from test_golden import corpus
 
 
@@ -639,3 +641,29 @@ def test_capbound_is_the_furuta_rule():
             verdicts.append(entry.obstructed)
     # banana9 (m 1, cut 9) sits on the threshold
     assert True in verdicts and False in verdicts
+
+
+def lens_space_d_matches(p, q):
+    """The chain graph of p/q has the d multiset of L(p, q), which is the
+    negation of Ozsvath-Szabo's multiset for -L(p, q)."""
+    g = goeritz(chain_graph(p, q))
+    assert det_exact(g.matrix) in (p, -p)
+    assert sorted(c.d for c in enumerate_spinc(g)) == \
+        sorted(-d for d in lens_d(p, q)), (p, q)
+
+
+def test_lens_space_d_small_p():
+    pairs = [(p, q) for p in range(2, 40) for q in range(1, p)
+             if math.gcd(p, q) == 1 and len(neg_cf(p, q)) <= 12]
+    assert len(pairs) > 400
+    for p, q in pairs:
+        lens_space_d_matches(p, q)
+
+
+@given(st.integers(2, 79).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
+@settings(max_examples=150, deadline=None)
+def test_lens_space_d_matches_ozsvath_szabo(pq):
+    p, q = pq
+    assume(math.gcd(p, q) == 1 and len(neg_cf(p, q)) <= 12)
+    lens_space_d_matches(p, q)
