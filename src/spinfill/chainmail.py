@@ -384,7 +384,8 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
     each meridian ends at 1 + 1, so the surviving diagonal is even
     exactly when L'[i][i] + L'[i][p] is even for every i != p, which
     certifies the spin form.  log, when given, is mk1_run(link, subset),
-    so the slides are not run twice; a log of another sublink raises
+    so the slides are not run twice; a log of another sublink, or of a
+    link with another vertex order or linking matrix, raises
     CertificationFailure.
     """
     subset = tuple(subset)
@@ -404,6 +405,11 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
         raise CertificationFailure(
             "chainmail.kaplan_filling: the slide log is of sublink %s, not "
             "of sublink %s" % (list(log.subset), list(subset)))
+    elif (log.vertex_order != link.vertices
+          or log.initial_matrix != link.linking_matrix):
+        raise CertificationFailure(
+            "chainmail.kaplan_filling: the slide log of sublink %s is of "
+            "another link" % (list(subset),))
     mat = log.final_matrix
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]

@@ -1,15 +1,15 @@
 """Command line front end.
 
-One executable with subcommands; input documents are JSON files, output
-is a deterministic text report or, with --json, a machine readable
-document.  Exit codes: 0 ok, 2 malformed input, 3 invalid topology or
-failed preconditions, 4 internal assertion failure.
+One executable with subcommands; input documents are JSON files.  Each
+command builds a report and main writes it once: as a deterministic text
+rendering of its kind or, with --json, as a machine readable document.
+Exit codes: 0 ok, 2 malformed input, 3 invalid topology or failed
+preconditions, 4 internal assertion failure.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 
@@ -188,25 +188,26 @@ def _coerce_vertex(token, vertices):
     raise MalformedInput("unknown vertex %r" % (token,))
 
 
-def _render(report, out):
-    w = out.write
-    kind = report.get("kind")
+def _render_analysis(report):
+    lines = []
+    w = lines.append
+    kind = report["kind"]
     if kind == "diagram":
         d = report["diagram"]
-        w("diagram: %d crossings, %d regions, marked arc %s\n"
+        w("diagram: %d crossings, %d regions, marked arc %s"
           % (d["crossings"], d["regions"], report["input"]["marked_arc"]))
-        w("kauffman states: %d\n" % d["states"])
-    elif kind == "graph":
-        w("graph input: %d vertices, marked %s\n"
+        w("kauffman states: %d" % d["states"])
+    else:
+        w("graph input: %d vertices, marked %s"
           % (len(report["input"]["vertices"]), report["input"].get("marked")))
     inv = report["invariants"]
-    w("m = %d | det = %d | special = %s\n"
+    w("m = %d | det = %d | special = %s"
       % (inv["m"], inv["det"], "yes" if inv["special"] else "no"))
     go = report["goeritz"]
-    w("goeritz matrix (order: %s):\n" % ", ".join(go["vertex_order"]))
+    w("goeritz matrix (order: %s):" % ", ".join(go["vertex_order"]))
     for row in go["matrix"]:
-        w("  [%s]\n" % " ".join("%3d" % x for x in row))
-    w("spin-c classes (%d):\n" % len(report["spinc"]))
+        w("  [%s]" % " ".join("%3d" % x for x in row))
+    w("spin-c classes (%d):" % len(report["spinc"]))
     for c in report["spinc"]:
         extra = ""
         if c.c1_class is not None:
@@ -214,53 +215,89 @@ def _render(report, out):
                                    " spin" if c.is_spin() else "")
         if c.state_index is not None:
             extra += " state=%d" % c.state_index
-        w("  key=%s d=%s%s\n" % (list(c.canonical_key), c.d, extra))
-    w("characteristic subgraphs:\n")
+        w("  key=%s d=%s%s" % (list(c.canonical_key), c.d, extra))
+    w("characteristic subgraphs:")
     for c in report["char_subgraphs"]:
-        w("  %s cut=%d\n" % (c["vertices"] if c["vertices"] else "{}", c["cut"]))
+        w("  %s cut=%d" % (c["vertices"] if c["vertices"] else "{}", c["cut"]))
     ob = report["obstructions"]
-    w("obstructions:\n")
-    w("  b2 bound: b2 <= %d (%s)\n" % (ob["b2_bound"], ob["b2_bound_note"]))
+    w("obstructions:")
+    w("  b2 bound: b2 <= %d (%s)" % (ob["b2_bound"], ob["b2_bound_note"]))
     if ob["spin_d"] is not None:
-        w("  spin class: d = %s, sharp bound b2 <= %d\n"
+        w("  spin class: d = %s, sharp bound b2 <= %d"
           % (ob["spin_d"], ob["spin_b2_bound"]))
-    w("  cutbound (min cut >= m): %s (%s)\n"
+    w("  cutbound (min cut >= m): %s (%s)"
       % (ob["cutbound"]["verdict"], ob["cutbound"]["reason"]))
-    w("  capbound (min cut >= 9m): %s (%s)\n"
+    w("  capbound (min cut >= 9m): %s (%s)"
       % (ob["capbound"]["verdict"], ob["capbound"]["reason"]))
     for e in ob["per_subgraph"]:
         mu = "  mu=%s ue=[%s, %s]" % (e.get("mu"), e.get("ue_lower"),
                                       e.get("ue_upper")) if "mu" in e else ""
-        w("    C=%s cut=%d %s%s\n" % (e["vertices"], e["cut"], e["verdict"], mu))
-    pl = report.get("plumbing")
-    if pl:
-        if pl.get("applicable"):
-            w("plumbing tree: weights %s\n" % pl["weights"])
-            nf = pl["normal_form"]
-            w("  normal form: n1=%s n2=%s n3=%s\n" % (nf["n1"], nf["n2"], nf["n3"]))
-            dec = pl["decision"]
-            w("  plumbed spin filling: %s (%s)\n" % (dec["status"], dec["reason"]))
-        else:
-            w("plumbing: %s\n" % pl["reason"])
+        w("    C=%s cut=%d %s%s" % (e["vertices"], e["cut"], e["verdict"], mu))
+    pl = report["plumbing"]
+    if pl["applicable"]:
+        w("plumbing tree: weights %s" % pl["weights"])
+        nf = pl["normal_form"]
+        w("  normal form: n1=%s n2=%s n3=%s" % (nf["n1"], nf["n2"], nf["n3"]))
+        dec = pl["decision"]
+        w("  plumbed spin filling: %s (%s)" % (dec["status"], dec["reason"]))
+    else:
+        w("plumbing: %s" % pl["reason"])
     mk = report.get("mk1")
     if isinstance(mk, list):
-        _render_mk1_runs(mk, out)
-    elif isinstance(mk, dict):
-        w("mk1: %s\n" % mk.get("reason"))
+        lines += _mk1_lines(mk)
+    elif mk is not None:
+        w("mk1: %s" % mk["reason"])
+    return lines
 
 
-def _render_mk1_runs(runs, out):
-    w = out.write
+def _mk1_lines(runs):
+    lines = []
     for run in runs:
-        w("mk1 on %s: final framing %d at %s, %d slides\n"
-          % (run["subset"], run["final_framing"], run["final_vertex"],
-             len(run["slides"])))
+        lines.append("mk1 on %s: final framing %d at %s, %d slides"
+                     % (run["subset"], run["final_framing"],
+                        run["final_vertex"], len(run["slides"])))
         for s in run["slides"]:
-            w("  slide %s over %s (%s) -> framing %d\n"
-              % (s["slid"], s["over"], s["kind"], s["framing_after"]))
+            lines.append("  slide %s over %s (%s) -> framing %d"
+                         % (s["slid"], s["over"], s["kind"],
+                            s["framing_after"]))
         fl = run["filling"]
-        w("  filling: b2=%d sigma=%d even=%s f=%d\n"
-          % (fl["b2"], fl["sigma"], fl["even_form"], fl["f"]))
+        lines.append("  filling: b2=%d sigma=%d even=%s f=%d"
+                     % (fl["b2"], fl["sigma"], fl["even_form"], fl["f"]))
+    return lines
+
+
+def _render_plumb_check(report):
+    lines = ["excessive: %s" % report["excessive"]]
+    for key in ("n1", "n2", "n3"):
+        sec = report[key]
+        lines.append("%s: %s" % (key, "ok" if sec["ok"] else
+                                 "violated at %s" % sec["violations"]))
+    return lines
+
+
+def _render_plumb_reduce(report):
+    nf = report["normal_form"]
+    return ["move: %s" % " ".join(mv) for mv in report["moves"]] + [
+        "normal form: %d vertices, weights %s"
+        % (len(nf["vertices"]), nf["weights"])]
+
+
+# one text renderer per report kind; each returns the report's lines
+_RENDERERS = {
+    "diagram": _render_analysis,
+    "graph": _render_analysis,
+    "mk1": lambda r: _mk1_lines(r["runs"]),
+    "plumb-check": _render_plumb_check,
+    "plumb-reduce": _render_plumb_reduce,
+    "plumb-decide": lambda r: ["%s (det %d): %s" % (
+        r["status"].upper(), r["det"], r["reason"])],
+    "cf": lambda r: ["%d/%d = %s" % (r["p"], r["q"], r["terms"]),
+                     "linear plumbing weights: %s" % [-a for a in r["terms"]]],
+    "berge": lambda r: ["p = i k %s 1: %s" % (sign, r[side] and tuple(r[side]))
+                        for sign, side in (("+", "plus"), ("-", "minus"))],
+    "witness": lambda r: ["hub multiplicities: %s" % r["hub_edges"],
+                          json.dumps(r["augmented"], sort_keys=True)],
+}
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -370,37 +407,25 @@ def _write_value(x, nl, put, key_prefixes):
                         % t.__name__)
 
 
-def _emit(report, args, out):
-    if args.json:
-        out.write(encode_json(report))
-        out.write("\n")
-    else:
-        _render(report, out)
-
-
-def cmd_analyze(args, out):
+def cmd_analyze(args):
     kind, doc = _doc_kind(_load(args.file))
-    report = _analyze(doc, kind, mark=args.mark, with_mk1=args.mk1)
-    _emit(report, args, out)
-    return 0
+    return _analyze(doc, kind, mark=args.mark, with_mk1=args.mk1)
 
 
-def cmd_obstruct(args, out):
+# the sections of the analyze report that obstruct --json keeps
+_OBSTRUCT_KEYS = ("kind", "invariants", "char_subgraphs", "obstructions",
+                  "goeritz", "spinc")
+
+
+def cmd_obstruct(args):
     kind, doc = _doc_kind(_load(args.file))
     report = _analyze(doc, kind, mark=args.mark)
-    slim = {
-        "kind": report["kind"],
-        "invariants": report["invariants"],
-        "char_subgraphs": report["char_subgraphs"],
-        "obstructions": report["obstructions"],
-        "goeritz": report["goeritz"],
-        "spinc": report["spinc"],
-    }
-    _emit(slim if args.json else report, args, out)
-    return 0
+    if args.json:
+        return {key: report[key] for key in _OBSTRUCT_KEYS}
+    return report
 
 
-def cmd_mk1(args, out):
+def cmd_mk1(args):
     kind, doc = _doc_kind(_load(args.file))
     if kind == "diagram":
         white = _diagram.white_graph(_diagram.parse_pd(doc))
@@ -420,36 +445,23 @@ def cmd_mk1(args, out):
             raise EmptyCharacteristicSet(
                 "only the empty characteristic sublink exists")
         subsets = all_subs if args.all else [all_subs[0]]
-    report = {"kind": "mk1", "runs": _mk1_section(link, subsets)}
-    if args.json:
-        _emit(report, args, out)
-    else:
-        _render_mk1_runs(report["runs"], out)
-    return 0
+    return {"kind": "mk1", "runs": _mk1_section(link, subsets)}
 
 
-def cmd_plumb(args, out):
+def cmd_plumb(args):
     tree = _plumbing.parse_tree_doc(_load(args.file))
     if args.action == "check":
         nf = _plumbing.check_normal_form(tree)
-        report = {
+        return {
             "kind": "plumb-check",
             "excessive": _plumbing.is_excessive(tree),
             "n1": {"ok": nf.n1_ok, "violations": [str(v) for v in nf.n1_violations]},
             "n2": {"ok": nf.n2_ok, "violations": [str(v) for v in nf.n2_violations]},
             "n3": {"ok": nf.n3_ok, "violations": [str(v) for v in nf.n3_violations]},
         }
-        if args.json:
-            _emit(report, args, out)
-        else:
-            out.write("excessive: %s\n" % report["excessive"])
-            for key in ("n1", "n2", "n3"):
-                sec = report[key]
-                out.write("%s: %s%s\n" % (key, "ok" if sec["ok"] else "violated",
-                                          "" if sec["ok"] else " at %s" % sec["violations"]))
-    elif args.action == "reduce":
+    if args.action == "reduce":
         normal, log = _plumbing.reduce_normal_form(tree)
-        report = {
+        return {
             "kind": "plumb-reduce",
             "moves": [list(map(str, mv)) for mv in log],
             "normal_form": {
@@ -458,70 +470,35 @@ def cmd_plumb(args, out):
                 "edges": [[str(u), str(v)] for (u, v) in normal.edges],
             },
         }
-        if args.json:
-            _emit(report, args, out)
-        else:
-            for mv in report["moves"]:
-                out.write("move: %s\n" % " ".join(mv))
-            out.write("normal form: %d vertices, weights %s\n"
-                      % (len(normal.vertices), list(normal.weights)))
-    else:
-        verdict = _plumbing.decide_plumbed(tree)
-        report = {"kind": "plumb-decide", "status": verdict.status,
-                  "reason": verdict.reason, "det": verdict.det}
-        if args.json:
-            _emit(report, args, out)
-        else:
-            out.write("%s (det %d): %s\n"
-                      % (verdict.status.upper(), verdict.det, verdict.reason))
-    return 0
+    verdict = _plumbing.decide_plumbed(tree)
+    return {"kind": "plumb-decide", "status": verdict.status,
+            "reason": verdict.reason, "det": verdict.det}
 
 
-def cmd_cf(args, out):
-    terms = _plumbing.neg_cf(args.p, args.q)
-    if args.json:
-        _emit({"kind": "cf", "p": args.p, "q": args.q, "terms": terms},
-              args, out)
-    else:
-        out.write("%d/%d = %s\n" % (args.p, args.q, terms))
-        out.write("linear plumbing weights: %s\n" % [-a for a in terms])
-    return 0
+def cmd_cf(args):
+    return {"kind": "cf", "p": args.p, "q": args.q,
+            "terms": _plumbing.neg_cf(args.p, args.q)}
 
 
-def cmd_berge(args, out):
-    pairs = _plumbing.berge_ipm(args.i, args.k)
-    report = {"kind": "berge", "i": args.i, "k": args.k,
-              "plus": list(pairs[0]) if pairs[0] else None,
-              "minus": list(pairs[1]) if pairs[1] else None}
-    if args.json:
-        _emit(report, args, out)
-    else:
-        out.write("p = i k + 1: %s\n" % (pairs[0],))
-        out.write("p = i k - 1: %s\n" % (pairs[1],))
-    return 0
+def cmd_berge(args):
+    plus, minus = _plumbing.berge_ipm(args.i, args.k)
+    return {"kind": "berge", "i": args.i, "k": args.k,
+            "plus": list(plus) if plus else None,
+            "minus": list(minus) if minus else None}
 
 
-def cmd_witness(args, out):
+def cmd_witness(args):
     graph, weights, _, _ = parse_graph_doc(_load(args.file))
     if weights is None:
         raise MalformedInput("witness input needs vertex weights")
     bare = MarkedGraph(graph.vertices, graph.edges)
     augmented = _plumbing.accessible_witness(bare, weights)
-    doc = graph_to_doc(augmented)
-    hub = augmented.marked
-    hub_edges = dict.fromkeys(graph.vertices, 0)
-    for u, v, _ in augmented.edges:
-        if hub in (u, v):
-            hub_edges[u if v == hub else v] += 1
-    report = {"kind": "witness", "augmented": doc,
-              "hub_edges": {str(v): k for v, k in hub_edges.items()}}
-    if args.json:
-        _emit(report, args, out)
-    else:
-        out.write("hub multiplicities: %s\n" % report["hub_edges"])
-        out.write(json.dumps(doc, sort_keys=True))
-        out.write("\n")
-    return 0
+    # v gets -w(v) - deg(v) hub edges; accessible_witness certifies
+    # them against the Goeritz diagonal
+    degree = bare.degrees
+    return {"kind": "witness", "augmented": graph_to_doc(augmented),
+            "hub_edges": {str(v): -w - degree[v]
+                          for v, w in zip(graph.vertices, weights)}}
 
 
 @functools.cache
@@ -586,11 +563,16 @@ def _write(stream, text):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    out = io.StringIO()
+    """Run one command and write its report to stdout, as JSON under
+    --json and as text otherwise; a failing command writes nothing."""
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args, out)
+        report = args.func(args)
+        if args.json:
+            text = encode_json(report) + "\n"
+        else:
+            text = "".join(line + "\n"
+                           for line in _RENDERERS[report["kind"]](report))
     except MalformedInput as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -606,8 +588,8 @@ def main(argv=None):
         print("error: input too large: it nests deeper than the "
               "recursion limit", file=sys.stderr)
         return 3
-    _write(sys.stdout, out.getvalue())
-    return code
+    _write(sys.stdout, text)
+    return 0
 
 
 if __name__ == "__main__":

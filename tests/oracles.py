@@ -661,14 +661,29 @@ def lens_d(p, q):
 def chain_graph(p, q) -> MarkedGraph:
     """The white graph whose Goeritz form is the linear plumbing of
     p/q = [a1, ..., ak] (neg_cf): a path v1, ..., vk, and ai minus its
-    path degree edges from each vi to the marked hub "h"."""
+    path degree edges from each vi to the marked hub "h".
+
+    The rotations draw the path left to right with the hub below it.
+    Counterclockwise from east, vi meets v(i+1), then v(i-1), then its
+    hub edges from left to right; the hub meets the bundles of vk down
+    to v1, each from right to left.
+    """
     weights = neg_cf(p, q)
     k = len(weights)
     pairs = [(i, i + 1) for i in range(1, k)]
     for i, a in enumerate(weights, 1):
         pairs += [("h", i)] * (a - (i > 1) - (i < k))
     edges = tuple((u, v, e) for e, (u, v) in enumerate(pairs))
-    return MarkedGraph(("h",) + tuple(range(1, k + 1)), edges, marked="h")
+    # edge i - 1 joins vi to v(i+1); the hub edges follow, v1's first
+    hub_edges = range(k - 1, len(edges))
+    rots = {"h": [(e, 0) for e in reversed(hub_edges)]}
+    for i in range(1, k + 1):
+        east = [(i - 1, 0)] if i < k else []
+        west = [(i - 2, 1)] if i > 1 else []
+        rots[i] = east + west + [(e, 1) for e in hub_edges if edges[e][1] == i]
+    vertices = ("h",) + tuple(range(1, k + 1))
+    return MarkedGraph(vertices, edges, marked="h",
+                       rotations=tuple(tuple(rots[v]) for v in vertices))
 
 
 def canonical_form(tree: PlumbingTree):

@@ -206,6 +206,30 @@ def test_kaplan_rejects_a_log_of_another_sublink():
         kaplan_filling(link, subs[0])
 
 
+def test_kaplan_rejects_a_log_of_another_link():
+    link = build_chainmail(two33_graph())
+    assert link.vertices == ("a", "b")
+    assert link.linking_matrix == ((-3, 1), (1, -3))
+    # ("a",) is characteristic in both links below, with other matrices
+    # or another vertex order
+    others = [
+        {"vertices": [{"id": "a", "weight": -5}, {"id": "b", "weight": -1}],
+         "edges": [{"u": "a", "v": "b", "sign": 1}]},
+        {"vertices": [{"id": "b", "weight": -3}, {"id": "a", "weight": -3}],
+         "edges": [{"u": "a", "v": "b", "sign": 1}]},
+    ]
+    for doc in others:
+        log = mk1_run(build_chainmail(doc), ("a",))
+        with pytest.raises(CertificationFailure) as info:
+            kaplan_filling(link, ("a",), log)
+        assert str(info.value) == ("chainmail.kaplan_filling: the slide log "
+                                   "of sublink ['a'] is of another link")
+    assert kaplan_filling(link, ("a",)) == (3, 1, True, 3)
+    # a log from a fresh link with an equal matrix is this link's log
+    fresh = mk1_run(build_chainmail(two33_graph()), ("a",))
+    assert kaplan_filling(link, ("a",), fresh) == (3, 1, True, 3)
+
+
 def test_kaplan_accounting_random():
     rng = random.Random(31)
     done = 0

@@ -1,14 +1,17 @@
 """Golden outputs of the CLI, compared byte for byte.
 
-The corpus is the table PD codes, five marked plane graphs and eight
-plumbing trees.  Each mode names a golden file suffix and the command
-line that produces it: `--json analyze`, `--json obstruct` and
-`--json mk1 --all`, plus the text renderings of `mk1 --all` and
-`analyze --mk1`, for diagrams and graphs; `plumb check|reduce|decide`,
-as JSON and as text, for trees.  `mk1` exits 3 on the special inputs
+The corpus is the table PD codes, five marked plane graphs, eight
+plumbing trees and two weighted cacti.  Each mode names a golden file
+suffix and the command line that produces it: `--json analyze`,
+`--json obstruct` and `--json mk1 --all`, plus the text renderings of
+`obstruct`, `mk1 --all` and `analyze --mk1`, for diagrams and graphs;
+`plumb check|reduce|decide`, as JSON and as text, for trees; `witness`,
+as JSON and as text, for cacti.  `mk1` exits 3 on the special inputs
 (only the empty sublink is characteristic) and `plumb decide` exits 3
-on trees that are not excessive, so those have no files.  To
-regenerate the files after an intended output change:
+on trees that are not excessive, so those have no files.  `cf` and
+`berge` read no file: ARGV_CASES holds their command lines, each run
+as JSON and as text.  To regenerate the files after an intended output
+change:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from spinfill.cli import main
+from spinfill.cli import build_parser, main
 from spinfill.graphs import graph_to_doc
 
 from conftest import (PD_CODES, banana_graph, cycle_graph, path_hub_graph,
@@ -35,12 +38,25 @@ JSON_MODES = {
     "mk1": ("json", ["--json", "mk1"], ["--all"]),
 }
 TEXT_MODES = {
+    "obstruct": ("txt", ["obstruct"], []),
     "mk1": ("txt", ["mk1"], ["--all"]),
     "analyze-mk1": ("txt", ["analyze"], ["--mk1"]),
 }
 for _action in ("check", "reduce", "decide"):
     JSON_MODES["plumb-" + _action] = ("json", ["--json", "plumb", _action], [])
     TEXT_MODES["plumb-" + _action] = ("txt", ["plumb", _action], [])
+JSON_MODES["witness"] = ("json", ["--json", "witness"], [])
+TEXT_MODES["witness"] = ("txt", ["witness"], [])
+# commands that read no file: case name -> their arguments
+ARGV_CASES = {
+    "cf_16_9": ["cf", "16", "9"],
+    "cf_1000003_999999": ["cf", "1000003", "999999"],
+    "berge_3_5": ["berge", "3", "5"],
+    # p = i k - 1 = 0 is dropped, so the minus side is None
+    "berge_1_1": ["berge", "1", "1"],
+}
+# golden file extension -> arguments before the command
+ARGV_FORMATS = {"json": ["--json"], "txt": []}
 SPECIAL = {"pd_trefoil", "pd_5_2", "graph_special44"}
 NOT_EXCESSIVE = {"tree_singular20", "tree_moves12", "tree_mixed160"}
 # weights of the slides-plumb trees that plumb check and reduce see
@@ -100,11 +116,29 @@ def tree_corpus():
     }
 
 
+def cactus_corpus():
+    """Weighted cacti for witness, each weight at most -max(2, degree)."""
+    return {
+        # a triangle, a digon on c and a pendant e on a
+        "witness_cactus_str": tree_doc(
+            {"a": -4, "b": -3, "c": -5, "d": -2, "e": -3},
+            [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("c", "d"),
+             ("a", "e")]),
+        # a square and a triangle sharing 3, and a pendant 6 on 1
+        "witness_cactus_int": tree_doc(
+            {0: -2, 1: -4, 2: -3, 3: -4, 4: -2, 5: -3, 6: -2},
+            [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 3),
+             (1, 6)]),
+    }
+
+
 def applies(name, mode):
     if name.startswith("tree_"):
         return mode.startswith("plumb-") and not (
             mode == "plumb-decide" and name in NOT_EXCESSIVE)
-    return not mode.startswith("plumb-") and not (
+    if name.startswith("witness_"):
+        return mode == "witness"
+    return not mode.startswith("plumb-") and mode != "witness" and not (
         mode == "mk1" and name in SPECIAL)
 
 
@@ -116,6 +150,7 @@ def corpus():
     docs["graph_path_hub"] = graph_to_doc(path_hub_graph())
     docs["graph_two33"] = graph_to_doc(two33_graph())
     docs.update(tree_corpus())
+    docs.update(cactus_corpus())
     return docs
 
 
@@ -126,21 +161,34 @@ def cases(modes):
 
 JSON_CASES = cases(JSON_MODES)
 TEXT_CASES = cases(TEXT_MODES)
+ARGV_GOLDENS = [(name, ext) for name in ARGV_CASES for ext in ARGV_FORMATS]
+
+
+def main_output(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0
+    return buf.getvalue()
 
 
 def cli_output(doc, mode, tmp_dir):
     _, before, after = mode
     path = Path(tmp_dir) / "input.json"
     path.write_text(json.dumps(doc))
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(before + [str(path)] + after)
-    assert code == 0
-    return buf.getvalue()
+    return main_output(before + [str(path)] + after)
+
+
+def argv_output(name, ext):
+    return main_output(ARGV_FORMATS[ext] + ARGV_CASES[name])
 
 
 def golden_path(name, mode_name, mode):
     return GOLDEN / ("%s.%s.%s" % (name, mode_name, mode[0]))
+
+
+def argv_golden_path(name, ext):
+    return GOLDEN / ("%s.%s" % (name, ext))
 
 
 @pytest.mark.parametrize("name,command", JSON_CASES)
@@ -157,6 +205,31 @@ def test_text_output_matches_golden(name, command, tmp_path):
     assert out == golden_path(name, command, mode).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,ext", ARGV_GOLDENS)
+def test_argv_output_matches_golden(name, ext):
+    out = argv_output(name, ext)
+    assert out == argv_golden_path(name, ext).read_text(encoding="utf-8")
+
+
+def test_commands_build_reports_and_write_nothing(tmp_path, capsys):
+    # main is the one writer of stdout: a command returns its report
+    argvs = [ARGV_FORMATS[ext] + ARGV_CASES[name]
+             for name, ext in ARGV_GOLDENS]
+    docs = corpus()
+    for modes, case_list in ((JSON_MODES, JSON_CASES),
+                             (TEXT_MODES, TEXT_CASES)):
+        for name, command in case_list:
+            _, before, after = modes[command]
+            path = tmp_path / ("%s.%s.json" % (name, command))
+            path.write_text(json.dumps(docs[name]))
+            argvs.append(before + [str(path)] + after)
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        report = args.func(args)
+        assert capsys.readouterr() == ("", ""), argv
+        assert type(report) is dict and "kind" in report, argv
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
@@ -168,3 +241,7 @@ if __name__ == "__main__":
                 path = golden_path(name, command, modes[command])
                 path.write_text(out, encoding="utf-8")
                 print("wrote", path.name, file=sys.stderr)
+    for name, ext in ARGV_GOLDENS:
+        path = argv_golden_path(name, ext)
+        path.write_text(argv_output(name, ext), encoding="utf-8")
+        print("wrote", path.name, file=sys.stderr)

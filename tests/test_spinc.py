@@ -652,12 +652,62 @@ def lens_space_d_matches(p, q):
         sorted(-d for d in lens_d(p, q)), (p, q)
 
 
+# coprime p/q with p < 40 whose chain has at most 12 vertices
+LENS_PAIRS = [(p, q) for p in range(2, 40) for q in range(1, p)
+              if math.gcd(p, q) == 1 and len(neg_cf(p, q)) <= 12]
+
+
+def lens_pd_table(p, q):
+    """Spin-c table of the medial PD code of the chain graph of p/q, a
+    2-bridge link whose double branched cover is L(p, q); its d values
+    are read off the Kauffman states."""
+    kd = parse_pd(diagram_from_plane_graph(chain_graph(p, q)))
+    w, covectors = state_covectors(kd)
+    return enumerate_spinc(goeritz(w), covectors=covectors)
+
+
 def test_lens_space_d_small_p():
-    pairs = [(p, q) for p in range(2, 40) for q in range(1, p)
-             if math.gcd(p, q) == 1 and len(neg_cf(p, q)) <= 12]
-    assert len(pairs) > 400
-    for p, q in pairs:
+    assert len(LENS_PAIRS) == 431
+    for p, q in LENS_PAIRS:
         lens_space_d_matches(p, q)
+
+
+def test_lens_space_d_on_pd_input():
+    for p, q in LENS_PAIRS:
+        table = lens_pd_table(p, q)
+        assert len(table) == p
+        assert all(c.state_index is not None for c in table)
+        assert sorted(c.d for c in table) == \
+            sorted(-d for d in lens_d(p, q)), (p, q)
+
+
+def test_lens_space_spin_class():
+    """For odd p the spin class of L(p, q) has d = -lens_d(p, q)[i0],
+    with i0 = (q - 1)/2 mod p.
+
+    Ozsvath-Szabo's recursion holds for 0 <= i < p + q, where the labels
+    i and i + p name one spin-c structure.  Its leading term
+    ((2i + 1 - p - q)^2 - pq) / (4pq) is symmetric under
+    i -> p + q - 1 - i.  That map sends the inner index i mod q to
+    (r - 1 - i) mod q with r = p mod q, which is the same map one level
+    down, for (q, r); at the bottom, d(L(1, q)) = 0 is constant.  So by
+    induction d(-L(p, q), i) = d(-L(p, q), (q - 1 - i) mod p).  This
+    involution of the labels is the conjugation of spin-c structures,
+    which fixes d.  For odd p, 2 is invertible mod p and the involution
+    has one fixed point, i0 with 2 i0 = q - 1 (mod p); the spin
+    structure is the one self-conjugate class.  The check runs on the
+    graph form (lattice search) and on the PD code (Kauffman states).
+    """
+    odd = [(p, q) for p, q in LENS_PAIRS if p % 2]
+    assert len(odd) == 289
+    for p, q in odd:
+        d = lens_d(p, q)
+        assert all(d[i] == d[(q - 1 - i) % p] for i in range(p)), (p, q)
+        i0 = (q - 1) * (p + 1) // 2 % p
+        assert (2 * i0 - q + 1) % p == 0
+        graph_table = enumerate_spinc(goeritz(chain_graph(p, q)))
+        for table in (graph_table, lens_pd_table(p, q)):
+            assert spin_class(table).d == -d[i0], (p, q)
 
 
 @given(st.integers(2, 79).flatmap(
