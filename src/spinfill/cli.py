@@ -326,28 +326,56 @@ def _spinc_list(records, nl):
     Each record is written as its row, the dict {"key": [...], "d":
     "p/q"} with "c1" and "spin" when det is odd and "state" on PD input,
     as json.dumps writes it with sorted keys.  key and c1 are never
-    empty: a form has rank >= 1.
+    empty: a form has rank >= 1.  The records of a table share one
+    shape, checked in bulk, and one format string writes all their
+    rows; a list of mixed shapes is written record by record.
     """
     row = nl + "  "
+    keys, _, c1s, states = zip(*records)
+    shape = rank, c1_rank, pd = _shape(records[0])
+    n = len(records)
+    if (set(map(len, keys)) == {rank}
+            and states.count(None) == (0 if pd else n)
+            and (c1s.count(None) == n if c1_rank is None else
+                 None not in c1s and set(map(len, c1s)) == {c1_rank})):
+        rows = _spinc_rows(records, shape, row)
+    else:
+        rows = [_spinc_rows((c,), _shape(c), row)[0] for c in records]
+    return "[" + row + ("," + row).join(rows) + nl + "]"
+
+
+def _shape(record):
+    """The rank of the key, the rank of c1 (None without c1), and
+    whether the record has a state index."""
+    key, _, c1, state = record
+    return len(key), None if c1 is None else len(c1), state is not None
+
+
+def _spinc_rows(records, shape, row):
+    """The rows of records of one shape at newline-and-indent row, each
+    one % of a format string with %d for the coordinates, %s for d and
+    the spin field and, last, the state: %d, or %.0s, which writes
+    nothing, when there is none."""
+    rank, c1_rank, pd = shape
     field = row + "  "
     item = field + "  "
-    comma = "," + item
-    opening = "[" + item
-    closing = field + "]"
-    rows = []
-    for c in records:
-        key = opening + comma.join(map(_int_repr, c.canonical_key)) + closing
-        if c.c1_class is None:
-            text = '{%s"d": "%s",%s"key": %s' % (field, c.d, field, key)
-        else:
-            text = ('{%s"c1": %s%s%s,%s"d": "%s",%s"key": %s,%s"spin": %s'
-                    % (field, opening, comma.join(map(_int_repr, c.c1_class)),
-                       closing, field, c.d, field, key, field,
-                       "false" if any(c.c1_class) else "true"))
-        if c.state_index is not None:
-            text += ',%s"state": %d' % (field, c.state_index)
-        rows.append(text + row + "}")
-    return "[" + row + ("," + row).join(rows) + nl + "]"
+
+    def coords(k):
+        return "[" + item + ("," + item).join(["%d"] * k) + field + "]"
+
+    key_d = field + '"d": "%s",' + field + '"key": ' + coords(rank)
+    state = ("," + field + '"state": %d' if pd else "%.0s") + row + "}"
+    if c1_rank is None:
+        template = "{" + key_d + state
+        return [template % (d, *key, s) for key, d, _, s in records]
+    template = ("{" + field + '"c1": ' + coords(c1_rank) + "," + key_d
+                + "," + field + '"spin": %s' + state)
+    zero = (0,) * c1_rank
+    return [template % (*c1, d, *key, _SPIN[c1 != zero], s)
+            for key, d, c1, s in records]
+
+
+_SPIN = ("true", "false")   # the spin field, by whether c1 is nonzero
 
 
 def _write_value(x, nl, put, key_prefixes):

@@ -167,6 +167,11 @@ def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
     the incoming-under side, corners 1 and 2 on the other.  The walk
     keeps the signed degree of every region up to date and each leaf
     emits it at the unmarked white vertices, in graph order.
+
+    A region still unused at its last crossing must be taken there: at
+    crossing c the walk returns when two regions closing at c are
+    unused, and tries only that region when one is.  This cuts only
+    branches with no state below them, so the order is unchanged.
     """
     marked = diagram.marked_regions
     choices = []
@@ -174,6 +179,10 @@ def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
         choices.append(sorted(
             (r,) + ((reg[0], reg[2]) if s in (0, 3) else (reg[2], reg[0]))
             for s, r in enumerate(reg) if r not in marked))
+    last = {r: c for c, options in enumerate(choices) for r, _, _ in options}
+    # per crossing, the choices of the regions whose last crossing it is
+    closing = [tuple(o for o in options if last[o[0]] == c)
+               for c, options in enumerate(choices)]
     unmarked = [v for v in white.vertices if v != white.marked]
     degree = [0] * len(diagram.regions)
     used = [False] * len(diagram.regions)
@@ -184,7 +193,13 @@ def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
         if c == n:
             covectors.append(tuple([degree[v] for v in unmarked]))
             return
-        for r, head, tail in choices[c]:
+        options = choices[c]
+        for o in closing[c]:
+            if not used[o[0]]:
+                if options is not choices[c]:
+                    return
+                options = (o,)
+        for r, head, tail in options:
             if not used[r]:
                 used[r] = True
                 degree[head] += 1

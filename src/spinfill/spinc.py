@@ -276,8 +276,10 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
     fractions = {x: Fraction(x, denominator) for x in set(numerators)}
     d = [fractions[x] for x in numerators]
 
-    return list(map(SpinCClass, keys, map(d.__getitem__, pair),
-                    c1 if c1 is not None else repeat(None), state))
+    # tuple.__new__ skips the Python-level __new__ of the named tuple
+    return list(map(tuple.__new__, repeat(SpinCClass), zip(
+        keys, map(d.__getitem__, pair),
+        c1 if c1 is not None else repeat(None), state)))
 
 
 def spin_class(classes):

@@ -48,6 +48,12 @@ KNOWN_DET = {
 }
 
 
+def probe_a():
+    """Probe A: a bridgeless plane multigraph of rank 6 and |det| 3796,
+    whose medial diagram has 22 crossings and 3796 Kauffman states."""
+    return gen_plane_multigraph(random.Random(716), 7, 16, bridgeless=True)
+
+
 def banana_graph(k, marked=True):
     """Two vertices joined by k parallel edges, embedded."""
     edges = tuple((0, 1, i) for i in range(k))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
 from spinfill.exactalg import goeritz
 from spinfill.spinc import enumerate_spinc
 
-from conftest import PD_CODES, banana_graph, white_data
+from conftest import PD_CODES, banana_graph, probe_a, white_data
 from oracles import (checkerboard_bfs, convention_ok, det_exact,
                      diagram_from_plane_graph, gen_plane_multigraph,
                      is_special,
@@ -188,6 +189,41 @@ def test_state_walk_matches_oracle_on_medials(seed):
     pd = diagram_from_plane_graph(g)["pd"]
     arc = rng.choice(parse_pd({"pd": pd}).arcs)
     assert_walk_matches_oracle(parse_pd({"pd": pd, "marked_arc": arc}))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_state_walk_matches_oracle_where_forcing_prunes(seed):
+    # medials of 14 to 21 crossings and 280 to 1616 states, where most
+    # branches of a walk without forcing die before the last crossing
+    rng = random.Random(seed)
+    g = gen_plane_multigraph(rng, rng.randint(7, 9), rng.randint(6, 10),
+                             bridgeless=True)
+    pd = diagram_from_plane_graph(g)["pd"]
+    for arc in rng.sample(parse_pd({"pd": pd}).arcs, 2):
+        assert_walk_matches_oracle(parse_pd({"pd": pd, "marked_arc": arc}))
+
+
+def test_forced_walk_work_at_probe_a():
+    """The walk enters 271,081 crossings for the 3796 states of probe A;
+    without forcing it enters 2,880,753."""
+    kd = parse_pd(diagram_from_plane_graph(probe_a()))
+    white = white_graph(kd)
+    walk, = [c for c in kauffman_states.__code__.co_consts
+             if getattr(c, "co_name", None) == "walk"]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is walk:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        states = kauffman_states(kd, white)
+    finally:
+        sys.setprofile(None)
+    assert len(states) == 3796
+    assert calls == 271081 < 300000
 
 
 def test_state_walk_matches_oracle_at_every_arc():

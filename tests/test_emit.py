@@ -85,6 +85,56 @@ def test_records_are_written_as_their_rows(table, other):
         {"spinc": rows, "other": other, "nested": [[rows], rows]})
 
 
+@st.composite
+def mixed_records(draw):
+    """Spin-c records whose rank, c1 (or None) and state (or None) vary
+    from record to record, c1 of any rank: the shapes that a table of
+    one form never mixes."""
+    def coords(m):
+        return st.lists(ints, min_size=m, max_size=m).map(tuple)
+
+    out = []
+    for k in range(draw(st.integers(1, 5))):
+        m = draw(st.integers(1, 4))
+        c1 = draw(st.one_of(st.none(), st.integers(1, 4).flatmap(coords),
+                            st.just((0,) * m)))
+        out.append(SpinCClass(draw(coords(m)),
+                              draw(st.fractions(max_denominator=60)), c1,
+                              draw(st.one_of(st.none(), st.just(k)))))
+    return out
+
+
+@given(mixed_records())
+@settings(max_examples=100, deadline=None)
+def test_mixed_records_are_written_as_their_rows(records):
+    assert encode_json({"spinc": records}) == oracle(
+        {"spinc": spinc_rows(records)})
+
+
+@pytest.mark.parametrize("records", [
+    # one record off the first one's shape, in each field
+    [SpinCClass((1, 3), Fraction(1, 2), (0, 0), 0),
+     SpinCClass((1, 3, 5), Fraction(1, 2), (0, 0), 1)],
+    [SpinCClass((1,), Fraction(-3, 4), (2,), None),
+     SpinCClass((1,), Fraction(-3, 4), None, None)],
+    [SpinCClass((1,), Fraction(2), None, None),
+     SpinCClass((1,), Fraction(2), (0,), None)],
+    [SpinCClass((1, 1), Fraction(0), None, 3),
+     SpinCClass((1, 1), Fraction(0), None, None)],
+    [SpinCClass((1, 1), Fraction(0), None, None),
+     SpinCClass((1, 1), Fraction(0), None, 3)],
+    # c1 of another rank, with the same key rank or the same total of
+    # coordinates
+    [SpinCClass((1, 2), Fraction(1, 3), (0, 1), None),
+     SpinCClass((3, 4), Fraction(1, 3), (1,), None)],
+    [SpinCClass((1, 2), Fraction(1, 3), (0, 1), 0),
+     SpinCClass((1, 2, 3), Fraction(1, 3), (1,), 1)],
+])
+def test_mixed_record_lists(records):
+    assert encode_json([records, {"t": records}]) == oracle(
+        [spinc_rows(records), {"t": spinc_rows(records)}])
+
+
 @pytest.mark.parametrize("kind, doc", [
     ("diagram", {"pd": PD_CODES["trefoil"]}),
     ("diagram", {"pd": PD_CODES["figure_eight"]}),

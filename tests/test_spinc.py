@@ -17,7 +17,7 @@ from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
                             obstruction_report, spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
-                      path_hub_graph, special44_graph, two33_graph,
+                      path_hub_graph, probe_a, special44_graph, two33_graph,
                       white_data)
 from oracles import (ZigzagKernel, box_keys, chain_graph, d_by_search,
                      d_invariant, det_exact, diagram_from_plane_graph,
@@ -318,6 +318,22 @@ def test_obstruction_accepts_diagram():
     # cut is 3 >= m = 1: obstructed
     assert rep.cutbound.verdict == "OBSTRUCTED"
     assert rep.capbound.verdict == "inconclusive"
+
+
+def test_medial_round_trip_at_probe_a():
+    """The graph and its medial PD code, read off the search and off the
+    3796 Kauffman states, give one report."""
+    g = probe_a()
+    graph = obstruction_report(g)
+    pd = obstruction_report(parse_pd(diagram_from_plane_graph(g)))
+
+    def summary(rep):
+        return (rep.det, rep.m, rep.special, rep.spin_d,
+                sorted(c.d for c in rep.classes),
+                sorted(c.cut for c in rep.subgraphs))
+
+    assert summary(graph) == summary(pd)
+    assert (graph.det, graph.m) == (3796, 6)
 
 
 def test_obstruction_special():
