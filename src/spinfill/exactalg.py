@@ -355,19 +355,31 @@ class OrbitKernel:
         target_columns[i] for a covector v in vertex order.  Each gets
         its own depth-first Schnorr-Euchner search over the LDL cone
         (_nearest) with incumbent pruning, from level m - 1 down.
+
+        Every v must be characteristic: v_i = A_ii (mod 2), as every
+        key of the Hermite box is.  Then, with t = A^-1 v / 2,
+
+            (y - t)^T A (y - t) = y^T A y - y^T v + v^T A^-1 v / 4
+
+        and y^T A y = sum A_ii y_i^2 = sum A_ii y_i = y^T v (mod 2), so
+        the costs of all y differ by even integers: scaled by W Q^2 they
+        lie in one class modulo 2 W Q^2.  A branch whose partial cost
+        exceeds best - 2 W Q^2 can therefore not improve on best, and the
+        search cuts it.  On other covectors the result may be too large.
         """
         n, p, q, s = self.m, self.p, self.q, self.s
         low, weight = self.low, self.weight
+        gap = 2 * self.denominator
         top = n - 1
         costs = []
         for target in targets:
             costs.append(_nearest(top, 0, None, [p * x for x in target],
-                                  target, [0] * n, low, weight, q, s))
+                                  target, [0] * n, low, weight, q, s, gap))
         return costs
 
 
 def _nearest(level, partial, best, centers, target, shifts, low, weight,
-             q, s):
+             q, s, gap):
     """The incumbent after searching level and the levels below it.
 
     shifts[j] = S z_j - target_j for the levels j above, which fix the
@@ -375,8 +387,10 @@ def _nearest(level, partial, best, centers, target, shifts, low, weight,
     distance from the center: the nearest integer (2C + Q) // 2Q, then
     the two sides in turn, nearer side first.  The cost of a candidate
     grows with that distance and the incumbent only falls, so the first
-    pruned candidate ends the level.  At level 0 the nearest integer
-    alone is the optimum.
+    pruned candidate ends the level.  A candidate is pruned when its
+    cost + gap exceeds the incumbent: a better leaf is cheaper by at
+    least gap (min_costs).  At level 0 the nearest integer alone is the
+    optimum.
     """
     c = centers[level]
     row = low[level]
@@ -386,14 +400,14 @@ def _nearest(level, partial, best, centers, target, shifts, low, weight,
     z = (2 * c + q) // (2 * q)
     r = q * z - c
     cost = partial + wl * r * r
-    if best is not None and cost >= best:
+    if best is not None and cost + gap > best:
         return best
     if not level:
         return cost
     tl = target[level]
     shifts[level] = s * z - tl
     best = _nearest(level - 1, cost, best, centers, target, shifts, low,
-                    weight, q, s)
+                    weight, q, s, gap)
     # |r| <= Q / 2; z - 1 is the nearer side when r > 0
     step = -1 if r > 0 else 1
     k = step
@@ -401,9 +415,9 @@ def _nearest(level, partial, best, centers, target, shifts, low, weight,
         for y in (z + k, z - k):
             r = q * y - c
             cost = partial + wl * r * r
-            if cost >= best:
+            if cost + gap > best:
                 return best
             shifts[level] = s * y - tl
             best = _nearest(level - 1, cost, best, centers, target, shifts,
-                            low, weight, q, s)
+                            low, weight, q, s, gap)
         k += step

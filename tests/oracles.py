@@ -396,9 +396,10 @@ def search_target(kernel, covector):
 
 
 def d_invariant(g: GoeritzForm, covector) -> Fraction:
-    """d = (q + m) / 4 of the class of one covector, by a one-target
-    call of the library's batched search OrbitKernel.min_costs, which
-    enumerate_spinc makes once per form with every pair representative.
+    """d = (q + m) / 4 of the class of one characteristic covector, by
+    a one-target call of the library's batched search
+    OrbitKernel.min_costs, which enumerate_spinc makes once per form with
+    every pair representative.
     The value is a reduced Fraction, so it does not depend on the
     kernel's elimination order."""
     kernel = g.kernel

@@ -2,11 +2,13 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spinfill import exactalg
 from spinfill.diagram import parse_pd, state_covectors, white_graph
 from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, hnf_reduce, signature
@@ -17,13 +19,13 @@ from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
                             obstruction_report, spin_class)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
-                      path_hub_graph, probe_a, special44_graph, two33_graph,
-                      white_data)
+                      cycle_graph, path_hub_graph, probe_a, special44_graph,
+                      two33_graph, white_data)
 from oracles import (ZigzagKernel, box_keys, chain_graph, d_by_search,
                      d_invariant, det_exact, diagram_from_plane_graph,
                      furuta_check, gen_plane_multigraph, lens_d, matvec,
                      mirror, mu_bar, orbit_max_q, quadform_q, same_class,
-                     search_target)
+                     search_target, solve_rational)
 from test_golden import corpus
 
 
@@ -535,6 +537,12 @@ def skewed_form(rng):
     return g
 
 
+def characteristic_covector(rng, g):
+    """A random covector with v_i = G_ii (mod 2), entries in [-30, 30]:
+    the domain of OrbitKernel.min_costs."""
+    return [rng.randrange(-30 + x % 2, 31, 2) for x in g.diagonal]
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)
 def test_min_cost_matches_oracle_on_skewed_forms(seed):
@@ -545,7 +553,7 @@ def test_min_cost_matches_oracle_on_skewed_forms(seed):
     kernel = g.kernel
     oracle = ZigzagKernel(g)
     for _ in range(5):
-        v = [rng.randint(-30, 30) for _ in range(g.m)]
+        v = characteristic_covector(rng, g)
         (cost,) = kernel.min_costs([search_target(kernel, v)])
         assert Fraction(-4 * cost, kernel.denominator) == \
             oracle.orbit_max_q(v)
@@ -567,7 +575,7 @@ def test_batched_search_matches_oracle_per_target(seed, skewed):
                                          rng.randint(0, 9)))
     kernel = g.kernel
     oracle = ZigzagKernel(g)
-    targets = [[rng.randint(-30, 30) for _ in range(g.m)]
+    targets = [characteristic_covector(rng, g)
                for _ in range(rng.randint(1, 6))]
     targets += rng.sample(targets, rng.randint(0, len(targets)))
     targets += [list(v) for v in box_keys(g)[:8]]
@@ -577,6 +585,100 @@ def test_batched_search_matches_oracle_per_target(seed, skewed):
     for v, cost in zip(targets, costs):
         assert Fraction(cost, kernel.denominator) == Fraction(
             oracle.min_cost(matvec(oracle.adj, v)), oracle.denominator), v
+
+
+def scaled_cost(g, v, y):
+    """W Q^2 (y - t)^T A (y - t) with A = -G and t = A^-1 v / 2, the
+    cost OrbitKernel.min_costs minimizes, in exact rationals."""
+    a = [[-x for x in row] for row in g.matrix]
+    r = [yi - ti / 2 for yi, ti in zip(y, solve_rational(a, v))]
+    return g.kernel.denominator * sum(
+        ri * sum(map(mul, row, r)) for ri, row in zip(r, a))
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_costs_of_a_characteristic_target_agree_mod_2d(seed, skewed):
+    # The fact the search prunes by: for characteristic v every lattice
+    # point's scaled cost, and so the minimum, lies in one class mod 2D.
+    rng = random.Random(seed)
+    if skewed:
+        g = skewed_form(rng)
+        if g is None:
+            return
+    else:
+        g = goeritz(gen_plane_multigraph(rng, rng.randint(2, 7),
+                                         rng.randint(0, 6)))
+    gap = 2 * g.kernel.denominator
+    v = characteristic_covector(rng, g)
+    costs = [scaled_cost(g, v, [rng.randint(-9, 9) for _ in range(g.m)])
+             for _ in range(3)]
+    costs += g.kernel.min_costs([search_target(g.kernel, v)])
+    assert all(c.denominator == 1 for c in costs)
+    assert all((c - costs[0]) % gap == 0 for c in costs)
+
+
+def test_costs_of_a_noncharacteristic_target_split_by_d():
+    # Off the domain the pruning has no ground: with A = [k] and v of the
+    # other parity, y = 0 and y = 1 cost an odd multiple of D apart.
+    for k in range(1, 9):
+        g = goeritz(banana_graph(k))
+        assert g.matrix == ((-k,),)
+        d = g.kernel.denominator
+        for v in (k - 3, k - 1, k + 1, k + 5):
+            gap = scaled_cost(g, [v], [1]) - scaled_cost(g, [v], [0])
+            assert gap == d * (k - v) and gap % (2 * d) == d
+
+
+def test_search_work_at_the_16_cycle_and_probe_a(count_calls):
+    """The search makes 997 calls of _nearest for the 16 classes of the
+    16-cycle and 11,987 for the 3796 of probe A.  Pruning only candidates
+    that cost at least the incumbent, it makes 42,338 and 19,483.  The
+    recursion calls _nearest through the module, so the patched function
+    counts every call."""
+    calls = count_calls(exactalg._nearest)
+    work = []
+    for w in (cycle_graph(16), probe_a()):
+        calls["_nearest"] = 0
+        enumerate_spinc(goeritz(w))
+        work.append(calls["_nearest"])
+    assert work == [997, 11987]
+    assert work[0] < 42338 and work[1] < 19483
+
+
+def assert_d_is_q_plus_m_over_4_mod_2(rep):
+    """d - (q(key) + m) / 4 is an even integer on every class of a
+    table: q changes by a multiple of 8 across an orbit.  q(key) is
+    taken by rational elimination, not by any search."""
+    g = rep.form
+    for c in rep.classes:
+        x = c.d - (quadform_q(g, c.canonical_key) + g.m) / 4
+        assert x.denominator == 1 and x % 2 == 0, (c, x)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_d_is_q_plus_m_over_4_mod_2_on_random_inputs(seed, medial):
+    rng = random.Random(seed)
+    w = gen_plane_multigraph(rng, rng.randint(2, 6), rng.randint(0, 4),
+                             bridgeless=medial)
+    if medial:
+        w = parse_pd(diagram_from_plane_graph(w))
+    assert_d_is_q_plus_m_over_4_mod_2(obstruction_report(w))
+
+
+def test_d_is_q_plus_m_over_4_mod_2_on_golden_inputs():
+    seen = 0
+    for name, doc in corpus().items():
+        if name.startswith("pd_"):
+            rep = obstruction_report(parse_pd(doc))
+        elif name.startswith("graph_"):
+            rep = obstruction_report(parse_graph_doc(doc)[0])
+        else:
+            continue
+        assert_d_is_q_plus_m_over_4_mod_2(rep)
+        seen += 1
+    assert seen == 13
 
 
 @st.composite
@@ -724,6 +826,19 @@ def test_lens_space_spin_class():
         graph_table = enumerate_spinc(goeritz(chain_graph(p, q)))
         for table in (graph_table, lens_pd_table(p, q)):
             assert spin_class(table).d == -d[i0], (p, q)
+
+
+def test_lens_space_d_on_long_cycles_and_chains():
+    """Graph input far past p = 80: the n-cycle is the chain graph of
+    n/(n - 1) = [2, ..., 2], rank n - 1, and the chains of 4099/1000 and
+    9973/2000 have 12 and 15 vertices."""
+    for n in (16, 20, 24):
+        g = goeritz(cycle_graph(n))
+        assert sorted(c.d for c in enumerate_spinc(g)) == \
+            sorted(-d for d in lens_d(n, n - 1)), n
+    for p, q in ((4099, 1000), (9973, 2000)):
+        assert len(neg_cf(p, q)) <= 15
+        lens_space_d_matches(p, q)
 
 
 @given(st.integers(2, 79).flatmap(
