@@ -10,7 +10,7 @@ alongside the handle-slide log and the plumbing verdict.
 """
 from spinfill.chainmail import build_chainmail, kaplan_filling, mk1_run
 from spinfill.plumbing import berge_ipm, decide_plumbed, linear_tree, neg_cf
-from spinfill.spinc import characteristic_subgraphs, obstruction_report
+from spinfill.spinc import obstruction_report
 from spinfill.graphs import MarkedGraph
 
 
@@ -49,11 +49,11 @@ def main():
                                      e.ue_lower, e.ue_upper))
 
     link = build_chainmail(w)
-    for c in characteristic_subgraphs(w):
+    for c in rep.subgraphs:
         if not c.vertices:
             continue
         log = mk1_run(link, c.vertices)
-        stats = kaplan_filling(link, c.vertices)
+        stats = kaplan_filling(link, log)
         print("handle slides on %s: final framing %d, filling b2 = %d, "
               "sigma = %d, even form = %s"
               % (list(c.vertices), log.final_framing, stats.b2, stats.sigma,

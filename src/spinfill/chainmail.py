@@ -13,8 +13,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (CertificationFailure, DegenerateGraph, Disconnected,
-                     EmptyCharacteristicSet, InvalidEmbedding, MalformedInput,
-                     NonNegativeFraming, NotCharacteristic)
+                     InvalidEmbedding, MalformedInput, NonNegativeFraming,
+                     NotCharacteristic)
 from .exactalg import (_characteristic_supports, _edge_matrix, _parity_rows,
                        signature)
 from .graphs import (Frozen, MarkedGraph, _reach, default_outer_dart,
@@ -292,17 +292,18 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
     are planned once per link (_contraction_plan) and replayed here:
     each slide updates this sublink's copy of the linking matrix by the
     congruence with E = I + e_over e_slid^T and drops the slid-over
-    component from the tracked sublink.
+    component from the tracked sublink.  The empty sublink has nothing
+    to slide: its log has no steps, no final vertex and framing 0.
     """
     subset = tuple(subset)
-    if not subset:
-        raise EmptyCharacteristicSet("nothing to slide")
     idx = link.graph.index
     for v in subset:
         if v not in idx:
             raise MalformedInput("unknown vertex %r" % (v,))
 
     initial = link.linking_matrix
+    if not subset:
+        return SlideLog(link.vertices, subset, (), initial, initial, None, 0)
     mat = [list(row) for row in initial]
     steps = []
 
@@ -373,8 +374,9 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
     )
 
 
-def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
-    """Spin-filling statistics after sliding, blowing up and down.
+def kaplan_filling(link: ChainmailLink, log: SlideLog) -> FillingStats:
+    """Spin-filling statistics of the sublink log.subset after sliding,
+    blowing up and down; log is mk1_run(link, log.subset).
 
     Starting from the chainmail filling, the tracked sublink is slid to
     one component K with framing -f, its framing is pushed to -1 by f-1
@@ -383,12 +385,16 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
     blowing K down adds L'[i][p]^2 to every other diagonal entry and
     each meridian ends at 1 + 1, so the surviving diagonal is even
     exactly when L'[i][i] + L'[i][p] is even for every i != p, which
-    certifies the spin form.  log, when given, is mk1_run(link, subset),
-    so the slides are not run twice; a log of another sublink, or of a
-    link with another vertex order or linking matrix, raises
-    CertificationFailure.
+    certifies the spin form.  The empty sublink keeps the chainmail
+    filling.  A log of a link with another vertex order or linking
+    matrix raises CertificationFailure.
     """
-    subset = tuple(subset)
+    subset = log.subset
+    if (log.vertex_order != link.vertices
+            or log.initial_matrix != link.linking_matrix):
+        raise CertificationFailure(
+            "chainmail.kaplan_filling: the slide log of sublink %s is of "
+            "another link" % (list(subset),))
     if not is_characteristic(link, subset):
         raise NotCharacteristic("subset fails the linking parity test")
     n = len(link.vertices)
@@ -399,17 +405,6 @@ def kaplan_filling(link: ChainmailLink, subset, log=None) -> FillingStats:
                 "needs an even diagonal")
         return FillingStats(b2=n, sigma=link.sigma, even_form=True, f=0)
 
-    if log is None:
-        log = mk1_run(link, subset)
-    elif set(log.subset) != set(subset):
-        raise CertificationFailure(
-            "chainmail.kaplan_filling: the slide log is of sublink %s, not "
-            "of sublink %s" % (list(log.subset), list(subset)))
-    elif (log.vertex_order != link.vertices
-          or log.initial_matrix != link.linking_matrix):
-        raise CertificationFailure(
-            "chainmail.kaplan_filling: the slide log of sublink %s is of "
-            "another link" % (list(subset),))
     mat = log.final_matrix
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]

@@ -97,7 +97,7 @@ def _mk1_section(link, subsets):
     runs = []
     for vs in subsets:
         log = _chainmail.mk1_run(link, vs)
-        stats = _chainmail.kaplan_filling(link, vs, log)
+        stats = _chainmail.kaplan_filling(link, log)
         runs.append({
             "subset": list(log.subset),
             "slides": [
@@ -466,6 +466,8 @@ def cmd_mk1(args):
         for k, v in enumerate(subset):
             if v in subset[:k]:
                 raise MalformedInput("vertex %r is repeated in --set" % (v,))
+        if not subset:
+            raise EmptyCharacteristicSet("nothing to slide")
         subsets = [subset]
     else:
         all_subs = [vs for vs in _chainmail.characteristic_subsets(link) if vs]

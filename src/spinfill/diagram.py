@@ -215,9 +215,3 @@ def kauffman_states(diagram: KnotDiagram, white: MarkedGraph):
     del walk
     return covectors
 
-
-def state_covectors(diagram: KnotDiagram):
-    """The white graph and the covectors of kauffman_states, in order."""
-    white = white_graph(diagram)
-    return white, kauffman_states(diagram, white)
-

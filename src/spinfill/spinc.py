@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import NamedTuple
 
-from .diagram import state_covectors
+from .diagram import kauffman_states, white_graph
 from .errors import CertificationFailure, Disconnected, NotATree, Singular
 from .exactalg import (GoeritzForm, _characteristic_supports, goeritz,
                        hnf_reduce)
@@ -282,15 +282,6 @@ def enumerate_spinc(g: GoeritzForm, covectors=None):
         c1 if c1 is not None else repeat(None), state)))
 
 
-def spin_class(classes):
-    """The unique class with vanishing coker class (odd determinant)."""
-    hits = [c for c in classes if c.is_spin()]
-    if len(hits) != 1:
-        raise CertificationFailure(
-            "expected a unique spin class, found %d" % len(hits))
-    return hits[0]
-
-
 def characteristic_subgraphs(w: MarkedGraph, g=None):
     """Induced subgraphs of the reduced graph with the parity property:
     every unmarked vertex sees its own full degree mod 2 in edges toward
@@ -354,15 +345,13 @@ def _spin_defect(g: GoeritzForm, sub: CharSubgraph) -> Fraction:
 def obstruction_report(source) -> ObstructionReport:
     """Evaluate every filling obstruction for a diagram or marked graph.
 
-    Diagram input is reduced to its white graph with the state covectors
-    attached, so the class/state bijection is certified along the way.
-    Each artifact of the input is built here once and carried by the
-    report.
+    Diagram input is reduced to its white graph, and its Kauffman states
+    are walked only after the Goeritz form and its kernel are built; the
+    state covectors go to enumerate_spinc, which certifies the
+    class/state bijection.  Each artifact of the input is built here
+    once and carried by the report.
     """
-    if isinstance(source, MarkedGraph):
-        w, covectors = source, None
-    else:
-        w, covectors = state_covectors(source)
+    w = source if isinstance(source, MarkedGraph) else white_graph(source)
     if not w.is_connected():
         raise Disconnected("white graph must be connected")
     g = goeritz(w)
@@ -377,14 +366,15 @@ def obstruction_report(source) -> ObstructionReport:
     special = all(d % 2 == 0 for d in w.degrees.values())
     odd = det % 2 != 0
 
+    covectors = None if w is source else kauffman_states(source, w)
     classes = enumerate_spinc(g, covectors=covectors)
     subs = characteristic_subgraphs(w, g)
 
     spin_d = None
     spin_bound = None
     if odd:
-        sc = spin_class(classes)
-        spin_d = sc.d
+        # enumerate_spinc certified the one class with c1 = 0
+        spin_d = next(c for c in classes if c.is_spin()).d
         spin_bound = math.floor(4 * spin_d)
 
     if special != any(not c.vertices for c in subs):

@@ -4,7 +4,7 @@ None of these run on a library path: they are independent oracles the
 tests compare the library against (spanning-tree counts, determinants
 and adjugates, the inertia by a Fraction elimination, isomorphism, rational solves, orbit maxima and the d
 table by one lattice search per class in the vertex-order kernel, the
-Kauffman states as region
+spin class by a rescan of the table, the Kauffman states as region
 assignments with a covector per state, the spin-c table as row dicts,
 the Kaplan filling by explicit blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
 by face tracing, tree validation edge by edge, the f >= 9 m Furuta
@@ -24,13 +24,12 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from spinfill.chainmail import (ChainmailLink, FillingStats,
-                                is_characteristic, mk1_run)
+from spinfill.chainmail import ChainmailLink, FillingStats, is_characteristic
 from spinfill.diagram import KnotDiagram, parse_pd, white_graph
-from spinfill.errors import (Disconnected, MalformedInput,
-                             NonNegativeFraming, NonPlanar, NotAlternating,
-                             NotATree, NotCharacteristic, NotReduced,
-                             Singular, SpinfillError)
+from spinfill.errors import (CertificationFailure, Disconnected,
+                             MalformedInput, NonNegativeFraming, NonPlanar,
+                             NotAlternating, NotATree, NotCharacteristic,
+                             NotReduced, Singular, SpinfillError)
 from spinfill.exactalg import GoeritzForm, _require_square, signature
 from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
                              _reach, euler_check, trace_faces)
@@ -406,6 +405,16 @@ def d_invariant(g: GoeritzForm, covector) -> Fraction:
     (best,) = kernel.min_costs((search_target(kernel, covector),))
     return Fraction(g.m * kernel.denominator - 4 * best,
                     4 * kernel.denominator)
+
+
+def spin_class(classes):
+    """The unique class with vanishing coker class (odd determinant),
+    found by a rescan of the table."""
+    hits = [c for c in classes if c.is_spin()]
+    if len(hits) != 1:
+        raise CertificationFailure(
+            "expected a unique spin class, found %d" % len(hits))
+    return hits[0]
 
 
 def spinc_rows(classes):
@@ -1025,17 +1034,16 @@ def _bipartite(g: MarkedGraph) -> bool:
     return True
 
 
-def kaplan_filling_by_moves(link: ChainmailLink, subset, log=None) -> FillingStats:
-    """Spin-filling statistics after sliding, blowing up and down.
+def kaplan_filling_by_moves(link: ChainmailLink, log) -> FillingStats:
+    """Spin-filling statistics of the sublink log.subset after sliding,
+    blowing up and down; log is mk1_run(link, log.subset).
 
     Starting from the chainmail filling, the tracked sublink is slid to
     one component with framing -f, its framing is pushed to -1 by f-1
     meridian blow-ups and the component is blown down.  The surviving
     matrix must have an even diagonal, which certifies the spin form.
-    log, when given, is mk1_run(link, subset), so the slides are not
-    run twice.
     """
-    subset = tuple(subset)
+    subset = log.subset
     if not is_characteristic(link, subset):
         raise NotCharacteristic("subset fails the linking parity test")
     n = len(link.vertices)
@@ -1045,8 +1053,6 @@ def kaplan_filling_by_moves(link: ChainmailLink, subset, log=None) -> FillingSta
             "empty characteristic sublink needs an even diagonal"
         return FillingStats(b2=n, sigma=link.sigma, even_form=True, f=0)
 
-    if log is None:
-        log = mk1_run(link, subset)
     mat = [list(row) for row in log.final_matrix]
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]

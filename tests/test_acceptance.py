@@ -8,21 +8,21 @@ import time
 from fractions import Fraction
 
 from spinfill.chainmail import build_chainmail, kaplan_filling, mk1_run
-from spinfill.diagram import state_covectors, white_graph
+from spinfill.diagram import kauffman_states, white_graph
 from spinfill.errors import Disconnected
 from spinfill.exactalg import goeritz, signature
 from spinfill.plumbing import (PlumbingTree, berge_ipm, check_normal_form,
                                decide_plumbed, det_tree, linear_tree, neg_cf,
                                reduce_normal_form)
 from spinfill.spinc import (characteristic_subgraphs, enumerate_spinc,
-                            obstruction_report, spin_class)
+                            obstruction_report)
 
 from conftest import (banana_graph, brute_force_class_maxima, path_hub_graph,
                       special44_graph)
 from oracles import (canonical_form, d_by_search, det_exact,
                      gen_plane_multigraph, intersection_matrix, matvec, mu_bar,
                      quadform_q, random_excessive_tree, random_tree,
-                     shuffled_tree, spanning_tree_count)
+                     shuffled_tree, spanning_tree_count, spin_class)
 
 
 def _report(num, description):
@@ -56,7 +56,8 @@ def test_criterion_02_orbit_max_property(all_diagrams):
     for name, kd in all_diagrams:
         if kd.n > 8:
             continue
-        white, covs = state_covectors(kd)
+        white = white_graph(kd)
+        covs = kauffman_states(kd, white)
         g = goeritz(white)
         classes = enumerate_spinc(g, covectors=covs)
         search = d_by_search(g)
@@ -167,7 +168,7 @@ def test_criterion_06_mk1_framing_theorem():
 
 def test_criterion_07_kaplan_accounting():
     link = build_chainmail(banana_graph(3))
-    stats = kaplan_filling(link, (1,))
+    stats = kaplan_filling(link, mk1_run(link, (1,)))
     assert (stats.b2, stats.sigma) == (2, 2)
 
     rng = random.Random(77)
@@ -180,7 +181,7 @@ def test_criterion_07_kaplan_accounting():
             continue
         m = len(link.vertices)
         for c in characteristic_subgraphs(w):
-            stats = kaplan_filling(link, c.vertices)
+            stats = kaplan_filling(link, mk1_run(link, c.vertices))
             assert stats.even_form
             if stats.f >= 1:
                 assert stats.b2 == m + stats.f - 2

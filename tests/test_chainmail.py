@@ -10,8 +10,8 @@ from spinfill.chainmail import (ChainmailLink, build_chainmail,
                                 characteristic_subsets, is_characteristic,
                                 kaplan_filling, mk1_run)
 from spinfill.errors import (CertificationFailure, Disconnected,
-                             EmptyCharacteristicSet, MalformedInput,
-                             NonNegativeFraming, NotCharacteristic)
+                             MalformedInput, NonNegativeFraming,
+                             NotCharacteristic)
 from spinfill.exactalg import goeritz
 from spinfill.graphs import MarkedGraph, graph_to_doc
 from spinfill.spinc import characteristic_subgraphs
@@ -20,6 +20,11 @@ from conftest import (banana_graph, banana_path_doc, path_hub_graph,
                       special44_graph, two33_graph)
 from oracles import (encloses_by_faces, furuta_check, gen_plane_multigraph,
                      kaplan_filling_by_moves)
+
+
+def filling(link, subset):
+    """Kaplan's filling of a sublink, from its one slide log."""
+    return kaplan_filling(link, mk1_run(link, subset))
 
 
 def test_build_from_tait_examples():
@@ -58,9 +63,7 @@ def test_linking_matrix_is_built_once():
     mat = link.linking_matrix
     snapshot = tuple(tuple(row) for row in mat)
     for sub in characteristic_subsets(link):
-        if sub:
-            mk1_run(link, sub)
-        kaplan_filling(link, sub)
+        filling(link, sub)
         assert link.linking_matrix is mat
     assert mat == snapshot
 
@@ -109,8 +112,6 @@ def test_mk1_two33():
 
 def test_mk1_errors():
     link = build_chainmail(banana_graph(3))
-    with pytest.raises(EmptyCharacteristicSet):
-        mk1_run(link, ())
     with pytest.raises(MalformedInput):
         mk1_run(link, ("nope",))
 
@@ -164,46 +165,35 @@ def test_mk1_steps_are_unimodular():
 
 def test_kaplan_examples():
     link = build_chainmail(banana_graph(3))
-    stats = kaplan_filling(link, (1,))
+    stats = filling(link, (1,))
     assert (stats.b2, stats.sigma, stats.f) == (2, 2, 3)
     assert stats.even_form
 
+    # the empty sublink slides nothing and keeps the chainmail filling
     link = build_chainmail(special44_graph())
-    stats = kaplan_filling(link, ())
-    assert (stats.b2, stats.sigma, stats.f) == (2, -2, 0)
-    assert stats.even_form
+    log = mk1_run(link, ())
+    assert (log.subset, log.steps, log.final_vertex, log.final_framing) \
+        == ((), (), None, 0)
+    assert log.final_matrix == log.initial_matrix == link.linking_matrix
+    assert kaplan_filling(link, log) == (len(link.vertices), link.sigma,
+                                         True, 0) == (2, -2, True, 0)
 
     link = build_chainmail(path_hub_graph())
-    stats = kaplan_filling(link, ("d",))
+    stats = filling(link, ("d",))
     assert (stats.b2, stats.sigma, stats.f) == (4, -2, 2)
 
 
 def test_kaplan_rejects_noncharacteristic():
     link = build_chainmail(path_hub_graph())
     with pytest.raises(NotCharacteristic):
-        kaplan_filling(link, ("a",))
+        filling(link, ("a",))
 
 
 def test_kaplan_rejects_unknown_vertex():
     link = build_chainmail(two33_graph())
-    for check in (is_characteristic, kaplan_filling):
+    for check in (is_characteristic, filling):
         with pytest.raises(MalformedInput, match="unknown vertex 'zz'"):
             check(link, ("zz",))
-
-
-def test_kaplan_rejects_a_log_of_another_sublink():
-    link = build_chainmail(two33_graph())
-    subs = [sub for sub in characteristic_subsets(link) if sub]
-    assert len(subs) > 1
-    log = mk1_run(link, subs[0])
-    with pytest.raises(CertificationFailure) as info:
-        kaplan_filling(link, subs[1], log)
-    message = str(info.value)
-    assert message.startswith("chainmail.kaplan_filling: ")
-    assert str(list(subs[0])) in message and str(list(subs[1])) in message
-    # the same sublink, listed in another order, is the same log's
-    assert kaplan_filling(link, subs[0][::-1], log) == \
-        kaplan_filling(link, subs[0])
 
 
 def test_kaplan_rejects_a_log_of_another_link():
@@ -221,13 +211,13 @@ def test_kaplan_rejects_a_log_of_another_link():
     for doc in others:
         log = mk1_run(build_chainmail(doc), ("a",))
         with pytest.raises(CertificationFailure) as info:
-            kaplan_filling(link, ("a",), log)
+            kaplan_filling(link, log)
         assert str(info.value) == ("chainmail.kaplan_filling: the slide log "
                                    "of sublink ['a'] is of another link")
-    assert kaplan_filling(link, ("a",)) == (3, 1, True, 3)
+    assert filling(link, ("a",)) == (3, 1, True, 3)
     # a log from a fresh link with an equal matrix is this link's log
     fresh = mk1_run(build_chainmail(two33_graph()), ("a",))
-    assert kaplan_filling(link, ("a",), fresh) == (3, 1, True, 3)
+    assert kaplan_filling(link, fresh) == (3, 1, True, 3)
 
 
 def test_kaplan_accounting_random():
@@ -241,7 +231,7 @@ def test_kaplan_accounting_random():
             continue
         m = len(link.vertices)
         for c in characteristic_subgraphs(w):
-            stats = kaplan_filling(link, c.vertices)
+            stats = filling(link, c.vertices)
             assert stats.even_form
             if stats.f >= 1:
                 assert stats.b2 == m + stats.f - 2
@@ -268,19 +258,19 @@ def kaplan_matches_moves(link):
     every characteristic sublink; returns the slid framings met."""
     framings = []
     for sub in characteristic_subsets(link):
-        if not sub:
-            assert kaplan_filling(link, sub) == \
-                kaplan_filling_by_moves(link, sub)
-            continue
         log = mk1_run(link, sub)
+        if not sub:
+            assert kaplan_filling(link, log) == \
+                kaplan_filling_by_moves(link, log)
+            continue
         framings.append(log.final_framing)
         if log.final_framing >= 0:
-            for filling in (kaplan_filling, kaplan_filling_by_moves):
+            for fill in (kaplan_filling, kaplan_filling_by_moves):
                 with pytest.raises(NonNegativeFraming):
-                    filling(link, sub, log)
+                    fill(link, log)
         else:
-            assert kaplan_filling(link, sub, log) == \
-                kaplan_filling_by_moves(link, sub, log), sub
+            assert kaplan_filling(link, log) == \
+                kaplan_filling_by_moves(link, log), sub
     return framings
 
 

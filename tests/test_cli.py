@@ -785,7 +785,7 @@ def test_wrong_state_covector_fails_with_exit_4(trefoil_file, capsys,
         covectors[0] = (covectors[0][0] + 1,) + covectors[0][1:]
         return covectors
 
-    monkeypatch.setattr(diagram, "kauffman_states", off_by_one)
+    monkeypatch.setattr(spinc, "kauffman_states", off_by_one)
     code, out, err = run_cli(["analyze", trefoil_file], capsys)
     assert code == 4 and out == ""
     assert err.startswith(
@@ -793,13 +793,30 @@ def test_wrong_state_covector_fails_with_exit_4(trefoil_file, capsys,
 
 
 def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
-    calls = count_calls(chainmail.mk1_run, exactalg.signature)
+    calls = count_calls(chainmail.mk1_run, chainmail.kaplan_filling,
+                        exactalg.signature)
     path = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
     code, out, _ = run_cli(["--json", "mk1", path, "--all"], capsys)
     assert code == 0
-    assert calls == {"mk1_run": len(json.loads(out)["runs"]),
+    runs = len(json.loads(out)["runs"])
+    assert calls == {"mk1_run": runs, "kaplan_filling": runs,
                      "signature": 1}
-    assert calls["mk1_run"] > 1
+    assert runs > 1
+    # the filling reads the log it is given and slides nothing itself
+    for args, section in ((["analyze", "--mk1"], "mk1"),
+                          (["mk1", "--set", "a"], "runs")):
+        calls.update(mk1_run=0, kaplan_filling=0)
+        code, out, _ = run_cli(["--json", args[0], path] + args[1:], capsys)
+        assert code == 0
+        runs = json.loads(out)[section]
+        assert [run["subset"] for run in runs] == [["a"]]
+        assert calls["mk1_run"] == calls["kaplan_filling"] == len(runs)
+    # an empty --set is refused before any slide
+    calls.update(mk1_run=0, kaplan_filling=0)
+    for empty in ("", ","):
+        code, out, err = run_cli(["mk1", path, "--set", empty], capsys)
+        assert (code, out, err) == (3, "", "error: nothing to slide\n")
+    assert calls["mk1_run"] == calls["kaplan_filling"] == 0
 
 
 def path_pieces(subset):

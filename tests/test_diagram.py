@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinfill.diagram import (kauffman_states, parse_pd, state_covectors,
-                              white_graph)
+from spinfill.diagram import kauffman_states, parse_pd, white_graph
 from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
                              NotAlternating, NotReduced)
 from spinfill.exactalg import goeritz
@@ -247,9 +246,10 @@ def test_states_to_classes_injective(all_diagrams):
     for name, kd in all_diagrams:
         if kd.n > 8:
             continue
-        white, covs = state_covectors(kd)
+        white = white_graph(kd)
         g = goeritz(white)
-        enumerate_spinc(g, covectors=covs)  # raises unless a bijection
+        # raises unless a bijection
+        enumerate_spinc(g, covectors=kauffman_states(kd, white))
 
 
 def test_marked_arc_independence():
@@ -265,9 +265,10 @@ def test_marked_arc_independence():
         reference = None
         for arc in parse_pd({"pd": pd}).arcs:
             kd = parse_pd({"pd": pd, "marked_arc": arc})
-            white, covs = state_covectors(kd)
+            white = white_graph(kd)
             g = goeritz(white)
-            ds = sorted(c.d for c in enumerate_spinc(g, covectors=covs))
+            ds = sorted(c.d for c in enumerate_spinc(
+                g, covectors=kauffman_states(kd, white)))
             if reference is None:
                 reference = ds
             else:

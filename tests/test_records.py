@@ -37,7 +37,8 @@ def build_records():
         "ChainmailLink": link,
         "SlideLog": log,
         "SlideStep": log.steps[0],
-        "FillingStats": chainmail.kaplan_filling(link, ("d",)),
+        "FillingStats": chainmail.kaplan_filling(
+            link, chainmail.mk1_run(link, ("d",))),
         "KnotDiagram": kd,
         "NormalFormReport": plumbing.check_normal_form(tree),
         "PlumbedVerdict": plumbing.decide_plumbed(tree),

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinfill import exactalg
-from spinfill.diagram import parse_pd, state_covectors, white_graph
+from spinfill import exactalg, spinc
+from spinfill.diagram import kauffman_states, parse_pd, white_graph
 from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import GoeritzForm, goeritz, hnf_reduce, signature
 from spinfill.graphs import MarkedGraph, parse_graph_doc
 from spinfill.plumbing import PlumbingTree, linear_tree, neg_cf
 from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
                             cut_size, enumerate_spinc, hermite_box,
-                            obstruction_report, spin_class)
+                            obstruction_report)
 
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       cycle_graph, path_hub_graph, probe_a, special44_graph,
@@ -25,7 +25,7 @@ from oracles import (ZigzagKernel, box_keys, chain_graph, d_by_search,
                      d_invariant, det_exact, diagram_from_plane_graph,
                      furuta_check, gen_plane_multigraph, lens_d, matvec,
                      mirror, mu_bar, orbit_max_q, quadform_q, same_class,
-                     search_target, solve_rational)
+                     search_target, solve_rational, spin_class)
 from test_golden import corpus
 
 
@@ -92,7 +92,8 @@ def test_greene_max_on_states(all_diagrams):
     for name, kd in all_diagrams:
         if kd.n > 8:
             continue
-        white, covs = state_covectors(kd)
+        white = white_graph(kd)
+        covs = kauffman_states(kd, white)
         g = form(white)
         classes = enumerate_spinc(g, covectors=covs)
         for c in classes:
@@ -103,7 +104,8 @@ def test_greene_max_on_states(all_diagrams):
 def test_greene_max_on_ten_crossing_chain():
     kd = parse_pd(diagram_from_plane_graph(path_hub_graph()))
     assert kd.n == 10
-    white, covs = state_covectors(kd)
+    white = white_graph(kd)
+    covs = kauffman_states(kd, white)
     g = form(white)
     classes = enumerate_spinc(g, covectors=covs)
     assert len(classes) == 55
@@ -115,8 +117,9 @@ def test_greene_max_on_ten_crossing_chain():
 def test_state_table_matches_search_at_every_arc():
     for name, pd in PD_CODES.items():
         for arc in parse_pd({"pd": pd}).arcs:
-            white, covs = state_covectors(
-                parse_pd({"pd": pd, "marked_arc": arc}))
+            kd = parse_pd({"pd": pd, "marked_arc": arc})
+            white = white_graph(kd)
+            covs = kauffman_states(kd, white)
             g = form(white)
             classes = enumerate_spinc(g, covectors=covs)
             assert {c.canonical_key: c.d for c in classes} \
@@ -125,7 +128,8 @@ def test_state_table_matches_search_at_every_arc():
 
 def test_state_attachment_detects_wrong_covectors():
     kd = parse_pd({"pd": PD_CODES["trefoil"]})
-    white, covs = state_covectors(kd)
+    white = white_graph(kd)
+    covs = kauffman_states(kd, white)
     g = form(white)
     with pytest.raises(CertificationFailure):
         enumerate_spinc(g, covectors=[covs[0]] * len(covs))
@@ -133,7 +137,8 @@ def test_state_attachment_detects_wrong_covectors():
 
 def test_certification_failure_names_stage():
     kd = parse_pd({"pd": PD_CODES["trefoil"]})
-    white, covs = state_covectors(kd)
+    white = white_graph(kd)
+    covs = kauffman_states(kd, white)
     g = form(white)
     a = [[-x for x in row] for row in g.matrix]
 
@@ -162,6 +167,33 @@ def test_certification_failure_names_stage():
     assert [k for k in search if table[k] != search[k]] \
         == [spin_class(classes).canonical_key]
 
+
+def test_diagram_pipeline_builds_the_kernel_before_the_walk(monkeypatch):
+    # white graph, connectivity, form, kernel, then the state walk: a
+    # bound on the class count can stop a run before any state is walked
+    order = []
+
+    def record(space, name):
+        fn = getattr(space, name)
+
+        def recorded(*args, **kwargs):
+            order.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(space, name, recorded)
+
+    for name in ("white_graph", "goeritz", "kauffman_states",
+                 "enumerate_spinc"):
+        record(spinc, name)
+    record(MarkedGraph, "is_connected")
+    record(exactalg, "_sweep")
+    for pd in (PD_CODES["trefoil"], PD_CODES["figure_eight"]):
+        order.clear()
+        spinc.obstruction_report(parse_pd({"pd": pd}))
+        assert list(dict.fromkeys(order)) == [
+            "white_graph", "is_connected", "goeritz", "_sweep",
+            "kauffman_states", "enumerate_spinc"]
+        assert order.count("kauffman_states") == 1
 
 def test_characteristic_examples():
     assert [c.vertices for c in characteristic_subgraphs(banana_graph(3))] \
@@ -496,8 +528,9 @@ def test_paired_table_matches_search(seed, medial):
                              bridgeless=medial)
     covectors = None
     if medial:
-        w, covectors = state_covectors(
-            parse_pd(diagram_from_plane_graph(w)))
+        kd = parse_pd(diagram_from_plane_graph(w))
+        w = white_graph(kd)
+        covectors = kauffman_states(kd, w)
     g = goeritz(w)
     classes = enumerate_spinc(g, covectors=covectors)
     assert {c.canonical_key: c.d for c in classes} == d_by_search(g)
@@ -780,7 +813,8 @@ def lens_pd_table(p, q):
     2-bridge link whose double branched cover is L(p, q); its d values
     are read off the Kauffman states."""
     kd = parse_pd(diagram_from_plane_graph(chain_graph(p, q)))
-    w, covectors = state_covectors(kd)
+    w = white_graph(kd)
+    covectors = kauffman_states(kd, w)
     return enumerate_spinc(goeritz(w), covectors=covectors)
 
 
