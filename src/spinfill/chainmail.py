@@ -32,11 +32,7 @@ class ChainmailLink(Frozen):
         # a loopless plane multigraph without a marked vertex; the framing
         # per vertex; +1 / -1 per edge; a dart on the unbounded face, or
         # None; whether the weights are minus the full white degrees
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "outer_dart", outer_dart)
-        object.__setattr__(self, "from_tait", from_tait)
+        super().__init__(graph, weights, signs, outer_dart, from_tait)
 
     @property
     def vertices(self):
@@ -110,7 +106,10 @@ def build_chainmail(source) -> ChainmailLink:
         if outer is None and graph.rotations is not None:
             outer = default_outer_dart(graph)
         return ChainmailLink(graph, weights, signs, outer)
-    # Marked input carries white-graph semantics.
+    # Marked input carries white-graph semantics; its own embedding,
+    # marked vertex included, must have genus zero.
+    if graph.rotations is not None:
+        euler_check(graph)
     reduced = graph.without_vertex(graph.marked)
     if not reduced.vertices:
         raise DegenerateGraph("no components after reduction")

@@ -24,21 +24,12 @@ from .graphs import (Frozen, MarkedGraph, _as_document, _dart_orbits,
 
 
 class KnotDiagram(Frozen):
+    # 4-tuples of arc ids; the sorted arc ids; per region, a cyclic tuple
+    # of (crossing, corner) tokens; corner_region[c][s] is the region at
+    # corner s of crossing c; the marked arc and the two regions flanking
+    # it
     _fields = ("crossings", "arcs", "regions", "corner_region", "marked_arc",
                "marked_regions")
-
-    def __init__(self, crossings, arcs, regions, corner_region, marked_arc,
-                 marked_regions):
-        # 4-tuples of arc ids; the sorted arc ids; per region, a cyclic
-        # tuple of (crossing, corner) tokens; corner_region[c][s] is the
-        # region at corner s of crossing c; the marked arc and the two
-        # regions flanking it
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "corner_region", corner_region)
-        object.__setattr__(self, "marked_arc", marked_arc)
-        object.__setattr__(self, "marked_regions", marked_regions)
 
     @property
     def n(self):
@@ -124,14 +115,9 @@ def parse_pd(text) -> KnotDiagram:
     (c1, s1), (c2, s2) = ends[marked_arc]
     marked_regions = (corner_region[c2][s2], corner_region[c1][s1])
 
-    return KnotDiagram(
-        crossings=crossings,
-        arcs=arcs,
-        regions=tuple(regions),
-        corner_region=tuple(tuple(r) for r in corner_region),
-        marked_arc=marked_arc,
-        marked_regions=marked_regions,
-    )
+    return KnotDiagram(crossings, arcs, tuple(regions),
+                       tuple(tuple(r) for r in corner_region), marked_arc,
+                       marked_regions)
 
 
 def white_graph(diagram: KnotDiagram) -> MarkedGraph:

@@ -14,10 +14,10 @@ from operator import mul
 
 from .errors import (CertificationFailure, DegenerateGraph, NonSquare,
                      NonSymmetric, Singular)
-from .graphs import Frozen, MarkedGraph
+from .graphs import FrozenValue, MarkedGraph
 
 
-class GoeritzForm(Frozen):
+class GoeritzForm(FrozenValue):
     """Laplacian of the white graph with the marked row/column deleted.
 
     matrix[i][i] = -deg(v_i) in the full graph, matrix[i][j] = number of
@@ -25,19 +25,6 @@ class GoeritzForm(Frozen):
     Two forms are equal when their matrices and vertex orders are.
     """
     _fields = ("matrix", "vertex_order")
-
-    def __init__(self, matrix, vertex_order):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "vertex_order", vertex_order)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.matrix == other.matrix
-                and self.vertex_order == other.vertex_order)
-
-    def __hash__(self):
-        return hash((self.matrix, self.vertex_order))
 
     @property
     def m(self):

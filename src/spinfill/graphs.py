@@ -19,14 +19,20 @@ Dart = tuple  # (edge index, end)
 class Frozen:
     """Base of the immutable plain classes.
 
-    __init__ sets each attribute once, through object.__setattr__, and
-    cached_property writes the instance dict; assigning or deleting an
-    attribute afterwards raises AttributeError.  Equality is identity
-    unless a subclass says otherwise.  _fields names the constructor
-    arguments, for the repr.
+    __init__ binds the values to _fields in order, each once, through
+    object.__setattr__, and cached_property writes the instance dict;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    Equality is identity; FrozenValue compares by the fields.
     """
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d fields, got %d" % (
+                type(self).__name__, len(self._fields), len(values)))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -37,6 +43,23 @@ class Frozen:
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
             "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class FrozenValue(Frozen):
+    """A Frozen record equal to another of its exact type with equal
+    fields."""
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class MarkedGraph(Frozen):
@@ -55,10 +78,7 @@ class MarkedGraph(Frozen):
                 raise MalformedInput("loop edges are not supported")
         # edges are (u, v, label); rotations, per vertex, a tuple of
         # darts, ccw
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "rotations", rotations)
+        super().__init__(vertices, edges, marked, rotations)
         if rotations is not None:
             _validate_rotations(self)
 

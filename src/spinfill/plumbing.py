@@ -16,34 +16,22 @@ from typing import NamedTuple
 from .errors import (CertificationFailure, DegenerateGraph, InvalidFraction,
                      MalformedInput, NotAccessibleByConstruction, NotATree,
                      NotCoprime, NotExcessive)
-from .graphs import (Frozen, MarkedGraph, _as_document, _check_id,
+from .graphs import (FrozenValue, MarkedGraph, _as_document, _check_id,
                      _check_int, _check_vertex_ids, _edge_list, _reach,
                      _vertex_ids)
 
 
-class PlumbingTree(Frozen):
+class PlumbingTree(FrozenValue):
     """Two trees are equal when their vertices, weights and edges are."""
     _fields = ("vertices", "weights", "edges")
 
     def __init__(self, vertices, weights, edges):
         if len(weights) != len(vertices):
             raise MalformedInput("one weight per vertex required")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "edges", edges)  # (u, v) pairs
+        super().__init__(vertices, weights, edges)  # edges: (u, v) pairs
         # vertex -> weight, and vertex -> neighbors in edge-list order
         object.__setattr__(self, "_weight", dict(zip(vertices, weights)))
         object.__setattr__(self, "_adj", _check_tree(vertices, edges))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.vertices == other.vertices
-                and self.weights == other.weights
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.weights, self.edges))
 
     def weight(self, v):
         return self._weight[v]

@@ -121,6 +121,20 @@ def two33_graph():
                        rotations=tuple(rots[v] for v in ("h", "a", "b")))
 
 
+def pendant_graph():
+    """Hub h joined to a by two edges, and a pendant edge a-b.  The
+    reduced graph is the tree a-b with weights (-3, -1), which is not
+    excessive."""
+    edges = (("h", "a", 0), ("h", "a", 1), ("a", "b", 2))
+    rots = {
+        "h": ((0, 0), (1, 0)),
+        "a": ((1, 1), (0, 1), (2, 0)),
+        "b": ((2, 1),),
+    }
+    return MarkedGraph(("h", "a", "b"), edges, marked="h",
+                       rotations=tuple(rots[v] for v in ("h", "a", "b")))
+
+
 def banana_path_doc(m):
     """Marked hub h joined to 1 by three edges and a path 1, ..., m of
     doubled edges.  Mod 2 the Goeritz form is diag(1, 0, ..., 0), so the

@@ -410,6 +410,117 @@ def test_tree_document_refusals(name, tmp_path, capsys):
             code, "", "error: %s\n" % message), action
 
 
+def triangle_doc(**changes):
+    """Marked hub h and vertices a, b on a triangle: edge 0 is h - a,
+    edge 1 is a - b and edge 2 is h - b.  A change to None drops the
+    key."""
+    doc = {"vertices": [{"id": "h"}, {"id": "a"}, {"id": "b"}],
+           "edges": [["h", "a"], ["a", "b"], ["h", "b"]],
+           "marked": "h",
+           "rotations": {"h": [0, 2], "a": [0, 1], "b": [1, 2]}}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def weighted_doc(weights, edges, **changes):
+    return dict({"vertices": [{"id": v, "weight": w}
+                              for v, w in weights.items()],
+                 "edges": edges}, **changes)
+
+
+# a theta graph whose three edges come in the same order at both ends:
+# one face, so V - E + F = 0
+THETA_GENUS_1 = weighted_doc({"a": -3, "b": -3}, [["a", "b"]] * 3,
+                             rotations={"a": [0, 1, 2], "b": [0, 1, 2]})
+
+# name -> (command, document, exit code, stderr); the first fault wins
+GRAPH_REFUSALS = {
+    "edge_without_endpoint": (["analyze"], triangle_doc(edges=[{"u": "h"}]),
+                              2, "edge 0 misses an endpoint"),
+    "edge_not_a_pair": (["analyze"], triangle_doc(edges=[5]), 2,
+                        "edge 5 is not a pair"),
+    "marked_outside": (["analyze"], triangle_doc(marked="zz"), 2,
+                       "marked vertex 'zz' not in graph"),
+    "endpoint_outside": (["analyze"], triangle_doc(
+        edges=[["h", "a"], ["a", "z"]], rotations=None), 2,
+        "edge endpoint not in vertex set"),
+    "loop": (["analyze"], triangle_doc(edges=[["a", "a"]], rotations=None), 2,
+             "loop edges are not supported"),
+    "rotation_not_a_list": (["analyze"], triangle_doc(
+        rotations={"h": 0, "a": [0, 1], "b": [1, 2]}), 2,
+        "rotation of vertex 'h' is not a list"),
+    "rotation_missing": (["analyze"], triangle_doc(rotations={"h": [0, 2]}),
+                         3, "rotation missing for vertex 'a'"),
+    "rotation_unknown_edge": (["analyze"], triangle_doc(
+        rotations={"h": [0, 2, 3], "a": [0, 1], "b": [1, 2]}), 3,
+        "rotation cites unknown edge 3"),
+    "rotation_foreign_edge": (["analyze"], triangle_doc(
+        rotations={"h": [0, 1], "a": [0, 1], "b": [1, 2]}), 3,
+        "vertex 'h' lists edge 1 it does not touch"),
+    "dart_twice": (["analyze"], triangle_doc(
+        rotations={"h": [0, 0], "a": [0, 1], "b": [1, 2]}), 3,
+        "dart (0, 0) listed twice"),
+    "dart_missing": (["analyze"], triangle_doc(
+        rotations={"h": [0], "a": [0, 1], "b": [1, 2]}), 3,
+        "rotation system misses some edge ends"),
+    "witness_bare_list": (["witness"], [["a", "b"]], 2,
+                          "graph document needs a 'vertices' list"),
+    "witness_no_weights": (["witness"], triangle_doc(marked=None), 2,
+                           "witness input needs vertex weights"),
+    "witness_hub_id": (["witness"], weighted_doc(
+        {"hub": -2, "a": -2}, [["hub", "a"]]), 2,
+        "hub id 'hub' already in use"),
+    "witness_disconnected": (["witness"], weighted_doc(
+        {"a": -2, "b": -2}, []), 3, "graph must be connected"),
+    "plumb_empty_tree": (["plumb", "decide"], {"vertices": [], "edges": []},
+                         3, "empty tree"),
+    "mk1_marked_vertex_alone": (
+        ["mk1", "--all"], {"vertices": [{"id": "h"}], "edges": [],
+                           "marked": "h"}, 3,
+        "no components after reduction"),
+    "mk1_genus_1": (["mk1", "--all"], THETA_GENUS_1, 3,
+                    "rotation system has positive genus"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_REFUSALS))
+def test_graph_document_refusals(name, tmp_path, capsys):
+    command, doc, code, message = GRAPH_REFUSALS[name]
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert run_cli(command + [path], capsys) == (
+        code, "", "error: %s\n" % message)
+
+
+# marked hub h on a, b with a genus-1 rotation system: V - E + F =
+# 3 - 6 + 3; deleting h leaves the plane digon a - b
+MARKED_GENUS_1 = {
+    "vertices": [{"id": "h"}, {"id": "a"}, {"id": "b"}],
+    "edges": [["h", "a"], ["h", "a"], ["h", "b"], ["h", "b"], ["a", "b"],
+              ["a", "b"]],
+    "marked": "h",
+    "rotations": {"h": [0, 2, 1, 3], "a": [0, 4, 1, 5], "b": [2, 4, 3, 5]},
+}
+
+
+def test_mk1_checks_the_genus_of_a_marked_graph(tmp_path, capsys):
+    path = write_doc(tmp_path, "genus1.json", MARKED_GENUS_1)
+    assert run_cli(["--json", "mk1", path, "--all"], capsys) == (
+        3, "", "error: rotation system has positive genus\n")
+    code, out, err = run_cli(["--json", "analyze", path, "--mk1"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["mk1"] == {
+        "applicable": False, "reason": "rotation system has positive genus"}
+    # the same check wants the embedded graph connected, marked vertex
+    # included
+    lone = write_doc(tmp_path, "lone.json", triangle_doc(
+        edges=[["a", "b"], ["a", "b"]],
+        rotations={"h": [], "a": [0, 1], "b": [1, 0]}))
+    assert run_cli(["mk1", lone, "--all"], capsys) == (
+        3, "", "error: embedded graph must be connected\n")
+    assert run_cli(["analyze", lone], capsys) == (
+        3, "", "error: white graph must be connected\n")
+
+
 def test_cf_command(capsys):
     code, out, _ = run_cli(["cf", "16", "9"], capsys)
     assert code == 0

@@ -1,6 +1,6 @@
 """Golden outputs of the CLI, compared byte for byte.
 
-The corpus is the table PD codes, five marked plane graphs, eight
+The corpus is the table PD codes, six marked plane graphs, eight
 plumbing trees and two weighted cacti.  Each mode names a golden file
 suffix and the command line that produces it: `--json analyze`,
 `--json obstruct` and `--json mk1 --all`, plus the text renderings of
@@ -28,7 +28,7 @@ from spinfill.cli import build_parser, main
 from spinfill.graphs import graph_to_doc
 
 from conftest import (PD_CODES, banana_graph, cycle_graph, path_hub_graph,
-                      special44_graph, two33_graph)
+                      pendant_graph, special44_graph, two33_graph)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # mode -> (file extension, arguments before the input path, after it)
@@ -149,6 +149,8 @@ def corpus():
     docs["graph_special44"] = graph_to_doc(special44_graph())
     docs["graph_path_hub"] = graph_to_doc(path_hub_graph())
     docs["graph_two33"] = graph_to_doc(two33_graph())
+    # analyze's plumbing decision is an error: the tree is not excessive
+    docs["graph_pendant"] = graph_to_doc(pendant_graph())
     docs.update(tree_corpus())
     docs.update(cactus_corpus())
     return docs

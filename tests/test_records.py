@@ -100,6 +100,40 @@ def test_value_equality(name):
     assert a != other[name]
 
 
+FROZEN = ["MarkedGraph", "GoeritzForm", "PlumbingTree", "ChainmailLink",
+          "KnotDiagram"]
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_records_refuse_a_wrong_number_of_fields(name):
+    cls = type(build_records()[name])
+    for count in (0, len(cls._fields) + 1):
+        with pytest.raises(TypeError, match=name):
+            cls(*[None] * count)
+
+
+# record name -> per field, a value that differs from build_records'
+VALUE_VARIANTS = {
+    "GoeritzForm": lambda form: (
+        ((-9,) + form.matrix[0][1:],) + form.matrix[1:],
+        form.vertex_order[::-1]),
+    "PlumbingTree": lambda tree: (
+        tree.vertices[::-1], (tree.weights[0] - 1,) + tree.weights[1:],
+        tuple((v, u) for u, v in tree.edges)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_VARIANTS))
+def test_value_equality_reads_every_field(name):
+    record = build_records()[name]
+    fields = [getattr(record, f) for f in record._fields]
+    assert type(record)(*fields) == record
+    for k, value in enumerate(VALUE_VARIANTS[name](record)):
+        assert value != fields[k]
+        other = type(record)(*fields[:k], value, *fields[k + 1:])
+        assert other != record and record != other, record._fields[k]
+
+
 def test_library_has_no_assert_statements():
     # python -O drops assert statements; certifications raise instead
     found = [(path.name, node.lineno)

@@ -711,7 +711,7 @@ def test_d_is_q_plus_m_over_4_mod_2_on_golden_inputs():
             continue
         assert_d_is_q_plus_m_over_4_mod_2(rep)
         seen += 1
-    assert seen == 13
+    assert seen == 14
 
 
 @st.composite
