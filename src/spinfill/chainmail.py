@@ -12,9 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (CertificationFailure, DegenerateGraph, Disconnected,
-                     InvalidEmbedding, MalformedInput, NonNegativeFraming,
-                     NotCharacteristic)
+from .errors import CertificationFailure, MalformedInput, SpinfillError
 from .exactalg import (_characteristic_supports, _edge_matrix, _parity_rows,
                        signature)
 from .graphs import (Frozen, MarkedGraph, _reach, default_outer_dart,
@@ -26,9 +24,7 @@ class ChainmailLink(Frozen):
 
     def __init__(self, graph, weights, signs, outer_dart, from_tait=False):
         if not graph.is_connected():
-            raise Disconnected("chainmail graph must be connected")
-        if graph.rotations is not None:
-            euler_check(graph)
+            raise SpinfillError("chainmail graph must be connected")
         # a loopless plane multigraph without a marked vertex; the framing
         # per vertex; +1 / -1 per edge; a dart on the unbounded face, or
         # None; whether the weights are minus the full white degrees
@@ -105,14 +101,20 @@ def build_chainmail(source) -> ChainmailLink:
             raise MalformedInput("chainmail document needs vertex weights")
         if outer is None and graph.rotations is not None:
             outer = default_outer_dart(graph)
-        return ChainmailLink(graph, weights, signs, outer)
+        link = ChainmailLink(graph, weights, signs, outer)
+        # after the link's connectivity check, whose refusal comes first
+        if graph.rotations is not None:
+            euler_check(graph)
+        return link
     # Marked input carries white-graph semantics; its own embedding,
-    # marked vertex included, must have genus zero.
+    # marked vertex included, must have genus zero.  Deleting a vertex
+    # raises no genus, so the rest, which the link checks is connected,
+    # needs no second check.
     if graph.rotations is not None:
         euler_check(graph)
     reduced = graph.without_vertex(graph.marked)
     if not reduced.vertices:
-        raise DegenerateGraph("no components after reduction")
+        raise SpinfillError("no components after reduction")
     return ChainmailLink(reduced,
                          tuple(-graph.degree(v) for v in reduced.vertices),
                          tuple(1 for _ in reduced.edges),
@@ -264,7 +266,7 @@ def _contraction_plan(link: ChainmailLink, piece, subset):
     if plan is not None:
         return plan
     if link.graph.rotations is None:
-        raise InvalidEmbedding("handle-slide order needs a rotation system")
+        raise SpinfillError("handle-slide order needs a rotation system")
     # Regions of the piece's own sub-embedding only.
     work = _PlaneWork(link.graph, link.outer_dart, piece)
     pairs = []
@@ -395,7 +397,7 @@ def kaplan_filling(link: ChainmailLink, log: SlideLog) -> FillingStats:
             "chainmail.kaplan_filling: the slide log of sublink %s is of "
             "another link" % (list(subset),))
     if not is_characteristic(link, subset):
-        raise NotCharacteristic("subset fails the linking parity test")
+        raise SpinfillError("subset fails the linking parity test")
     n = len(link.vertices)
     if not subset:
         if any(row[i] % 2 for i, row in enumerate(link.linking_matrix)):
@@ -408,7 +410,7 @@ def kaplan_filling(link: ChainmailLink, log: SlideLog) -> FillingStats:
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]
     if framing >= 0:
-        raise NonNegativeFraming(
+        raise SpinfillError(
             "sublink %s slides to framing %d; the Kaplan filling needs a "
             "negative framing" % (list(subset), framing))
     f = -framing

@@ -17,8 +17,7 @@ from . import chainmail as _chainmail
 from . import diagram as _diagram
 from . import plumbing as _plumbing
 from . import spinc as _spinc
-from .errors import (CertificationFailure, EmptyCharacteristicSet,
-                     MalformedInput, SpinfillError)
+from .errors import CertificationFailure, MalformedInput, SpinfillError
 from .graphs import MarkedGraph, _as_document, graph_to_doc, parse_graph_doc
 
 
@@ -308,12 +307,13 @@ def encode_json(doc):
     """The text of json.dumps(doc, sort_keys=True, indent=2).
 
     doc holds dicts with str keys, lists, tuples, str, int, bool and
-    None, and lists of spin-c records (spinc.SpinCClass), such as the
-    spin-c table; anything else (a float, a Fraction, a non-str key)
-    raises TypeError, since reports carry exact numbers only.  An indent
-    sends json.dumps to its pure-Python encoder; this one dispatches on
-    the exact type of each value, and writes an all-int list in one join
-    and a list of records row by row from their fields.
+    None, and spin-c tables: lists of spin-c records (spinc.SpinCClass)
+    of one shape.  Anything else (a float, a Fraction, a non-str key,
+    records of mixed shapes) raises TypeError, since reports carry exact
+    numbers only and each table comes from one form.  An indent sends
+    json.dumps to its pure-Python encoder; this one dispatches on the
+    exact type of each value, and writes an all-int list in one join and
+    a table row by row from its records' fields.
     """
     chunks = []
     _write_value(doc, "\n", chunks.append, {})
@@ -326,29 +326,24 @@ def _spinc_list(records, nl):
     Each record is written as its row, the dict {"key": [...], "d":
     "p/q"} with "c1" and "spin" when det is odd and "state" on PD input,
     as json.dumps writes it with sorted keys.  key and c1 are never
-    empty: a form has rank >= 1.  The records of a table share one
-    shape, checked in bulk, and one format string writes all their
-    rows; a list of mixed shapes is written record by record.
+    empty: a form has rank >= 1.  The records of a table share the
+    shape of the first one, checked in bulk, and one format string
+    writes all their rows; records of mixed shapes raise TypeError.
     """
     row = nl + "  "
     keys, _, c1s, states = zip(*records)
-    shape = rank, c1_rank, pd = _shape(records[0])
+    key, _, c1, state = records[0]
+    shape = rank, c1_rank, pd = (len(key), None if c1 is None else len(c1),
+                                 state is not None)
     n = len(records)
-    if (set(map(len, keys)) == {rank}
+    if not (set(map(len, keys)) == {rank}
             and states.count(None) == (0 if pd else n)
             and (c1s.count(None) == n if c1_rank is None else
                  None not in c1s and set(map(len, c1s)) == {c1_rank})):
-        rows = _spinc_rows(records, shape, row)
-    else:
-        rows = [_spinc_rows((c,), _shape(c), row)[0] for c in records]
+        raise TypeError("spin-c records of mixed shapes are not written "
+                        "to reports")
+    rows = _spinc_rows(records, shape, row)
     return "[" + row + ("," + row).join(rows) + nl + "]"
-
-
-def _shape(record):
-    """The rank of the key, the rank of c1 (None without c1), and
-    whether the record has a state index."""
-    key, _, c1, state = record
-    return len(key), None if c1 is None else len(c1), state is not None
 
 
 def _spinc_rows(records, shape, row):
@@ -467,12 +462,12 @@ def cmd_mk1(args):
             if v in subset[:k]:
                 raise MalformedInput("vertex %r is repeated in --set" % (v,))
         if not subset:
-            raise EmptyCharacteristicSet("nothing to slide")
+            raise SpinfillError("nothing to slide")
         subsets = [subset]
     else:
         all_subs = [vs for vs in _chainmail.characteristic_subsets(link) if vs]
         if not all_subs:
-            raise EmptyCharacteristicSet(
+            raise SpinfillError(
                 "only the empty characteristic sublink exists")
         subsets = all_subs if args.all else [all_subs[0]]
     return {"kind": "mk1", "runs": _mk1_section(link, subsets)}

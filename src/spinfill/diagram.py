@@ -17,18 +17,16 @@ the white graph.
 """
 from __future__ import annotations
 
-from .errors import (Disconnected, MalformedInput, NonPlanar,
-                     NotAlternating, NotReduced)
+from .errors import MalformedInput, SpinfillError
 from .graphs import (Frozen, MarkedGraph, _as_document, _dart_orbits,
                      _is_int, _reach)
 
 
 class KnotDiagram(Frozen):
-    # 4-tuples of arc ids; the sorted arc ids; per region, a cyclic tuple
-    # of (crossing, corner) tokens; corner_region[c][s] is the region at
-    # corner s of crossing c; the marked arc and the two regions flanking
-    # it
-    _fields = ("crossings", "arcs", "regions", "corner_region", "marked_arc",
+    # 4-tuples of arc ids; per region, a cyclic tuple of (crossing,
+    # corner) tokens; corner_region[c][s] is the region at corner s of
+    # crossing c; the marked arc and the two regions flanking it
+    _fields = ("crossings", "regions", "corner_region", "marked_arc",
                "marked_regions")
 
     @property
@@ -67,7 +65,6 @@ def parse_pd(text) -> KnotDiagram:
         if len(where) != 2:
             raise MalformedInput(
                 "arc %r appears %d times, expected 2" % (arc, len(where)))
-    arcs = tuple(sorted(ends))
 
     # Connectivity of the 4-valent projection; split inputs are refused.
     adj = {c: set() for c in range(n)}
@@ -75,7 +72,7 @@ def parse_pd(text) -> KnotDiagram:
         adj[c1].add(c2)
         adj[c2].add(c1)
     if len(_reach(0, adj.__getitem__)) != n:
-        raise Disconnected("split diagram: projection is disconnected")
+        raise SpinfillError("split diagram: projection is disconnected")
 
     # Face tracing: from end (c, s) jump to the arc's other end and turn
     # counterclockwise.  Each orbit is a region, stored as the cyclic
@@ -94,20 +91,20 @@ def parse_pd(text) -> KnotDiagram:
         for (c, s) in corners:
             corner_region[c][s] = r
     if len(regions) != n + 2:
-        raise NonPlanar(
+        raise SpinfillError(
             "face tracing gives %d regions, expected %d" % (len(regions), n + 2))
 
     for arc, ((c1, s1), (c2, s2)) in ((a, tuple(w)) for a, w in ends.items()):
         if (s1 - s2) % 2 == 0:
-            raise NotAlternating("arc %r fails over/under alternation" % (arc,))
+            raise SpinfillError("arc %r fails over/under alternation" % (arc,))
 
     # Reduced: opposite corners at a crossing lie in distinct regions.
     for c in range(n):
         if corner_region[c][0] == corner_region[c][2] or \
            corner_region[c][1] == corner_region[c][3]:
-            raise NotReduced("crossing %d is nugatory" % c)
+            raise SpinfillError("crossing %d is nugatory" % c)
 
-    marked_arc = doc.get("marked_arc", arcs[0])
+    marked_arc = doc.get("marked_arc", min(ends))
     if not _is_int(marked_arc) or marked_arc not in ends:
         raise MalformedInput("marked_arc %r is not an arc id" % (marked_arc,))
     # The two regions flanking an arc are the faces through its ends;
@@ -115,7 +112,7 @@ def parse_pd(text) -> KnotDiagram:
     (c1, s1), (c2, s2) = ends[marked_arc]
     marked_regions = (corner_region[c2][s2], corner_region[c1][s1])
 
-    return KnotDiagram(crossings, arcs, tuple(regions),
+    return KnotDiagram(crossings, tuple(regions),
                        tuple(tuple(r) for r in corner_region), marked_arc,
                        marked_regions)
 

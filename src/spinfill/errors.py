@@ -1,82 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line sorts refusals by class: MalformedInput exits 2,
+CertificationFailure exits 4 and every other SpinfillError exits 3.
+"""
 
 
 class SpinfillError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; on its own,
+    invalid topology or a failed precondition (exit 3)."""
 
 
 class MalformedInput(SpinfillError):
-    """Input document is syntactically or structurally invalid."""
-
-
-class NotAlternating(SpinfillError):
-    """Strands of the diagram do not alternate over/under."""
-
-
-class NotReduced(SpinfillError):
-    """A checkerboard graph contains a loop edge (nugatory crossing)."""
-
-
-class NonPlanar(SpinfillError):
-    """Face count violates the spherical Euler formula."""
-
-
-class Disconnected(SpinfillError):
-    """Graph or diagram splits into several components."""
-
-
-class DegenerateGraph(SpinfillError):
-    """Graph too small for the requested construction."""
-
-
-class NonSquare(SpinfillError):
-    pass
-
-
-class NonSymmetric(SpinfillError):
-    pass
-
-
-class Singular(SpinfillError):
-    pass
-
-
-class InvalidEmbedding(SpinfillError):
-    """Rotation system is inconsistent or not of genus zero."""
-
-
-class EmptyCharacteristicSet(SpinfillError):
-    pass
-
-
-class NotCharacteristic(SpinfillError):
-    pass
-
-
-class NonNegativeFraming(SpinfillError):
-    """A characteristic sublink slides to a framing >= 0, so the
-    blow-up/blow-down accounting of the Kaplan filling does not apply."""
-
-
-class NotATree(SpinfillError):
-    pass
-
-
-class NotExcessive(SpinfillError):
-    pass
-
-
-class NotCoprime(SpinfillError):
-    pass
-
-
-class InvalidFraction(SpinfillError):
-    pass
-
-
-class NotAccessibleByConstruction(SpinfillError):
-    """Sufficient-condition checks for the hub construction failed."""
+    """Input document is syntactically or structurally invalid (exit 2)."""
 
 
 class CertificationFailure(SpinfillError):
-    """An internal optimality or consistency certificate failed; a bug."""
+    """An internal optimality or consistency certificate failed; a bug
+    (exit 4)."""
+
+
+class Singular(SpinfillError):
+    """A form is not negative definite (OrbitKernel) or a matrix is not
+    of full rank (hnf_basis); spinc.obstruction_report re-raises it as a
+    CertificationFailure."""
+
+
+class NotATree(SpinfillError):
+    """Plumbing edges do not make a tree, raised by PlumbingTree;
+    spinc.obstruction_report reads it as "the reduced graph is not a
+    tree"."""

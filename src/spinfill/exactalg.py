@@ -12,8 +12,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import mul
 
-from .errors import (CertificationFailure, DegenerateGraph, NonSquare,
-                     NonSymmetric, Singular)
+from .errors import CertificationFailure, Singular, SpinfillError
 from .graphs import FrozenValue, MarkedGraph
 
 
@@ -47,10 +46,10 @@ class GoeritzForm(FrozenValue):
 
 def goeritz(w: MarkedGraph) -> GoeritzForm:
     if w.marked is None:
-        raise DegenerateGraph("graph carries no marked vertex")
+        raise SpinfillError("graph carries no marked vertex")
     order = tuple(v for v in w.vertices if v != w.marked)
     if not order:
-        raise DegenerateGraph("no unmarked vertices")
+        raise SpinfillError("no unmarked vertices")
     degrees = w.degrees
     return GoeritzForm(_edge_matrix(order, [-degrees[v] for v in order],
                                     w.edges, repeat(1)), order)
@@ -79,7 +78,7 @@ def _edge_matrix(order, diagonal, edges, signs):
 def _require_square(m):
     n = len(m)
     if any(len(row) != n for row in m):
-        raise NonSquare("matrix is not square")
+        raise SpinfillError("matrix is not square")
     return n
 
 
@@ -100,7 +99,7 @@ def signature(m) -> tuple:
     for i in range(n):
         for j in range(n):
             if m[i][j] != m[j][i]:
-                raise NonSymmetric("matrix is not symmetric")
+                raise SpinfillError("matrix is not symmetric")
     a = [list(row) for row in m]
     pos = neg = zero = 0
     prev = 1
@@ -295,10 +294,9 @@ class OrbitKernel:
     part of the search.  One sweep of A in that order gives the factors,
     det A and adj(A), and building the kernel certifies G negative
     definite (Sylvester, on the pivots in that order), else raises
-    Singular.  pivots are the leading minors of A in elimination order
-    and det is det A.  target_columns[i] is adj(A) e_i in elimination
-    order, so the search target of a covector v is the sum of v[i]
-    target_columns[i].
+    Singular.  det is det A, the last leading minor.  target_columns[i]
+    is adj(A) e_i in elimination order, so the search target of a
+    covector v is the sum of v[i] target_columns[i].
     """
 
     def __init__(self, g: GoeritzForm):
@@ -313,7 +311,6 @@ class OrbitKernel:
             place[i] = k
         self.target_columns = tuple(adj[place[i]] for i in range(m))
         self.order = tuple(order)
-        self.pivots = pivots
         self.det = pivots[-1]
         p = math.lcm(*pivots)
         w = math.lcm(*pivots[:-1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .errors import Disconnected, InvalidEmbedding, MalformedInput
+from .errors import MalformedInput, SpinfillError
 
 Dart = tuple  # (edge index, end)
 
@@ -138,20 +138,20 @@ class MarkedGraph(Frozen):
 
 def _validate_rotations(g: MarkedGraph):
     if len(g.rotations) != len(g.vertices):
-        raise InvalidEmbedding("rotation list length != vertex count")
+        raise SpinfillError("rotation list length != vertex count")
     seen = set()
     for v, rot in zip(g.vertices, g.rotations):
         for dart in rot:
             e, end = dart
             if not (0 <= e < len(g.edges)) or end not in (0, 1):
-                raise InvalidEmbedding("bad dart %r" % (dart,))
+                raise SpinfillError("bad dart %r" % (dart,))
             if g.endpoint(dart) != v:
-                raise InvalidEmbedding("dart %r listed at wrong vertex" % (dart,))
+                raise SpinfillError("dart %r listed at wrong vertex" % (dart,))
             if dart in seen:
-                raise InvalidEmbedding("dart %r listed twice" % (dart,))
+                raise SpinfillError("dart %r listed twice" % (dart,))
             seen.add(dart)
     if len(seen) != 2 * len(g.edges):
-        raise InvalidEmbedding("rotation system misses some edge ends")
+        raise SpinfillError("rotation system misses some edge ends")
 
 
 def _reach(start, neighbors):
@@ -208,7 +208,7 @@ def trace_faces(g: MarkedGraph):
     dart (edge index, then end).  Every dart lies on exactly one face.
     """
     if g.rotations is None:
-        raise InvalidEmbedding("graph carries no rotation system")
+        raise SpinfillError("graph carries no rotation system")
     darts = ((e, end) for e in range(len(g.edges)) for end in (0, 1))
     return _dart_orbits(darts, _face_successor(g.rotations))
 
@@ -216,10 +216,10 @@ def trace_faces(g: MarkedGraph):
 def euler_check(g: MarkedGraph):
     """Genus-zero check V - E + F = 2 for a connected embedded graph."""
     if not g.is_connected():
-        raise Disconnected("embedded graph must be connected")
+        raise SpinfillError("embedded graph must be connected")
     f = len(trace_faces(g)) if g.edges else 1
     if len(g.vertices) - len(g.edges) + f != 2:
-        raise InvalidEmbedding("rotation system has positive genus")
+        raise SpinfillError("rotation system has positive genus")
 
 
 def default_outer_dart(g: MarkedGraph):
@@ -367,7 +367,7 @@ def parse_graph_doc(text):
         for v in vertices:
             key = v if v in rot_doc else str(v)
             if key not in rot_doc:
-                raise InvalidEmbedding("rotation missing for vertex %r" % (v,))
+                raise SpinfillError("rotation missing for vertex %r" % (v,))
             if not isinstance(rot_doc[key], list):
                 raise MalformedInput("rotation of vertex %r is not a list"
                                      % (v,))
@@ -375,14 +375,14 @@ def parse_graph_doc(text):
             for e_idx in rot_doc[key]:
                 _check_int(e_idx, "rotation edge")
                 if not 0 <= e_idx < len(edges):
-                    raise InvalidEmbedding("rotation cites unknown edge %r" % (e_idx,))
+                    raise SpinfillError("rotation cites unknown edge %r" % (e_idx,))
                 u, w, _ = edges[e_idx]
                 if v == u:
                     rot.append((e_idx, 0))
                 elif v == w:
                     rot.append((e_idx, 1))
                 else:
-                    raise InvalidEmbedding(
+                    raise SpinfillError(
                         "vertex %r lists edge %r it does not touch" % (v, e_idx))
             rotations.append(tuple(rot))
         rotations = tuple(rotations)

@@ -13,9 +13,8 @@ import math
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import (CertificationFailure, DegenerateGraph, InvalidFraction,
-                     MalformedInput, NotAccessibleByConstruction, NotATree,
-                     NotCoprime, NotExcessive)
+from .errors import (CertificationFailure, MalformedInput, NotATree,
+                     SpinfillError)
 from .graphs import (FrozenValue, MarkedGraph, _as_document, _check_id,
                      _check_int, _check_vertex_ids, _edge_list, _reach,
                      _vertex_ids)
@@ -38,9 +37,6 @@ class PlumbingTree(FrozenValue):
 
     def degree(self, v):
         return len(self._adj[v])
-
-    def neighbors(self, v):
-        return list(self._adj[v])
 
     @property
     def empty(self):
@@ -137,10 +133,6 @@ class NormalFormReport(NamedTuple):
     n2_violations: tuple    # chain vertices with weight > -2
     n3_ok: bool
     n3_violations: tuple    # parents of twin -2 leaves outside the exception
-
-    @property
-    def ok(self):
-        return self.n1_ok and self.n2_ok and self.n3_ok
 
 
 def _move_kind(weight, degree):
@@ -325,9 +317,9 @@ def decide_plumbed(tree: PlumbingTree) -> PlumbedVerdict:
     (the plumbing itself is the witness).
     """
     if tree.empty:
-        raise DegenerateGraph("empty tree")
+        raise SpinfillError("empty tree")
     if not is_excessive(tree):
-        raise NotExcessive("tree is not excessive")
+        raise SpinfillError("tree is not excessive")
     det = det_tree(tree)
     if det % 2 == 0:
         return PlumbedVerdict("hypotheses-not-met",
@@ -344,7 +336,7 @@ def decide_plumbed(tree: PlumbingTree) -> PlumbedVerdict:
 def neg_cf(p: int, q: int):
     """Negative continued fraction p/q = a1 - 1/(a2 - 1/(...)), a_i >= 2."""
     if p <= q or q < 1 or math.gcd(p, q) != 1:
-        raise InvalidFraction("need p > q >= 1 coprime, got %r/%r" % (p, q))
+        raise SpinfillError("need p > q >= 1 coprime, got %r/%r" % (p, q))
     out = []
     while q:
         a = -((-p) // q)  # ceil(p / q)
@@ -362,7 +354,7 @@ def berge_ipm(i: int, k: int):
     q is -k^2 reduced into [0, p); entries with p < 2 are dropped.
     """
     if math.gcd(i, k) != 1:
-        raise NotCoprime("need gcd(i, k) = 1")
+        raise SpinfillError("need gcd(i, k) = 1")
     out = []
     for sign in (1, -1):
         p = i * k + sign
@@ -386,11 +378,11 @@ def accessible_witness(g: MarkedGraph, weights) -> MarkedGraph:
     if hub in g.vertices:
         raise MalformedInput("hub id %r already in use" % (hub,))
     if not g.is_connected():
-        raise NotAccessibleByConstruction("graph must be connected")
+        raise SpinfillError("graph must be connected")
     wmap = dict(zip(g.vertices, weights))
     for v in g.vertices:
         if wmap[v] > min(-2, -g.degree(v)):
-            raise NotAccessibleByConstruction(
+            raise SpinfillError(
                 "vertex %r violates the excessive bound" % (v,))
     # Each edge off a BFS tree closes a cycle with the tree paths from its
     # ends up to where they meet.  These cycles span all others, so no
@@ -418,7 +410,7 @@ def accessible_witness(g: MarkedGraph, weights) -> MarkedGraph:
                 u, v = v, u
             u, te = up[u]
             if te in on_cycle:
-                raise NotAccessibleByConstruction(
+                raise SpinfillError(
                     "two cycles share more than one vertex")
             on_cycle.add(te)
 

@@ -23,7 +23,7 @@ from itertools import product, repeat
 from typing import NamedTuple
 
 from .diagram import kauffman_states, white_graph
-from .errors import CertificationFailure, Disconnected, NotATree, Singular
+from .errors import CertificationFailure, NotATree, Singular, SpinfillError
 from .exactalg import (GoeritzForm, _characteristic_supports, goeritz,
                        hnf_reduce)
 from .graphs import MarkedGraph
@@ -353,7 +353,7 @@ def obstruction_report(source) -> ObstructionReport:
     """
     w = source if isinstance(source, MarkedGraph) else white_graph(source)
     if not w.is_connected():
-        raise Disconnected("white graph must be connected")
+        raise SpinfillError("white graph must be connected")
     g = goeritz(w)
     m = g.m
     try:

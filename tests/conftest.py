@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -18,7 +19,9 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from spinfill.chainmail import build_chainmail
 from spinfill.diagram import parse_pd, white_graph
+from spinfill.errors import SpinfillError
 from spinfill.graphs import MarkedGraph, graph_to_doc
 from spinfill.spinc import canonical_key
 
@@ -181,6 +184,28 @@ def diagram_suite():
 @pytest.fixture(scope="session")
 def all_diagrams():
     return diagram_suite()
+
+
+@contextmanager
+def refused(match):
+    """Expect a refusal that exits 3: a plain SpinfillError, neither
+    MalformedInput, CertificationFailure nor another subclass, whose
+    message matches the regular expression match."""
+    with pytest.raises(SpinfillError, match=match) as info:
+        yield info
+    assert type(info.value) is SpinfillError
+
+
+def chainmail_or_none(w):
+    """The chainmail link of a marked graph, or None when deleting the
+    marked vertex disconnects it; any other refusal is raised."""
+    try:
+        return build_chainmail(w)
+    except SpinfillError as exc:
+        if (type(exc) is SpinfillError
+                and str(exc) == "chainmail graph must be connected"):
+            return None
+        raise
 
 
 @pytest.fixture

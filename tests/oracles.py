@@ -26,10 +26,8 @@ from itertools import product
 
 from spinfill.chainmail import ChainmailLink, FillingStats, is_characteristic
 from spinfill.diagram import KnotDiagram, parse_pd, white_graph
-from spinfill.errors import (CertificationFailure, Disconnected,
-                             MalformedInput, NonNegativeFraming, NonPlanar,
-                             NotAlternating, NotATree, NotCharacteristic,
-                             NotReduced, Singular, SpinfillError)
+from spinfill.errors import (CertificationFailure, MalformedInput, NotATree,
+                             Singular, SpinfillError)
 from spinfill.exactalg import GoeritzForm, _require_square, signature
 from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
                              _reach, euler_check, trace_faces)
@@ -53,7 +51,7 @@ def spanning_tree_count(graph: MarkedGraph) -> int:
     one step: delete the whole family or contract it (times its size).
     """
     if not graph.is_connected():
-        raise Disconnected("spanning trees need a connected graph")
+        raise SpinfillError("spanning trees need a connected graph")
     mult = {}
     for u, v, _ in graph.edges:
         key = (u, v) if str(u) <= str(v) else (v, u)
@@ -705,7 +703,10 @@ def canonical_form(tree: PlumbingTree):
     """
     if tree.empty:
         return ("empty",)
-    adj = {v: tree.neighbors(v) for v in tree.vertices}
+    adj = {v: [] for v in tree.vertices}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     wmap = {v: w for v, w in zip(tree.vertices, tree.weights)}
 
     def encode(v, parent):
@@ -825,11 +826,11 @@ def diagram_from_plane_graph(g: MarkedGraph):
     if g.rotations is None:
         raise MalformedInput("plane graph needs a rotation system")
     if not g.is_connected():
-        raise Disconnected("medial construction needs a connected graph")
+        raise SpinfillError("medial construction needs a connected graph")
     if not g.edges:
         raise MalformedInput("graph has no edges")
     if bridges(g):
-        raise NotReduced("bridges give nugatory crossings")
+        raise SpinfillError("bridges give nugatory crossings")
     euler_check(g)
 
     # Arc per gap: arc (v, i) runs between the crossings of rotation
@@ -922,12 +923,12 @@ def checkerboard_bfs(diagram: KnotDiagram) -> tuple:
                 white[w] = not white[r]
                 stack.append(w)
             elif white[w] == white[r]:
-                raise NonPlanar("regions are not checkerboard colorable")
+                raise SpinfillError("regions are not checkerboard colorable")
     regions = tuple(r for r in range(nreg) if white[r])
     if not convention_ok(diagram, regions):
         # A validated alternating diagram always satisfies the convention
         # in exactly one of the two proper colorings.
-        raise NotAlternating("no coloring matches the crossing convention")
+        raise SpinfillError("no coloring matches the crossing convention")
     return regions
 
 
@@ -937,6 +938,11 @@ def convention_ok(diagram: KnotDiagram, white) -> bool:
     return all(reg[0] in white and reg[2] in white
                and reg[1] not in white and reg[3] not in white
                for reg in diagram.corner_region)
+
+
+def arc_ids(pd):
+    """The arc ids of a PD code, sorted."""
+    return sorted({arc for crossing in pd for arc in crossing})
 
 
 def mirror(diagram: KnotDiagram) -> KnotDiagram:
@@ -1045,7 +1051,7 @@ def kaplan_filling_by_moves(link: ChainmailLink, log) -> FillingStats:
     """
     subset = log.subset
     if not is_characteristic(link, subset):
-        raise NotCharacteristic("subset fails the linking parity test")
+        raise SpinfillError("subset fails the linking parity test")
     n = len(link.vertices)
     if not subset:
         assert all(row[i] % 2 == 0
@@ -1057,7 +1063,7 @@ def kaplan_filling_by_moves(link: ChainmailLink, log) -> FillingStats:
     p = link.graph.index[log.final_vertex]
     framing = mat[p][p]
     if framing >= 0:
-        raise NonNegativeFraming(
+        raise SpinfillError(
             "sublink %s slides to framing %d; the Kaplan filling needs a "
             "negative framing" % (list(subset), framing))
     f = -framing

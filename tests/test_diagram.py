@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinfill.diagram import kauffman_states, parse_pd, white_graph
-from spinfill.errors import (Disconnected, MalformedInput, NonPlanar,
-                             NotAlternating, NotReduced)
+from spinfill.errors import MalformedInput
 from spinfill.exactalg import goeritz
 from spinfill.spinc import enumerate_spinc
 
-from conftest import PD_CODES, banana_graph, probe_a, white_data
-from oracles import (checkerboard_bfs, convention_ok, det_exact,
+from conftest import PD_CODES, banana_graph, probe_a, refused, white_data
+from oracles import (arc_ids, checkerboard_bfs, convention_ok, det_exact,
                      diagram_from_plane_graph, gen_plane_multigraph,
-                     is_special,
-                     kauffman_state_assignments, mirror,
+                     is_special, kauffman_state_assignments, mirror,
                      multigraph_isomorphic, state_covector)
 
 TREFOIL = PD_CODES["trefoil"]
@@ -25,8 +23,7 @@ def test_parse_counts():
     kd = parse_pd({"pd": TREFOIL})
     assert kd.n == 3
     assert len(kd.regions) == 5
-    assert len(kd.arcs) == 6
-    assert kd.marked_arc == 1
+    assert kd.marked_arc == min(arc_ids(TREFOIL)) == 1
 
 
 @given(st.integers(0, 10 ** 6))
@@ -35,7 +32,7 @@ def test_parse_rejects_flipped_crossing(seed):
     # cyclically rotating one tuple keeps the projection but swaps the
     # over-strand at that crossing, breaking alternation
     bad = [[4, 2, 5, 1]] + TREFOIL[1:]
-    with pytest.raises(NotAlternating):
+    with refused("^arc 4 fails over/under alternation$"):
         parse_pd({"pd": bad})
     # so does rotating any nonempty proper subset of a connected
     # diagram's crossings; rotating all of them gives the mirror, and
@@ -45,7 +42,7 @@ def test_parse_rejects_flipped_crossing(seed):
                              bridgeless=True)
     pd = diagram_from_plane_graph(g)["pd"]
     flipped = set(rng.sample(range(len(pd)), rng.randint(1, len(pd) - 1)))
-    with pytest.raises(NotAlternating):
+    with refused(r"^arc \d+ fails over/under alternation$"):
         parse_pd({"pd": [t[1:] + t[:1] if c in flipped else t
                          for c, t in enumerate(pd)]})
     kd = parse_pd({"pd": [t[1:] + t[:1] for t in pd]})
@@ -69,20 +66,20 @@ def test_parse_rejects_bad_arc_multiplicity():
 
 def test_parse_rejects_kink():
     # one-crossing unknot: nugatory crossing gives a loop edge
-    with pytest.raises(NotReduced):
+    with refused("^crossing 0 is nugatory$"):
         parse_pd({"pd": [[1, 2, 2, 1]]})
 
 
 def test_parse_rejects_split():
     two = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3],
            [7, 10, 8, 11], [9, 12, 10, 7], [11, 8, 12, 9]]
-    with pytest.raises(Disconnected):
+    with refused("^split diagram: projection is disconnected$"):
         parse_pd({"pd": two})
 
 
 def test_parse_rejects_nonplanar_rotation():
     scrambled = [[1, 4, 5, 2], [3, 6, 4, 1], [5, 2, 6, 3]]
-    with pytest.raises((NonPlanar, NotAlternating, NotReduced)):
+    with refused("^face tracing gives 3 regions, expected 5$"):
         parse_pd({"pd": scrambled})
 
 
@@ -186,7 +183,7 @@ def test_state_walk_matches_oracle_on_medials(seed):
     g = gen_plane_multigraph(rng, rng.randint(2, 6), rng.randint(0, 4),
                              bridgeless=True)
     pd = diagram_from_plane_graph(g)["pd"]
-    arc = rng.choice(parse_pd({"pd": pd}).arcs)
+    arc = rng.choice(arc_ids(pd))
     assert_walk_matches_oracle(parse_pd({"pd": pd, "marked_arc": arc}))
 
 
@@ -198,7 +195,7 @@ def test_state_walk_matches_oracle_where_forcing_prunes(seed):
     g = gen_plane_multigraph(rng, rng.randint(7, 9), rng.randint(6, 10),
                              bridgeless=True)
     pd = diagram_from_plane_graph(g)["pd"]
-    for arc in rng.sample(parse_pd({"pd": pd}).arcs, 2):
+    for arc in rng.sample(arc_ids(pd), 2):
         assert_walk_matches_oracle(parse_pd({"pd": pd, "marked_arc": arc}))
 
 
@@ -227,7 +224,7 @@ def test_forced_walk_work_at_probe_a():
 
 def test_state_walk_matches_oracle_at_every_arc():
     for pd in PD_CODES.values():
-        for arc in parse_pd({"pd": pd}).arcs:
+        for arc in arc_ids(pd):
             assert_walk_matches_oracle(parse_pd({"pd": pd, "marked_arc": arc}))
 
 
@@ -263,7 +260,7 @@ def test_marked_arc_independence():
                        diagram_from_plane_graph(g)["pd"]))
     for name, pd in inputs:
         reference = None
-        for arc in parse_pd({"pd": pd}).arcs:
+        for arc in arc_ids(pd):
             kd = parse_pd({"pd": pd, "marked_arc": arc})
             white = white_graph(kd)
             g = goeritz(white)
@@ -287,7 +284,7 @@ def test_medial_round_trip():
 
 def test_medial_rejects_bridges():
     path = banana_graph(1)  # single edge: a bridge
-    with pytest.raises(NotReduced):
+    with refused("^bridges give nugatory crossings$"):
         diagram_from_plane_graph(path)
 
 

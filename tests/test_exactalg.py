@@ -8,13 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinfill.diagram import white_graph
-from spinfill.errors import (CertificationFailure, Disconnected, NonSquare,
-                             NonSymmetric, Singular)
+from spinfill.errors import CertificationFailure, Singular
 from spinfill.exactalg import (_characteristic_supports, goeritz, hnf_basis,
                                hnf_reduce, signature)
 from spinfill.graphs import MarkedGraph
 
-from conftest import (banana_graph, special44_graph, path_hub_graph,
+from conftest import (banana_graph, special44_graph, path_hub_graph, refused,
                       two33_graph)
 from oracles import (adjugate, det_exact, edge_multiplicity,
                      gen_plane_multigraph, matvec, quadform_q,
@@ -39,7 +38,7 @@ def test_det_continuant_recurrence():
 
 
 def test_det_nonsquare():
-    with pytest.raises(NonSquare):
+    with refused("^matrix is not square$"):
         det_exact([[1, 2, 3], [4, 5, 6]])
 
 
@@ -48,7 +47,7 @@ def test_signature_examples():
     assert signature([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (3, 0, 0)
     assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
     assert signature([[0, 0], [0, 0]]) == (0, 0, 2)
-    with pytest.raises(NonSymmetric):
+    with refused("^matrix is not symmetric$"):
         signature([[0, 1], [2, 0]])
 
 
@@ -227,7 +226,7 @@ def test_spanning_tree_examples():
     assert spanning_tree_count(tri) == 3
     assert spanning_tree_count(banana_graph(3)) == 3
     assert spanning_tree_count(special44_graph()) == 15
-    with pytest.raises(Disconnected):
+    with refused("^spanning trees need a connected graph$"):
         spanning_tree_count(MarkedGraph((0, 1, 2), ((0, 1, 0),)))
 
 

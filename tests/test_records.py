@@ -143,6 +143,24 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_every_error_class_sets_an_exit_code_or_is_caught():
+    # the command line tells these three apart by exit code; any other
+    # class is worth its name only where the library catches it
+    exit_codes = {"SpinfillError", "MalformedInput", "CertificationFailure"}
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type:
+                names = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                caught |= {ast.unparse(n).rpartition(".")[2] for n in names}
+    assert exit_codes <= classes
+    assert classes - exit_codes - caught == set()
+
+
 @pytest.mark.parametrize("before, after, golden", [
     (["--json", "analyze"], [], "graph_banana9.analyze.json"),
     (["analyze"], ["--mk1"], "graph_banana9.analyze-mk1.txt"),

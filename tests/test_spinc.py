@@ -21,11 +21,12 @@ from spinfill.spinc import (_verify_characteristic, characteristic_subgraphs,
 from conftest import (PD_CODES, banana_graph, brute_force_class_maxima,
                       cycle_graph, path_hub_graph, probe_a, special44_graph,
                       two33_graph, white_data)
-from oracles import (ZigzagKernel, box_keys, chain_graph, d_by_search,
-                     d_invariant, det_exact, diagram_from_plane_graph,
-                     furuta_check, gen_plane_multigraph, lens_d, matvec,
-                     mirror, mu_bar, orbit_max_q, quadform_q, same_class,
-                     search_target, solve_rational, spin_class)
+from oracles import (ZigzagKernel, arc_ids, box_keys, chain_graph,
+                     d_by_search, d_invariant, det_exact,
+                     diagram_from_plane_graph, furuta_check,
+                     gen_plane_multigraph, lens_d, matvec, mirror, mu_bar,
+                     orbit_max_q, quadform_q, same_class, search_target,
+                     solve_rational, spin_class)
 from test_golden import corpus
 
 
@@ -116,7 +117,7 @@ def test_greene_max_on_ten_crossing_chain():
 
 def test_state_table_matches_search_at_every_arc():
     for name, pd in PD_CODES.items():
-        for arc in parse_pd({"pd": pd}).arcs:
+        for arc in arc_ids(pd):
             kd = parse_pd({"pd": pd, "marked_arc": arc})
             white = white_graph(kd)
             covs = kauffman_states(kd, white)
@@ -739,17 +740,18 @@ def test_kernel_pivots_certify_definiteness(g):
     except Singular:
         assert not definite
     else:
-        # the leading minors of -G in the kernel's elimination order:
-        # by degree, the largest last, ties by index
+        # the kernel sweeps -G in its elimination order, by degree, the
+        # largest last, ties by index; the pivots are the leading minors
         order = kernel.order
         assert sorted(order) == list(range(n))
         assert list(order) == sorted(range(n), key=lambda i: (a[i][i], i))
         swept = [[a[i][j] for j in order] for i in order]
-        pivots = kernel.pivots
+        pivots = exactalg._sweep(swept)[0]
         assert definite and all(p > 0 for p in pivots)
         assert pivots == [det_exact([row[:k] for row in swept[:k]])
                           for k in range(1, n + 1)]
         assert pivots[-1] == kernel.det == det_exact(a)
+        assert kernel.p == math.lcm(*pivots)
         # adj(A) in vertex order, from its columns in elimination order
         adj = [[0] * n for _ in range(n)]
         for i, column in enumerate(kernel.target_columns):
