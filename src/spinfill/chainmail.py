@@ -16,19 +16,27 @@ from .errors import CertificationFailure, MalformedInput, SpinfillError
 from .exactalg import (_characteristic_supports, _edge_matrix, _parity_rows,
                        signature)
 from .graphs import (Frozen, MarkedGraph, _reach, default_outer_dart,
-                     euler_check, parse_graph_doc)
+                     euler_check, genus_check, parse_graph_doc, trace_faces)
 
 
 class ChainmailLink(Frozen):
-    _fields = ("graph", "weights", "signs", "outer_dart", "from_tait")
+    _fields = ("graph", "weights", "signs", "outer_dart", "from_tait",
+               "form")
 
-    def __init__(self, graph, weights, signs, outer_dart, from_tait=False):
+    def __init__(self, graph, weights, signs, outer_dart, from_tait=False,
+                 form=None):
         if not graph.is_connected():
             raise SpinfillError("chainmail graph must be connected")
         # a loopless plane multigraph without a marked vertex; the framing
         # per vertex; +1 / -1 per edge; a dart on the unbounded face, or
-        # None; whether the weights are minus the full white degrees
-        super().__init__(graph, weights, signs, outer_dart, from_tait)
+        # None; whether the weights are minus the full white degrees; a
+        # Goeritz form whose matrix is the linking matrix, or None
+        super().__init__(graph, weights, signs, outer_dart, from_tait, form)
+        if form is not None and (form.vertex_order != graph.vertices
+                                 or form.matrix != self.linking_matrix):
+            raise CertificationFailure(
+                "chainmail.ChainmailLink: the given Goeritz form is not "
+                "the linking matrix")
 
     @property
     def vertices(self):
@@ -42,7 +50,12 @@ class ChainmailLink(Frozen):
 
     @cached_property
     def sigma(self):
-        """Signature of the linking matrix, computed once per link."""
+        """Signature of the linking matrix, computed once per link: -m
+        when the link carries a Goeritz form, whose OrbitKernel exists
+        only for a negative definite form, and otherwise by elimination."""
+        if self.form is not None:
+            self.form.kernel   # raises Singular unless negative definite
+            return -self.form.m
         pos, neg, _ = signature(self.linking_matrix)
         return pos - neg
 
@@ -84,13 +97,17 @@ class FillingStats(NamedTuple):
     f: int
 
 
-def build_chainmail(source) -> ChainmailLink:
+def build_chainmail(source, form=None) -> ChainmailLink:
     """Build a chainmail link from a document or a marked white graph.
 
     A marked graph drops its marked vertex; framings are minus the full
     degrees and all clasps are positive, so the linking matrix is the
     Goeritz matrix.  Unmarked documents carry explicit weights, signs
-    and rotations.
+    and rotations; their faces are traced once, for the outer face and
+    the genus.  form, when given, is a GoeritzForm that the link checks
+    is its linking matrix, such as ObstructionReport.form; its
+    OrbitKernel exists only for a negative definite form, so the link
+    reads its signature off it without an elimination.
     """
     if isinstance(source, MarkedGraph):
         graph, weights, signs, outer = source, None, None, None
@@ -99,12 +116,13 @@ def build_chainmail(source) -> ChainmailLink:
     if graph.marked is None:
         if weights is None:
             raise MalformedInput("chainmail document needs vertex weights")
-        if outer is None and graph.rotations is not None:
-            outer = default_outer_dart(graph)
-        link = ChainmailLink(graph, weights, signs, outer)
+        faces = None if graph.rotations is None else trace_faces(graph)
+        if outer is None and faces is not None:
+            outer = default_outer_dart(faces)
+        link = ChainmailLink(graph, weights, signs, outer, form=form)
         # after the link's connectivity check, whose refusal comes first
-        if graph.rotations is not None:
-            euler_check(graph)
+        if faces is not None:
+            genus_check(graph, faces)
         return link
     # Marked input carries white-graph semantics; its own embedding,
     # marked vertex included, must have genus zero.  Deleting a vertex
@@ -118,7 +136,8 @@ def build_chainmail(source) -> ChainmailLink:
     return ChainmailLink(reduced,
                          tuple(-graph.degree(v) for v in reduced.vertices),
                          tuple(1 for _ in reduced.edges),
-                         _outer_from_deletion(graph, reduced), from_tait=True)
+                         _outer_from_deletion(graph, reduced), from_tait=True,
+                         form=form)
 
 
 def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
@@ -145,7 +164,7 @@ def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
             nxt = full_rot[(i + 1) % n]
             if nxt[0] in remap:
                 return (remap[nxt[0]], nxt[1])
-    return default_outer_dart(reduced)
+    return default_outer_dart(trace_faces(reduced))
 
 
 def is_characteristic(link: ChainmailLink, subset) -> bool:

@@ -13,12 +13,16 @@ import functools
 import json
 import sys
 
-from . import chainmail as _chainmail
-from . import diagram as _diagram
+from . import _import_lazily
 from . import plumbing as _plumbing
 from . import spinc as _spinc
 from .errors import CertificationFailure, MalformedInput, SpinfillError
 from .graphs import MarkedGraph, _as_document, graph_to_doc, parse_graph_doc
+
+# run by the commands that slide a link or read a PD code, at their
+# first use
+_chainmail = _import_lazily("spinfill.chainmail")
+_diagram = _import_lazily("spinfill.diagram")
 
 
 def _load(path):
@@ -162,7 +166,8 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
     report["plumbing"] = _plumbing_section(rep.tree)
     if with_mk1:
         try:
-            link = _chainmail.build_chainmail(rep.graph)
+            # the report certified the form negative definite
+            link = _chainmail.build_chainmail(rep.graph, form=g)
             best = min((c for c in rep.subgraphs if c.vertices),
                        key=lambda c: c.cut, default=None)
             if best is None:

@@ -217,19 +217,25 @@ def euler_check(g: MarkedGraph):
     """Genus-zero check V - E + F = 2 for a connected embedded graph."""
     if not g.is_connected():
         raise SpinfillError("embedded graph must be connected")
-    f = len(trace_faces(g)) if g.edges else 1
-    if len(g.vertices) - len(g.edges) + f != 2:
+    genus_check(g, trace_faces(g))
+
+
+def genus_check(g: MarkedGraph, faces):
+    """V - E + F = 2 for an embedded graph already known to be
+    connected, with faces as trace_faces(g); a lone vertex has one
+    face and no darts."""
+    if len(g.vertices) - len(g.edges) + max(len(faces), 1) != 2:
         raise SpinfillError("rotation system has positive genus")
 
 
-def default_outer_dart(g: MarkedGraph):
-    """Deterministic outer-face choice: a dart of the largest face.
+def default_outer_dart(faces):
+    """Deterministic outer-face choice among faces (trace_faces): a
+    dart of the largest face, or None when there are none.
 
     Ties break toward the face containing the smallest dart.  Only the
     choice of unbounded face distinguishes a plane drawing from the
     sphere embedding, so any fixed rule will do.
     """
-    faces = trace_faces(g)
     best = None
     for face in faces:
         key = (-len(face), min(face))

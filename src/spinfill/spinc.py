@@ -22,12 +22,14 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import NamedTuple
 
-from .diagram import kauffman_states, white_graph
+from . import _import_lazily
 from .errors import CertificationFailure, NotATree, Singular, SpinfillError
 from .exactalg import (GoeritzForm, _characteristic_supports, goeritz,
                        hnf_reduce)
 from .graphs import MarkedGraph
 from .plumbing import PlumbingTree
+
+_diagram = _import_lazily("spinfill.diagram")   # run on diagram input only
 
 
 class SpinCClass(NamedTuple):
@@ -351,7 +353,10 @@ def obstruction_report(source) -> ObstructionReport:
     class/state bijection.  Each artifact of the input is built here
     once and carried by the report.
     """
-    w = source if isinstance(source, MarkedGraph) else white_graph(source)
+    if isinstance(source, MarkedGraph):
+        w = source
+    else:
+        w = _diagram.white_graph(source)
     if not w.is_connected():
         raise SpinfillError("white graph must be connected")
     g = goeritz(w)
@@ -366,7 +371,7 @@ def obstruction_report(source) -> ObstructionReport:
     special = all(d % 2 == 0 for d in w.degrees.values())
     odd = det % 2 != 0
 
-    covectors = None if w is source else kauffman_states(source, w)
+    covectors = None if w is source else _diagram.kauffman_states(source, w)
     classes = enumerate_spinc(g, covectors=covectors)
     subs = characteristic_subgraphs(w, g)
 

@@ -945,6 +945,23 @@ def arc_ids(pd):
     return sorted({arc for crossing in pd for arc in crossing})
 
 
+def link_components(diagram: KnotDiagram) -> int:
+    """The number of components of the link: a union-find over the arc
+    ids that joins the two ends of each strand through a crossing, slots
+    0 and 2 (under) and slots 1 and 3 (over)."""
+    parent = {arc: arc for crossing in diagram.crossings for arc in crossing}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for t in diagram.crossings:
+        for a, b in ((t[0], t[2]), (t[1], t[3])):
+            parent[root(a)] = root(b)
+    return len({root(arc) for arc in parent})
+
+
 def mirror(diagram: KnotDiagram) -> KnotDiagram:
     """The mirror diagram: every crossing listed from the next slot,
     which swaps over and under, with the same marked arc."""

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinfill import chainmail, graphs
+from spinfill import chainmail, exactalg, graphs
 from spinfill.chainmail import (ChainmailLink, build_chainmail,
                                 characteristic_subsets, is_characteristic,
                                 kaplan_filling, mk1_run)
 from spinfill.errors import CertificationFailure, MalformedInput
 from spinfill.exactalg import goeritz
 from spinfill.graphs import MarkedGraph, graph_to_doc
-from spinfill.spinc import characteristic_subgraphs
+from spinfill.spinc import characteristic_subgraphs, obstruction_report
 
 from conftest import (banana_graph, banana_path_doc, chainmail_or_none,
                       path_hub_graph, refused, special44_graph, two33_graph)
@@ -89,14 +89,41 @@ def test_build_traces_the_given_embedding_once(count_calls):
         calls.update(trace_faces=0, is_connected=0)
         build_chainmail(w)
         assert calls == {"trace_faces": 1, "is_connected": 2}
-    # an unmarked document is traced for its outer face and its genus
+    # an unmarked document is traced once, for its outer face and its
+    # genus, and checked once for connectivity
     doc = graph_to_doc(special44_graph())
     del doc["marked"]
     for entry in doc["vertices"]:
         entry["weight"] = -4
     calls.update(trace_faces=0, is_connected=0)
     build_chainmail(doc)
-    assert calls == {"trace_faces": 2, "is_connected": 2}
+    assert calls == {"trace_faces": 1, "is_connected": 1}
+
+
+def test_build_refuses_a_disconnected_embedding_before_its_genus():
+    # two disjoint digons: V - E + F = 4 - 4 + 4, so the genus check
+    # would refuse them too
+    doc = {"vertices": [{"id": v, "weight": -2} for v in range(4)],
+           "edges": [[0, 1], [0, 1], [2, 3], [2, 3]],
+           "rotations": {"0": [0, 1], "1": [1, 0], "2": [2, 3],
+                         "3": [3, 2]}}
+    with refused("^chainmail graph must be connected$"):
+        build_chainmail(doc)
+
+
+def test_link_reads_sigma_off_a_given_form(count_calls):
+    inputs = (two33_graph(), special44_graph(), path_hub_graph(),
+              banana_graph(5))
+    by_elimination = [build_chainmail(w).sigma for w in inputs]
+    calls = count_calls(exactalg.signature)
+    for w, sigma in zip(inputs, by_elimination):
+        form = obstruction_report(w).form
+        link = build_chainmail(w, form=form)
+        assert link.form is form and link.sigma == sigma == -form.m
+    assert calls == {"signature": 0}
+    # a link checks that the form it is given is its linking matrix
+    with pytest.raises(CertificationFailure, match="not the linking matrix"):
+        build_chainmail(two33_graph(), form=goeritz(special44_graph()))
 
 
 def test_is_characteristic_matrix_rule():

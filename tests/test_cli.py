@@ -896,7 +896,7 @@ def test_wrong_state_covector_fails_with_exit_4(trefoil_file, capsys,
         covectors[0] = (covectors[0][0] + 1,) + covectors[0][1:]
         return covectors
 
-    monkeypatch.setattr(spinc, "kauffman_states", off_by_one)
+    monkeypatch.setattr(diagram, "kauffman_states", off_by_one)
     code, out, err = run_cli(["analyze", trefoil_file], capsys)
     assert code == 4 and out == ""
     assert err.startswith(
@@ -955,6 +955,21 @@ def test_mk1_all_plans_each_piece_once(capsys, monkeypatch, count_calls):
         assert calls["_PlaneWork"] == len(set(pieces)) >= 1
         # from m = 4 on, a piece such as (1, 2) recurs in several sublinks
         assert len(pieces) > len(set(pieces)) or m < 4
+
+
+def test_analyze_mk1_reads_sigma_off_the_report(tmp_path, capsys,
+                                                count_calls):
+    # the report's Goeritz form is certified negative definite, so the
+    # filling reads sigma = -m off it instead of eliminating again
+    calls = count_calls(exactalg.signature)
+    path = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
+    code, out, _ = run_cli(["--json", "analyze", path, "--mk1"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    m = report["invariants"]["m"]
+    assert [run["filling"]["sigma"] for run in report["mk1"]] == [
+        -m + run["filling"]["f"] for run in report["mk1"]]
+    assert calls == {"signature": 0}
 
 
 def test_mk1_checks_connectivity_once(capsys, monkeypatch, count_calls):

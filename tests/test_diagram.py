@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from spinfill.diagram import kauffman_states, parse_pd, white_graph
 from spinfill.errors import MalformedInput
 from spinfill.exactalg import goeritz
-from spinfill.spinc import enumerate_spinc
+from spinfill.graphs import MarkedGraph, euler_check
+from spinfill.spinc import characteristic_subgraphs, enumerate_spinc
 
 from conftest import PD_CODES, banana_graph, probe_a, refused, white_data
 from oracles import (arc_ids, checkerboard_bfs, convention_ok, det_exact,
                      diagram_from_plane_graph, gen_plane_multigraph,
-                     is_special, kauffman_state_assignments, mirror,
-                     multigraph_isomorphic, state_covector)
+                     is_special, kauffman_state_assignments,
+                     link_components, mirror, multigraph_isomorphic,
+                     state_covector)
 
 TREFOIL = PD_CODES["trefoil"]
 
@@ -298,3 +300,34 @@ def test_checkerboard_matches_bfs_oracle(seed):
     white = white_graph(kd).vertices
     assert checkerboard_bfs(kd) == white
     assert convention_ok(kd, white)
+
+
+def doubled_cycle_graph(k):
+    """The k-cycle with every edge doubled, marked at 0: each copy
+    2i + 1 is drawn alongside edge 2i, between i and i + 1."""
+    edges = tuple((i // 2, (i // 2 + 1) % k, i) for i in range(2 * k))
+    rots = tuple((((2 * v - 1) % (2 * k), 1), ((2 * v - 2) % (2 * k), 1),
+                  (2 * v, 0), (2 * v + 1, 0)) for v in range(k))
+    return MarkedGraph(tuple(range(k)), edges, marked=0, rotations=rots)
+
+
+def test_characteristic_subgraphs_count_the_link_components(all_diagrams):
+    # spin structures on the double branched cover of a c-component
+    # link: 2^(c - 1), one per characteristic subgraph
+    def count(w):
+        return len(characteristic_subgraphs(w))
+
+    kds = [kd for _, kd in all_diagrams]
+    rng = random.Random(31)
+    for _ in range(60):
+        g = gen_plane_multigraph(rng, rng.randint(2, 7), rng.randint(0, 8),
+                                 bridgeless=True)
+        kds.append(parse_pd(diagram_from_plane_graph(g)))
+    for kd in kds:
+        assert count(white_graph(kd)) == 2 ** (link_components(kd) - 1)
+    for k in range(2, 11):
+        w = doubled_cycle_graph(k)
+        euler_check(w)
+        kd = parse_pd(diagram_from_plane_graph(w))
+        assert link_components(kd) == k
+        assert count(w) == count(white_graph(kd)) == 2 ** (k - 1)

@@ -16,6 +16,7 @@ from test_cli import run_module
 from test_golden import GOLDEN, corpus
 
 SRC = Path(spinfill.__file__).resolve().parent
+LAZY = {"spinfill.chainmail", "spinfill.diagram"}
 
 
 def build_records():
@@ -45,28 +46,68 @@ def build_records():
     }
 
 
-def modules_after(statement):
-    """Names in sys.modules after running statement in a fresh interpreter."""
+def modules_after(statement, registered=False):
+    """Names of the modules that have run after running statement in a
+    fresh interpreter, written on the last line of its output.  A module
+    bound lazily and never used yet is in sys.modules but has not run:
+    its type is a subclass of the module type until its first attribute
+    access.  registered=True names every module in sys.modules."""
+    names = ("sys.modules" if registered else
+             "(n for n, m in sys.modules.items() if type(m) is type(sys))")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys; sys.path.insert(0, %r); %s; print(*sys.modules)"
-         % (str(SRC.parent), statement)],
+         "import sys; sys.path.insert(0, %r); %s; print(*%s)"
+         % (str(SRC.parent), statement, names)],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def modules_after_command(argv):
+    """Names of the modules that have run after a successful
+    spinfill.cli.main(argv) in a fresh interpreter."""
+    return modules_after("from spinfill.cli import main; "
+                         "main(%r) == 0 or sys.exit('command failed')"
+                         % (argv,))
 
 
 def test_cli_import_generates_no_dataclass_code():
     loaded = modules_after("import spinfill.cli")
     assert not {"dataclasses", "inspect"} & loaded
-    # the front end still loads the whole library up front
-    assert {"spinfill." + p.stem for p in SRC.glob("[!_]*.py")} <= loaded
+    # the front end runs the library up front, but for the two modules
+    # that only the commands using them run; those are registered, so a
+    # tracer that wraps every layer module finds them
+    library = {"spinfill." + p.stem for p in SRC.glob("[!_]*.py")}
+    assert library & loaded == library - LAZY
+    assert library <= modules_after("import spinfill.cli", registered=True)
 
 
 def test_library_import_leaves_the_cli_out():
     loaded = modules_after("import spinfill.graphs")
     assert "spinfill.graphs" in loaded
     assert not {"argparse", "spinfill.cli"} & loaded
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    docs = {"graph": corpus()["graph_two33"],
+            "pd": {"pd": PD_CODES["trefoil"]},
+            "tree": {"vertices": [{"id": "a", "weight": -2},
+                                  {"id": "b", "weight": -5}],
+                     "edges": [["a", "b"]]}}
+    path = {}
+    for name, doc in docs.items():
+        path[name] = tmp_path / (name + ".json")
+        path[name].write_text(json.dumps(doc))
+    expected = [
+        (["--json", "analyze", path["graph"]], set()),
+        (["--json", "analyze", path["pd"]], {"spinfill.diagram"}),
+        (["mk1", path["graph"], "--all"], {"spinfill.chainmail"}),
+        (["plumb", "check", path["tree"]], set()),
+        (["cf", "16", "9"], set()),
+    ]
+    for argv, loaded in expected:
+        argv = [str(a) for a in argv]
+        assert modules_after_command(argv) & LAZY == loaded, argv
 
 
 @pytest.mark.parametrize("name", sorted(build_records()))
