@@ -20,23 +20,27 @@ from .graphs import (Frozen, MarkedGraph, _reach, default_outer_dart,
 
 
 class ChainmailLink(Frozen):
-    _fields = ("graph", "weights", "signs", "outer_dart", "from_tait",
-               "form")
+    _fields = ("graph", "weights", "signs", "outer_dart", "from_tait")
 
-    def __init__(self, graph, weights, signs, outer_dart, from_tait=False,
-                 form=None):
+    def __init__(self, graph, weights, signs, outer_dart, from_tait=False):
         if not graph.is_connected():
             raise SpinfillError("chainmail graph must be connected")
         # a loopless plane multigraph without a marked vertex; the framing
         # per vertex; +1 / -1 per edge; a dart on the unbounded face, or
-        # None; whether the weights are minus the full white degrees; a
-        # Goeritz form whose matrix is the linking matrix, or None
-        super().__init__(graph, weights, signs, outer_dart, from_tait, form)
-        if form is not None and (form.vertex_order != graph.vertices
-                                 or form.matrix != self.linking_matrix):
-            raise CertificationFailure(
-                "chainmail.ChainmailLink: the given Goeritz form is not "
-                "the linking matrix")
+        # None; whether the weights are minus the full white degrees
+        super().__init__(graph, weights, signs, outer_dart, from_tait)
+        if from_tait:
+            # With positive clasps, -L is the reduced Laplacian of the
+            # graph plus a hub joined to v by -w(v) - deg(v) edges, which
+            # is connected once one count is positive: L < 0.
+            degree = graph.degrees
+            hubs = {v: -w - degree[v] for v, w in zip(graph.vertices, weights)}
+            if (not any(hubs.values()) or min(hubs.values()) < 0
+                    or any(s != 1 for s in signs)):
+                raise CertificationFailure(
+                    "chainmail.ChainmailLink: a Tait link needs positive "
+                    "clasps and hub counts >= 0, not all 0 (hub counts %s)"
+                    % (hubs,))
 
     @property
     def vertices(self):
@@ -50,12 +54,10 @@ class ChainmailLink(Frozen):
 
     @cached_property
     def sigma(self):
-        """Signature of the linking matrix, computed once per link: -m
-        when the link carries a Goeritz form, whose OrbitKernel exists
-        only for a negative definite form, and otherwise by elimination."""
-        if self.form is not None:
-            self.form.kernel   # raises Singular unless negative definite
-            return -self.form.m
+        """Signature of the linking matrix, once per link: -m on a Tait
+        link, certified negative definite by __init__, else eliminated."""
+        if self.from_tait:
+            return -len(self.vertices)
         pos, neg, _ = signature(self.linking_matrix)
         return pos - neg
 
@@ -97,17 +99,14 @@ class FillingStats(NamedTuple):
     f: int
 
 
-def build_chainmail(source, form=None) -> ChainmailLink:
+def build_chainmail(source) -> ChainmailLink:
     """Build a chainmail link from a document or a marked white graph.
 
     A marked graph drops its marked vertex; framings are minus the full
     degrees and all clasps are positive, so the linking matrix is the
-    Goeritz matrix.  Unmarked documents carry explicit weights, signs
-    and rotations; their faces are traced once, for the outer face and
-    the genus.  form, when given, is a GoeritzForm that the link checks
-    is its linking matrix, such as ObstructionReport.form; its
-    OrbitKernel exists only for a negative definite form, so the link
-    reads its signature off it without an elimination.
+    Goeritz matrix, negative definite, and the link's signature is -m.
+    Unmarked documents carry explicit weights, signs and rotations;
+    their faces are traced once, for the outer face and the genus.
     """
     if isinstance(source, MarkedGraph):
         graph, weights, signs, outer = source, None, None, None
@@ -119,25 +118,26 @@ def build_chainmail(source, form=None) -> ChainmailLink:
         faces = None if graph.rotations is None else trace_faces(graph)
         if outer is None and faces is not None:
             outer = default_outer_dart(faces)
-        link = ChainmailLink(graph, weights, signs, outer, form=form)
+        link = ChainmailLink(graph, weights, signs, outer)
         # after the link's connectivity check, whose refusal comes first
         if faces is not None:
             genus_check(graph, faces)
         return link
-    # Marked input carries white-graph semantics; its own embedding,
-    # marked vertex included, must have genus zero.  Deleting a vertex
-    # raises no genus, so the rest, which the link checks is connected,
-    # needs no second check.
+    # Marked input carries white-graph semantics: the whole graph, marked
+    # vertex included, must be connected and its own embedding must have
+    # genus zero.  Deleting a vertex raises no genus, so the rest, which
+    # the link checks is connected, needs no second check.
     if graph.rotations is not None:
         euler_check(graph)
+    elif not graph.is_connected():
+        raise SpinfillError("white graph must be connected")
     reduced = graph.without_vertex(graph.marked)
     if not reduced.vertices:
         raise SpinfillError("no components after reduction")
     return ChainmailLink(reduced,
                          tuple(-graph.degree(v) for v in reduced.vertices),
                          tuple(1 for _ in reduced.edges),
-                         _outer_from_deletion(graph, reduced), from_tait=True,
-                         form=form)
+                         _outer_from_deletion(graph, reduced), from_tait=True)
 
 
 def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
@@ -146,7 +146,8 @@ def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
 
     A surviving dart whose predecessor in the full rotation was deleted
     opens into that region, and the face sweeping a corner contains the
-    dart the corner precedes.
+    dart the corner precedes.  The whole graph is connected, so such a
+    dart exists once the reduced graph has an edge.
     """
     if reduced.rotations is None or not reduced.edges:
         return None
@@ -164,7 +165,7 @@ def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
             nxt = full_rot[(i + 1) % n]
             if nxt[0] in remap:
                 return (remap[nxt[0]], nxt[1])
-    return default_outer_dart(trace_faces(reduced))
+    raise CertificationFailure("chainmail._outer_from_deletion: no outer dart")
 
 
 def is_characteristic(link: ChainmailLink, subset) -> bool:
@@ -373,15 +374,14 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
             "self-pairing %d (sublink %s)"
             % (final_framing, quad, list(subset)))
     if link.from_tait:
-        cut = -quad
-        direct = sum(1 for ((u, v, _), s) in zip(link.graph.edges, link.signs)
-                     if (u in inside) != (v in inside))
-        direct += sum(-link.weights[idx[v]] - link.graph.degree(v)
-                      for v in inside)
-        if cut != direct:
+        cut = sum(1 for (u, v, _) in link.graph.edges
+                  if (u in inside) != (v in inside))
+        cut += sum(-link.weights[idx[v]] - link.graph.degree(v)
+                   for v in inside)
+        if cut != -quad:
             raise CertificationFailure(
                 "chainmail.mk1_run: minus the final framing is %d, the cut "
-                "%d (sublink %s)" % (cut, direct, list(subset)))
+                "%d (sublink %s)" % (-quad, cut, list(subset)))
 
     return SlideLog(
         vertex_order=link.vertices,

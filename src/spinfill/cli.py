@@ -166,8 +166,7 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
     report["plumbing"] = _plumbing_section(rep.tree)
     if with_mk1:
         try:
-            # the report certified the form negative definite
-            link = _chainmail.build_chainmail(rep.graph, form=g)
+            link = _chainmail.build_chainmail(rep.graph)
             best = min((c for c in rep.subgraphs if c.vertices),
                        key=lambda c: c.cut, default=None)
             if best is None:
@@ -175,6 +174,8 @@ def _analyze(doc, kind, mark=None, with_mk1=False):
                                  "reason": "only the empty sublink exists"}
             else:
                 report["mk1"] = _mk1_section(link, [best.vertices])
+        except CertificationFailure:
+            raise
         except SpinfillError as exc:
             report["mk1"] = {"applicable": False, "reason": str(exc)}
     return report

@@ -13,8 +13,6 @@ from functools import cached_property
 
 from .errors import MalformedInput, SpinfillError
 
-Dart = tuple  # (edge index, end)
-
 
 class Frozen:
     """Base of the immutable plain classes.

@@ -12,7 +12,7 @@ from spinfill.chainmail import (ChainmailLink, build_chainmail,
 from spinfill.errors import CertificationFailure, MalformedInput
 from spinfill.exactalg import goeritz
 from spinfill.graphs import MarkedGraph, graph_to_doc
-from spinfill.spinc import characteristic_subgraphs, obstruction_report
+from spinfill.spinc import characteristic_subgraphs
 
 from conftest import (banana_graph, banana_path_doc, chainmail_or_none,
                       path_hub_graph, refused, special44_graph, two33_graph)
@@ -111,19 +111,41 @@ def test_build_refuses_a_disconnected_embedding_before_its_genus():
         build_chainmail(doc)
 
 
-def test_link_reads_sigma_off_a_given_form(count_calls):
-    inputs = (two33_graph(), special44_graph(), path_hub_graph(),
-              banana_graph(5))
-    by_elimination = [build_chainmail(w).sigma for w in inputs]
+def test_no_signature_call_on_any_tait_link(count_calls):
     calls = count_calls(exactalg.signature)
-    for w, sigma in zip(inputs, by_elimination):
-        form = obstruction_report(w).form
-        link = build_chainmail(w, form=form)
-        assert link.form is form and link.sigma == sigma == -form.m
+    for w in (two33_graph(), special44_graph(), path_hub_graph(),
+              banana_graph(5)):
+        link = build_chainmail(w)
+        assert link.from_tait and link.sigma == -len(link.vertices)
     assert calls == {"signature": 0}
-    # a link checks that the form it is given is its linking matrix
-    with pytest.raises(CertificationFailure, match="not the linking matrix"):
-        build_chainmail(two33_graph(), form=goeritz(special44_graph()))
+    # a weighted document eliminates, once per link
+    link = build_chainmail({
+        "vertices": [{"id": "a", "weight": -4}, {"id": "b", "weight": -2},
+                     {"id": "c", "weight": -5}],
+        "edges": [["a", "b"], ["b", "c"]]})
+    assert not link.from_tait
+    assert (link.sigma, link.sigma) == (-3, -3)
+    assert calls == {"signature": 1}
+
+
+def test_tait_link_certifies_its_hub_counts():
+    assert ChainmailLink._fields == ("graph", "weights", "signs",
+                                     "outer_dart", "from_tait")
+    link = build_chainmail(path_hub_graph())
+    g, weights, signs = link.graph, link.weights, link.signs
+    # b has no hub edge, so its count is 0; raising its weight makes it -1
+    low = tuple(w + (v == "b") for v, w in zip(g.vertices, weights))
+    # minus the degrees in the link graph: every count is 0, L singular
+    bare = tuple(-g.degree(v) for v in g.vertices)
+    clasps = (-1,) + signs[1:]
+    for ws, ss, counts in ((low, signs, "'b': -1"), (bare, signs, "'a': 0"),
+                           (weights, clasps, "'b': 0")):
+        with pytest.raises(CertificationFailure,
+                           match="^chainmail.ChainmailLink: a Tait link needs"
+                                 " positive clasps .*" + counts):
+            ChainmailLink(g, ws, ss, link.outer_dart, from_tait=True)
+        # the same link, not claimed to be a Tait link, is built
+        ChainmailLink(g, ws, ss, link.outer_dart)
 
 
 def test_is_characteristic_matrix_rule():

@@ -519,6 +519,18 @@ def test_mk1_checks_the_genus_of_a_marked_graph(tmp_path, capsys):
         3, "", "error: embedded graph must be connected\n")
     assert run_cli(["analyze", lone], capsys) == (
         3, "", "error: white graph must be connected\n")
+    # so does mk1 without rotations, as analyze and obstruct do: the
+    # lone mark would leave a singular linking matrix
+    bare = write_doc(tmp_path, "bare.json", triangle_doc(
+        edges=[["a", "b"], ["a", "b"]], rotations=None))
+    triple = write_doc(tmp_path, "triple.json", {
+        "vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
+        "edges": [[1, 2], [1, 2], [1, 2]], "marked": 0})
+    for path in (bare, triple):
+        for args in (["mk1", path, "--all"], ["mk1", path, "--set", "1"],
+                     ["analyze", path], ["obstruct", path]):
+            assert run_cli(args, capsys) == (
+                3, "", "error: white graph must be connected\n"), args
 
 
 def test_cf_command(capsys):
@@ -903,6 +915,57 @@ def test_wrong_state_covector_fails_with_exit_4(trefoil_file, capsys,
         "internal error: spinc.enumerate_spinc: states do not biject")
 
 
+def test_chainmail_certificates_fail_with_exit_4(tmp_path, capsys,
+                                                 monkeypatch):
+    hub = write_doc(tmp_path, "path_hub.json", graph_to_doc(path_hub_graph()))
+    two33 = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
+    bananas = write_doc(tmp_path, "bananas.json", banana_path_doc(3))
+    plan, matrix = chainmail._contraction_plan, chainmail._edge_matrix
+
+    def last_dropped(link, piece, subset):
+        pairs, _ = plan(link, piece, subset)
+        return pairs, pairs[-1][1]
+
+    def framing_one_too_high(g, v):
+        return g.degrees[v] - 1
+
+    faults = [
+        # b, with no hub edge, gets count -1
+        (hub, [], MarkedGraph, "degree", framing_one_too_high,
+         "chainmail.ChainmailLink: a Tait link needs positive clasps and "
+         "hub counts >= 0, not all 0 (hub counts {'a': 2, 'b': -1, "
+         "'c': 2, 'd': 0})"),
+        # the plan names the vertex slid over last as the survivor
+        (bananas, ["--set", "1,2"], chainmail, "_contraction_plan",
+         last_dropped,
+         "chainmail.mk1_run: final framing -4 is not the sublink "
+         "self-pairing -5 (sublink [1, 2])"),
+        # a linking matrix one lower on the diagonal than the graph's
+        (two33, ["--set", "a"], chainmail, "_edge_matrix",
+         lambda order, diagonal, edges, signs: matrix(
+             order, [x - 1 for x in diagonal], edges, signs),
+         "chainmail.mk1_run: minus the final framing is 4, the cut 3 "
+         "(sublink ['a'])"),
+        # a parity test that passes every sublink
+        (two33, ["--set", "a,b"], chainmail, "is_characteristic",
+         lambda link, subset: True,
+         "chainmail.kaplan_filling: blown-down matrix is odd on the "
+         "diagonal (sublink ['a', 'b'])"),
+    ]
+    for path, extra, owner, name, fault, message in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fault)
+            assert run_cli(["mk1", path] + extra, capsys) == (
+                4, "", "internal error: %s\n" % message)
+    # analyze --mk1 fails as mk1 does, instead of giving the failure as
+    # the reason why its mk1 section does not apply
+    with monkeypatch.context() as patch:
+        patch.setattr(MarkedGraph, "degree", framing_one_too_high)
+        code, out, err = run_cli(["analyze", hub, "--mk1"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "internal error: %s\n" % faults[0][-1]
+
+
 def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
     calls = count_calls(chainmail.mk1_run, chainmail.kaplan_filling,
                         exactalg.signature)
@@ -910,8 +973,9 @@ def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
     code, out, _ = run_cli(["--json", "mk1", path, "--all"], capsys)
     assert code == 0
     runs = len(json.loads(out)["runs"])
+    # a Tait link's signature is -m, certified by its hub counts
     assert calls == {"mk1_run": runs, "kaplan_filling": runs,
-                     "signature": 1}
+                     "signature": 0}
     assert runs > 1
     # the filling reads the log it is given and slides nothing itself
     for args, section in ((["analyze", "--mk1"], "mk1"),
@@ -922,6 +986,11 @@ def test_mk1_all_slides_each_sublink_once(tmp_path, capsys, count_calls):
         runs = json.loads(out)[section]
         assert [run["subset"] for run in runs] == [["a"]]
         assert calls["mk1_run"] == calls["kaplan_filling"] == len(runs)
+    # neither these runs nor mk1 on a PD code's white graph eliminate
+    fig8 = write_doc(tmp_path, "fig8.json", {"pd": PD_CODES["figure_eight"]})
+    code, out, _ = run_cli(["--json", "mk1", fig8], capsys)
+    assert code == 0 and json.loads(out)["runs"]
+    assert calls["signature"] == 0
     # an empty --set is refused before any slide
     calls.update(mk1_run=0, kaplan_filling=0)
     for empty in ("", ","):
@@ -959,8 +1028,9 @@ def test_mk1_all_plans_each_piece_once(capsys, monkeypatch, count_calls):
 
 def test_analyze_mk1_reads_sigma_off_the_report(tmp_path, capsys,
                                                 count_calls):
-    # the report's Goeritz form is certified negative definite, so the
-    # filling reads sigma = -m off it instead of eliminating again
+    # the Tait link certifies its linking matrix, the report's Goeritz
+    # form, negative definite, so the filling reads sigma = -m with no
+    # elimination
     calls = count_calls(exactalg.signature)
     path = write_doc(tmp_path, "two33.json", graph_to_doc(two33_graph()))
     code, out, _ = run_cli(["--json", "analyze", path, "--mk1"], capsys)

@@ -24,7 +24,10 @@ from pathlib import Path
 
 import pytest
 
+from spinfill import chainmail
 from spinfill.cli import build_parser, main
+from spinfill.diagram import parse_pd, white_graph
+from spinfill.exactalg import signature
 from spinfill.graphs import graph_to_doc
 
 from conftest import (PD_CODES, banana_graph, cycle_graph, path_hub_graph,
@@ -230,6 +233,50 @@ def test_commands_build_reports_and_write_nothing(tmp_path, capsys):
         report = args.func(args)
         assert capsys.readouterr() == ("", ""), argv
         assert type(report) is dict and "kind" in report, argv
+
+
+def test_analyze_mk1_slides_as_mk1_set_does(tmp_path, monkeypatch):
+    # every graph golden, every PD golden and its white graph as a
+    # marked graph: both commands build one link and slide the sublink
+    # analyze picks alike
+    links = []
+    build = chainmail.build_chainmail
+
+    def recorded(source):
+        links.append(build(source))
+        return links[-1]
+
+    monkeypatch.setattr(chainmail, "build_chainmail", recorded)
+    docs = []
+    for name, doc in corpus().items():
+        if name.startswith("graph_"):
+            docs.append((name, doc))
+        elif name.startswith("pd_"):
+            white = white_graph(parse_pd(doc))
+            docs += [(name, doc), (name, graph_to_doc(white))]
+    compared = 0
+    for k, (name, doc) in enumerate(docs):
+        path = tmp_path / ("%d.json" % k)
+        path.write_text(json.dumps(doc))
+        section = json.loads(main_output(
+            ["--json", "analyze", str(path), "--mk1"]))["mk1"]
+        if name in SPECIAL:
+            assert section == {"applicable": False,
+                               "reason": "only the empty sublink exists"}
+            continue
+        subset = ",".join(map(str, section[0]["subset"]))
+        runs = json.loads(main_output(
+            ["--json", "mk1", str(path), "--set", subset]))["runs"]
+        assert runs == section, name
+        compared += 1
+    # all but pd_trefoil and pd_5_2, twice each, and graph_special44
+    assert compared == len(docs) - 5 and len(links) == len(docs) + compared
+    # each Tait link reads sigma = -m off its hub counts; an elimination
+    # finds the same signature
+    for link in links:
+        assert link.from_tait
+        assert signature(link.linking_matrix) == (0, len(link.vertices), 0)
+        assert link.sigma == -len(link.vertices)
 
 
 if __name__ == "__main__":
