@@ -15,8 +15,9 @@ from typing import NamedTuple
 from .errors import CertificationFailure, MalformedInput, SpinfillError
 from .exactalg import (_characteristic_supports, _edge_matrix, _parity_rows,
                        signature)
-from .graphs import (Frozen, MarkedGraph, _reach, default_outer_dart,
-                     euler_check, genus_check, parse_graph_doc, trace_faces)
+from .graphs import (Frozen, MarkedGraph, _reach, cut_size,
+                     default_outer_dart, genus_check, parse_graph_doc,
+                     trace_faces)
 
 
 class ChainmailLink(Frozen):
@@ -127,45 +128,21 @@ def build_chainmail(source) -> ChainmailLink:
     # vertex included, must be connected and its own embedding must have
     # genus zero.  Deleting a vertex raises no genus, so the rest, which
     # the link checks is connected, needs no second check.
-    if graph.rotations is not None:
-        euler_check(graph)
-    elif not graph.is_connected():
+    if not graph.is_connected():
         raise SpinfillError("white graph must be connected")
-    reduced = graph.without_vertex(graph.marked)
+    if graph.rotations is not None:
+        genus_check(graph, trace_faces(graph))
+    reduced, outer = graph.without_vertex(graph.marked)
     if not reduced.vertices:
         raise SpinfillError("no components after reduction")
+    # the whole graph is connected, so a kept edge meets the marked region
+    if outer is None and reduced.rotations is not None and reduced.edges:
+        raise CertificationFailure(
+            "chainmail.build_chainmail: no dart of the reduced graph "
+            "follows a deleted one")
     return ChainmailLink(reduced,
                          tuple(-graph.degree(v) for v in reduced.vertices),
-                         tuple(1 for _ in reduced.edges),
-                         _outer_from_deletion(graph, reduced), from_tait=True)
-
-
-def _outer_from_deletion(full: MarkedGraph, reduced: MarkedGraph):
-    """Outer face of the reduced embedding: the region that swallowed
-    the deleted marked vertex.
-
-    A surviving dart whose predecessor in the full rotation was deleted
-    opens into that region, and the face sweeping a corner contains the
-    dart the corner precedes.  The whole graph is connected, so such a
-    dart exists once the reduced graph has an edge.
-    """
-    if reduced.rotations is None or not reduced.edges:
-        return None
-    marked = full.marked
-    kept = [i for i, (a, b, _) in enumerate(full.edges) if marked not in (a, b)]
-    remap = {old: new for new, old in enumerate(kept)}
-    for v in reduced.vertices:
-        if marked not in full.neighbors[v]:
-            continue
-        full_rot = full.rotations[full.index[v]]
-        n = len(full_rot)
-        for i, dart in enumerate(full_rot):
-            if dart[0] in remap:
-                continue
-            nxt = full_rot[(i + 1) % n]
-            if nxt[0] in remap:
-                return (remap[nxt[0]], nxt[1])
-    raise CertificationFailure("chainmail._outer_from_deletion: no outer dart")
+                         tuple(1 for _ in reduced.edges), outer, from_tait=True)
 
 
 def is_characteristic(link: ChainmailLink, subset) -> bool:
@@ -374,10 +351,8 @@ def mk1_run(link: ChainmailLink, subset) -> SlideLog:
             "self-pairing %d (sublink %s)"
             % (final_framing, quad, list(subset)))
     if link.from_tait:
-        cut = sum(1 for (u, v, _) in link.graph.edges
-                  if (u in inside) != (v in inside))
-        cut += sum(-link.weights[idx[v]] - link.graph.degree(v)
-                   for v in inside)
+        cut = cut_size(link.graph, inside) + sum(
+            -link.weights[idx[v]] - link.graph.degree(v) for v in inside)
         if cut != -quad:
             raise CertificationFailure(
                 "chainmail.mk1_run: minus the final framing is %d, the cut "

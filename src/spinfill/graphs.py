@@ -115,23 +115,43 @@ class MarkedGraph(Frozen):
         return len(reached) == len(self.vertices)
 
     def without_vertex(self, v):
-        """Delete a vertex with its edges; rotations are filtered."""
+        """Delete a vertex with its edges; rotations are filtered.
+
+        Returns the reduced graph and a dart on its outer face, the
+        region that swallowed v: a kept dart whose predecessor in the
+        full rotation was deleted opens into that region, since the face
+        sweeping a corner contains the dart the corner precedes.  The
+        first such dart is taken, in vertex order and then in rotation
+        order of the deleted predecessor.  It is None when the graph has
+        no rotations or keeps no edge.
+        """
         keep = [i for i, (a, b, _) in enumerate(self.edges) if v not in (a, b)]
         remap = {old: new for new, old in enumerate(keep)}
         new_edges = tuple(self.edges[i] for i in keep)
         new_vertices = tuple(w for w in self.vertices if w != v)
-        new_rot = None
+        new_rot = outer = None
         if self.rotations is not None:
-            new_rot = tuple(
-                tuple((remap[e], end) for (e, end) in self.rotations[self.index[w]]
-                      if e in remap)
-                for w in new_vertices
-            )
+            new_rot = []
+            for w in new_vertices:
+                rot = self.rotations[self.index[w]]
+                new_rot.append(tuple((remap[e], end) for e, end in rot
+                                     if e in remap))
+                if outer is None:
+                    outer = next(((remap[e], end) for (d, _), (e, end)
+                                  in zip(rot, rot[1:] + rot[:1])
+                                  if d not in remap and e in remap), None)
+            new_rot = tuple(new_rot)
         return MarkedGraph(new_vertices, new_edges, marked=None,
-                           rotations=new_rot)
+                           rotations=new_rot), outer
 
     def rotation_of(self, v):
         return self.rotations[self.index[v]]
+
+
+def cut_size(g: MarkedGraph, vertices) -> int:
+    """Edges of g leaving the vertex set."""
+    inside = set(vertices)
+    return sum(1 for (u, v, _) in g.edges if (u in inside) != (v in inside))
 
 
 def _validate_rotations(g: MarkedGraph):
@@ -209,13 +229,6 @@ def trace_faces(g: MarkedGraph):
         raise SpinfillError("graph carries no rotation system")
     darts = ((e, end) for e in range(len(g.edges)) for end in (0, 1))
     return _dart_orbits(darts, _face_successor(g.rotations))
-
-
-def euler_check(g: MarkedGraph):
-    """Genus-zero check V - E + F = 2 for a connected embedded graph."""
-    if not g.is_connected():
-        raise SpinfillError("embedded graph must be connected")
-    genus_check(g, trace_faces(g))
 
 
 def genus_check(g: MarkedGraph, faces):
@@ -351,8 +364,8 @@ def parse_graph_doc(text):
             except KeyError as exc:
                 raise MalformedInput("edge %d misses an endpoint" % k) from exc
             sign = _check_int(e.get("sign", 1), "edge sign")
-        elif isinstance(e, (list, tuple)) and len(e) >= 2:
-            u, v = e[0], e[1]
+        elif isinstance(e, (list, tuple)) and len(e) == 2:
+            u, v = e
             sign = 1
         else:
             raise MalformedInput("edge %r is not a pair" % (e,))
@@ -390,6 +403,11 @@ def parse_graph_doc(text):
                         "vertex %r lists edge %r it does not touch" % (v, e_idx))
             rotations.append(tuple(rot))
         rotations = tuple(rotations)
+        named = set(vertices) | set(map(str, vertices))
+        for key in rot_doc:
+            if key not in named:
+                raise MalformedInput("rotation key %r names no vertex"
+                                     % (key,))
     marked = doc.get("marked")
     if marked is not None:
         _check_id(marked)

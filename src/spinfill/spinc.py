@@ -26,7 +26,7 @@ from . import _import_lazily
 from .errors import CertificationFailure, NotATree, Singular, SpinfillError
 from .exactalg import (GoeritzForm, _characteristic_supports, goeritz,
                        hnf_reduce)
-from .graphs import MarkedGraph
+from .graphs import MarkedGraph, cut_size
 from .plumbing import PlumbingTree
 
 _diagram = _import_lazily("spinfill.diagram")   # run on diagram input only
@@ -321,12 +321,6 @@ def _verify_characteristic(w: MarkedGraph, support):
             raise CertificationFailure(
                 "spinc._verify_characteristic: GF(2) solution %s fails the "
                 "direct parity re-check at vertex %r" % (list(support), v))
-
-
-def cut_size(w: MarkedGraph, vertices) -> int:
-    """Edges of the full graph leaving the vertex set (marked outside)."""
-    inside = set(vertices)
-    return sum(1 for (u, v, _) in w.edges if (u in inside) != (v in inside))
 
 
 def _spin_defect(g: GoeritzForm, sub: CharSubgraph) -> Fraction:

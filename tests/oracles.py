@@ -7,7 +7,8 @@ table by one lattice search per class in the vertex-order kernel, the
 spin class by a rescan of the table, the Kauffman states as region
 assignments with a covector per state, the spin-c table as row dicts,
 the Kaplan filling by explicit blow-ups and a blow-down, the enclosed-vertex test of mk1's pair rule
-by face tracing, tree validation edge by edge, the f >= 9 m Furuta
+by face tracing, the genus-zero check of a connected embedding, the
+outer dart left by deleting the marked vertex, tree validation edge by edge, the f >= 9 m Furuta
 rule, the checkerboard coloring by search, the black graph as the white
 graph of the mirror, the simple cycles by path search, the lens-space
 d-invariants by the Ozsvath-Szabo recursion), helpers only the
@@ -30,7 +31,7 @@ from spinfill.errors import (CertificationFailure, MalformedInput, NotATree,
                              Singular, SpinfillError)
 from spinfill.exactalg import GoeritzForm, _require_square, signature
 from spinfill.graphs import (MarkedGraph, _dart_orbits, _face_successor,
-                             _reach, euler_check, trace_faces)
+                             _reach, genus_check, trace_faces)
 from spinfill.plumbing import PlumbingTree, neg_cf
 from spinfill.spinc import canonical_key
 
@@ -530,6 +531,39 @@ def face_corners(g: MarkedGraph, face):
         w, i = pos[opp]
         corners.append((w, (i + 1) % len(g.rotations[g.index[w]])))
     return corners
+
+
+def euler_check(g: MarkedGraph):
+    """Genus-zero check V - E + F = 2 for a connected embedded graph."""
+    if not g.is_connected():
+        raise SpinfillError("embedded graph must be connected")
+    genus_check(g, trace_faces(g))
+
+
+def outer_from_deletion(full: MarkedGraph):
+    """Outer dart of full once its marked vertex is deleted, found apart
+    from the deletion: at each vertex adjacent to the mark in vertex
+    order, the first deleted dart in rotation order that a kept dart
+    follows gives that kept dart, renumbered as in the reduced graph.
+    None without rotations or with no kept edge.
+    """
+    marked = full.marked
+    kept = [i for i, (a, b, _) in enumerate(full.edges) if marked not in (a, b)]
+    if full.rotations is None or not kept:
+        return None
+    remap = {old: new for new, old in enumerate(kept)}
+    for v in full.vertices:
+        if v == marked or marked not in full.neighbors[v]:
+            continue
+        full_rot = full.rotation_of(v)
+        n = len(full_rot)
+        for i, dart in enumerate(full_rot):
+            if dart[0] in remap:
+                continue
+            nxt = full_rot[(i + 1) % n]
+            if nxt[0] in remap:
+                return (remap[nxt[0]], nxt[1])
+    raise CertificationFailure("outer_from_deletion: no outer dart")
 
 
 def gen_plane_multigraph(rng, n_vertices, n_extra_edges, marked=True,

@@ -222,7 +222,7 @@ def test_criterion_09_mu_consistency():
     done = 0
     while done < 80:
         w = gen_plane_multigraph(rng, rng.randint(2, 8), 0)
-        reduced = w.without_vertex(w.marked)
+        reduced, _ = w.without_vertex(w.marked)
         if not reduced.vertices or not reduced.is_connected():
             continue
         if len(reduced.edges) != len(reduced.vertices) - 1:

@@ -480,6 +480,36 @@ GRAPH_REFUSALS = {
         "no components after reduction"),
     "mk1_genus_1": (["mk1", "--all"], THETA_GENUS_1, 3,
                     "rotation system has positive genus"),
+    # h - a, h - b and a - b, each doubled: the sublink {a, b} is
+    # characteristic and its two vertices need rotations to slide
+    "mk1_no_rotations": (["mk1", "--all"], {
+        "vertices": [{"id": "h"}, {"id": "a"}, {"id": "b"}],
+        "edges": [["h", "a"], ["h", "a"], ["h", "b"], ["h", "b"],
+                  ["a", "b"], ["a", "b"]], "marked": "h"}, 3,
+        "handle-slide order needs a rotation system"),
+    "analyze_marked_vertex_alone": (
+        ["analyze"], {"vertices": [{"id": 0}], "edges": [], "marked": 0}, 3,
+        "no unmarked vertices"),
+    "obstruct_marked_vertex_alone": (
+        ["obstruct"], {"vertices": [{"id": 0}], "edges": [], "marked": 0}, 3,
+        "no unmarked vertices"),
+    "plumb_empty_object": (["plumb", "check"], {}, 2,
+                           "tree document needs a 'vertices' list"),
+    "plumb_bare_list": (["plumb", "check"], [], 2,
+                        "tree document needs a 'vertices' list"),
+    "pd_crossing_not_4_tuple": (["analyze"], {"pd": [[1, 2, 3]]}, 2,
+                                "crossing [1, 2, 3] is not a 4-tuple"),
+    # a third entry is no sign: signs take the {"u", "v", "sign"} form
+    "edge_triple": (["analyze"], {
+        "vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
+        "edges": [[0, 1], [1, 2], [2, 0], [0, 1, -1]], "marked": 0}, 2,
+        "edge [0, 1, -1] is not a pair"),
+    "rotation_stray_key": (["obstruct"], {
+        "vertices": [{"id": 0}, {"id": 1}, {"id": 2}],
+        "edges": [[0, 1], [1, 2], [2, 0], [0, 1]], "marked": 0,
+        "rotations": {"0": [0, 2, 3], "1": [0, 1, 3], "2": [1, 2],
+                      "zzz": [0]}}, 2,
+        "rotation key 'zzz' names no vertex"),
 }
 
 
@@ -516,7 +546,7 @@ def test_mk1_checks_the_genus_of_a_marked_graph(tmp_path, capsys):
         edges=[["a", "b"], ["a", "b"]],
         rotations={"h": [], "a": [0, 1], "b": [1, 0]}))
     assert run_cli(["mk1", lone, "--all"], capsys) == (
-        3, "", "error: embedded graph must be connected\n")
+        3, "", "error: white graph must be connected\n")
     assert run_cli(["analyze", lone], capsys) == (
         3, "", "error: white graph must be connected\n")
     # so does mk1 without rotations, as analyze and obstruct do: the

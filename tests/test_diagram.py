@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from spinfill.diagram import kauffman_states, parse_pd, white_graph
 from spinfill.errors import MalformedInput
 from spinfill.exactalg import goeritz
-from spinfill.graphs import MarkedGraph, euler_check
+from spinfill.graphs import MarkedGraph
 from spinfill.spinc import characteristic_subgraphs, enumerate_spinc
 
 from conftest import PD_CODES, banana_graph, probe_a, refused, white_data
 from oracles import (arc_ids, checkerboard_bfs, convention_ok, det_exact,
-                     diagram_from_plane_graph, gen_plane_multigraph,
+                     diagram_from_plane_graph, euler_check,
+                     gen_plane_multigraph,
                      is_special, kauffman_state_assignments,
                      link_components, mirror, multigraph_isomorphic,
                      state_covector)

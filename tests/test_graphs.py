@@ -9,7 +9,8 @@ from spinfill.graphs import MarkedGraph
 from spinfill.plumbing import accessible_witness
 
 from conftest import refused
-from oracles import bridges, gen_plane_multigraph, simple_cycles
+from oracles import (bridges, gen_plane_multigraph, outer_from_deletion,
+                     simple_cycles)
 
 
 def random_plane_graph(seed):
@@ -53,3 +54,22 @@ def test_cactus_check_matches_cycle_enumeration(seed):
             accessible_witness(g, weights)
     else:
         assert accessible_witness(g, weights).marked == "hub"
+
+
+def test_deletion_finds_the_outer_dart_of_the_oracle():
+    # each vertex in turn is the mark; a mark that is not the first
+    # vertex's neighbour makes the scan pass vertices with no deleted dart
+    rng = random.Random(34)
+    cases = passed = 0
+    for _ in range(400):
+        g = gen_plane_multigraph(rng, rng.randint(2, 8), rng.randint(0, 8))
+        for mark in g.vertices:
+            w = MarkedGraph(g.vertices, g.edges, mark, g.rotations)
+            reduced, outer = w.without_vertex(mark)
+            assert outer == outer_from_deletion(w), (w, mark)
+            assert (outer is None) == (not reduced.edges)
+            cases += 1
+            if outer is not None:
+                first = reduced.vertices[0]
+                passed += mark not in w.neighbors[first]
+    assert cases > 2000 and passed > 100, (cases, passed)
